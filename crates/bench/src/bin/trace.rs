@@ -118,9 +118,8 @@ fn main() {
         "file",
     ]);
 
-    // Multi-fetcher runs (dynamic event-loop shuffle with recorded
-    // happens-before edges) get their own file names, so the shipped
-    // 1-fetcher legacy figures are never clobbered.
+    // Multi-fetcher runs (dynamic event-loop shuffle) get their own file
+    // names, so the shipped 1-fetcher figures are never clobbered.
     let fsuffix = if cluster.shuffle_fetchers > 1 {
         format!("_f{}", cluster.shuffle_fetchers)
     } else {

@@ -25,12 +25,13 @@
 use crate::controller::{
     fixed_spill_factory, EmitFilterFactory, FilterCtx, SpillControllerFactory, TaskCtx,
 };
+use crate::dag::{DagExecutor, DagRun};
 use crate::event::{AttemptKey, ClusterShape, ReduceAttempt, Scheduler};
 use crate::fault::{FaultPlan, SpeculationConfig};
 use crate::io::dfs::SimDfs;
 use crate::io::input::InputSplit;
 use crate::io::StreamingConfig;
-use crate::job::Job;
+use crate::job::{Job, StageInput};
 use crate::metrics::{JobProfile, Op, SpeculationStats, TaskProfile, TaskSpan, VNanos};
 use crate::net::NetworkConfig;
 use crate::pool::run_indexed;
@@ -380,16 +381,6 @@ impl JobRun {
     }
 }
 
-/// Removes the job's temp directory on every exit path (success, error,
-/// panic), so aborted jobs do not leak spill files into tmpfs.
-struct TempDirGuard<'a>(&'a Path);
-
-impl Drop for TempDirGuard<'_> {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(self.0);
-    }
-}
-
 /// Outcome of one map task's full retry loop, as produced on a worker.
 enum MapTaskOutcome {
     /// The task completed; carries every attempt's virtual duration
@@ -487,50 +478,22 @@ impl EntryMeta {
     }
 }
 
-/// Ground-truth happens-before edges for a job trace.
+/// Ground-truth happens-before edges for a job trace, assembled from
+/// per-entry metadata plus the intra-entry edges already extracted by
+/// [`intra_entry_edges`].
 ///
 /// Scheduling-level edges come off the unified event loop's attempt log
 /// (slot chains in record order; retry and backup hand-offs); intra-task
-/// edges come from the producer-side structure of the assembled entries
-/// (spill segments feeding the map-side merge; each flow group's arrival
+/// edges come from the producer-side structure of the entries (spill
+/// segments feeding the map-side merge; each flow group's arrival
 /// preceding the reduce-lane merge; map outputs published before the
-/// reduce attempts that fetch them). `registry` — present when an emit
-/// filter was installed — is the frequent-key registry's
-/// designated-publisher assignment: sorted `(node, publisher task)`
-/// pairs, plus every map task's home node.
-/// `registries[r]` is round `r`'s assignment (or `None`); `map_base[r]` /
-/// `reduce_base[r]` are the global task-id offsets the scheduler used for
-/// round `r`, so entries (which carry round-local task ids) can be matched
-/// back to the shared attempt log of a multi-round DAG.
-pub(crate) fn build_trace_edges(
-    entries: &[TraceEntry],
-    sched: &Scheduler,
-    registries: &[Option<RegistryAssignment>],
-    map_base: &[usize],
-    reduce_base: &[usize],
-) -> Vec<TraceEdge> {
-    let metas: Vec<EntryMeta> = entries.iter().map(EntryMeta::of).collect();
-    let mut spill = Vec::new();
-    let mut barrier = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let (s, b) = intra_entry_edges(i, e);
-        spill.extend(s);
-        barrier.extend(b);
-    }
-    assemble_trace_edges(
-        &metas,
-        sched,
-        registries,
-        map_base,
-        reduce_base,
-        spill,
-        barrier,
-    )
-}
-
-/// Assemble the full edge list from per-entry metadata plus the intra-entry
-/// edges already extracted by [`intra_entry_edges`]. Edge order matches the
-/// historical `build_trace_edges` exactly (slot chains, scheduler edges,
+/// reduce attempts that fetch them). `registries[r]` is round `r`'s
+/// frequent-key registry assignment — present when an emit filter was
+/// installed: sorted `(node, publisher task)` pairs, plus every map task's
+/// home node. `map_base[r]` / `reduce_base[r]` are the global task-id
+/// offsets the scheduler used for round `r`, so entries (which carry
+/// round-local task ids) can be matched back to the shared attempt log of
+/// a multi-round DAG. Edge order is fixed (slot chains, scheduler edges,
 /// map-output barriers, spill hand-ins, shuffle barriers, registry), so
 /// batch and streamed exports stay byte-identical.
 pub(crate) fn assemble_trace_edges(
@@ -757,9 +720,9 @@ pub(crate) fn new_scheduler(cluster: &ClusterConfig, cfg: &JobConfig) -> Schedul
 /// `inputs` pairs a DFS file name with its logical source tag (tags matter
 /// only for multi-input jobs such as repartition joins).
 ///
-/// One round on a fresh scheduler: exactly the legacy one-shot pipeline.
-/// Multi-round DAG jobs drive `run_round` through
-/// [`crate::dag::DagExecutor`] instead.
+/// A one-stage [`DagExecutor`] run: split planning, the round itself, and
+/// trace assembly (batch or streamed) are the executor's, not a second
+/// copy here.
 pub fn run_job(
     cluster: &ClusterConfig,
     cfg: &JobConfig,
@@ -767,85 +730,18 @@ pub fn run_job(
     dfs: &SimDfs,
     inputs: &[(&str, u8)],
 ) -> io::Result<JobRun> {
-    let temp = cluster.resolve_temp_dir()?;
-    let _cleanup = TempDirGuard(&temp);
-
-    // ---- plan splits ----------------------------------------------------------
-    let mut splits: Vec<InputSplit> = Vec::new();
-    for (name, source) in inputs {
-        let file = dfs.get(name).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no DFS file {name}"))
-        })?;
-        splits.extend(InputSplit::from_file(file, *source));
-    }
-
-    let mut vsched = new_scheduler(cluster, cfg);
-    let RoundRun {
+    let input = StageInput::Dfs(inputs.iter().map(|&(n, s)| (n.to_string(), s)).collect());
+    let mut ex = DagExecutor::new(cluster)?;
+    ex.run_stage(job, cfg, &input, dfs)?;
+    let DagRun {
         outputs,
-        profile,
-        entries,
-        registry,
-    } = run_round(
-        cluster,
-        cfg,
-        job,
-        &splits,
-        RoundCtx {
-            round: 0,
-            map_task_base: 0,
-            reduce_task_base: 0,
-            vsched: &mut vsched,
-            temp: &temp,
-        },
-    )?;
-    let trace = if cfg.trace {
-        let twall = entries
-            .iter()
-            .map(|e| e.end)
-            .max()
-            .unwrap_or(0)
-            .max(profile.wall);
-        let edges = build_trace_edges(&entries, &vsched, &[registry], &[0], &[0]);
-        let map_slots = cluster.map_slots_per_node.max(1);
-        let reduce_slots = cluster.reduce_slots_per_node.max(1);
-        let fetchers = cluster
-            .shuffle_fetchers
-            .clamp(1, crate::shuffle::MAX_FETCHERS);
-        if let Some(path) = &cfg.trace_stream {
-            // Streamed export: spool each entry's span events to disk and
-            // drop the entry; the full JSON is never resident. Byte parity
-            // with `to_chrome_json()` is guaranteed because both routes
-            // share the emission helpers (see `trace::stream`).
-            let mut w = crate::trace::stream::TraceStreamWriter::create(
-                path.clone(),
-                cluster.nodes,
-                map_slots,
-                reduce_slots,
-                fetchers,
-            )?;
-            for e in entries {
-                w.push_entry(&e)?;
-            }
-            w.finish(twall, &edges)?;
-            None
-        } else {
-            Some(JobTrace {
-                nodes: cluster.nodes,
-                map_slots,
-                reduce_slots,
-                fetchers,
-                wall: twall,
-                edges,
-                entries,
-            })
-        }
-    } else {
-        None
-    };
+        mut profile,
+        trace,
+    } = ex.finish()?;
     Ok(JobRun {
         outputs,
+        profile: profile.rounds.pop().expect("one stage ran: one round"),
         trace,
-        profile,
     })
 }
 
@@ -878,12 +774,9 @@ pub(crate) struct RoundRun {
 
 /// Execute one map→shuffle→reduce round on the shared event loop.
 ///
-/// With `round == 0`, zero bases, and a fresh scheduler this IS the legacy
-/// single-shot pipeline, bit for bit: the scheduler sees the same task
-/// ids, the reservation recurrence starts from the same all-zero slot
-/// frees, and round-0 trace entries export byte-identically to pre-DAG
-/// traces. Later rounds pass global task-id bases (so attempt keys stay
-/// unique in the shared event graph) and a round stamp for the trace.
+/// Round 0 runs with zero bases on a fresh scheduler; later rounds pass
+/// global task-id bases (so attempt keys stay unique in the shared event
+/// graph) and a round stamp for the trace.
 pub(crate) fn run_round(
     cluster: &ClusterConfig,
     cfg: &JobConfig,

@@ -14,10 +14,10 @@
 //! Keys and values never round-trip through a text codec, so a stage's map
 //! sees exactly the bytes its predecessor's reduce emitted.
 //!
-//! A single-stage DAG is the legacy pipeline bit for bit: round 0 places
-//! the same task ids on a fresh scheduler, never emits a round boundary,
-//! and its trace exports byte-identically to [`run_job`]'s
-//! (`tests/dag_determinism.rs` pins this against the shipped figures).
+//! This is the engine's only job driver: [`run_job`] is a one-stage run
+//! of [`DagExecutor`]. Round 0 places task ids from zero on a fresh
+//! scheduler and never emits a round boundary; `tests/dag_determinism.rs`
+//! replays its placement recurrence against the shipped figures.
 //!
 //! [`run_job`]: crate::cluster::run_job
 
@@ -461,44 +461,6 @@ mod tests {
         let mut dfs = SimDfs::new(cluster.nodes, 4096);
         dfs.put("corpus", corpus(300));
         dfs
-    }
-
-    #[test]
-    fn single_stage_dag_replays_run_job_bit_identically() {
-        let cluster = ClusterConfig::local();
-        let dfs = dfs_with_corpus(&cluster);
-        let cfg = JobConfig::default().with_trace();
-        let legacy = run_job(&cluster, &cfg, Arc::new(WordSum), &dfs, &[("corpus", 0)]).unwrap();
-        let dag = JobDag::new().stage(Arc::new(WordSum), cfg, StageInput::dfs("corpus"));
-        let run = run_dag(&cluster, &dag, &dfs).unwrap();
-        // Byte-identical data and timing-free signatures. (Virtual
-        // durations are measured from real execution, so wall times and
-        // slot picks legitimately differ between any two runs — the
-        // placement recurrence itself is pinned against the shipped
-        // figures in tests/dag_determinism.rs.)
-        assert_eq!(run.outputs, legacy.outputs);
-        assert_eq!(run.profile.rounds.len(), 1);
-        assert_eq!(
-            run.profile.rounds[0].signature(),
-            legacy.profile.signature()
-        );
-        // The trace skeleton — which attempts exist, where, in which
-        // round — is identical, and both traces validate.
-        let skeleton = |t: &JobTrace| {
-            let mut v: Vec<_> = t
-                .entries
-                .iter()
-                .map(|e| (e.kind, e.round, e.task, e.attempt, e.backup, e.node))
-                .collect();
-            v.sort();
-            v
-        };
-        let dt = run.trace.as_ref().unwrap();
-        let lt = legacy.trace.as_ref().unwrap();
-        dt.check().unwrap();
-        assert_eq!(skeleton(dt), skeleton(lt));
-        assert!(dt.entries.iter().all(|e| e.round == 0));
-        assert!(dt.edges.iter().all(|e| e.kind != EdgeKind::Round));
     }
 
     #[test]

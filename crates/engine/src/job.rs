@@ -191,7 +191,7 @@ pub struct Stage {
 /// input edges point strictly backwards. Stage `k` executes as round `k`
 /// on one shared virtual-time scheduler (see
 /// [`DagExecutor`](crate::dag::DagExecutor)); a single-stage plan is
-/// exactly the legacy one-shot pipeline.
+/// what [`run_job`](crate::cluster::run_job) runs.
 #[derive(Default)]
 pub struct JobDag {
     /// Stages in execution order.

@@ -76,6 +76,7 @@ pub mod fault;
 pub mod hash;
 pub mod io;
 pub mod job;
+pub mod json;
 pub mod metrics;
 pub mod net;
 pub mod pool;

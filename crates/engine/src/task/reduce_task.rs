@@ -446,8 +446,12 @@ mod tests {
         }
     }
 
+    /// A fresh directory per call: tests run on parallel threads and map
+    /// tasks with the same id would otherwise share spill files.
     fn tmpdir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!("textmr-reduce-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("textmr-reduce-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }

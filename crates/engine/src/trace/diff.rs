@@ -19,6 +19,7 @@
 //! breakdown) as deterministic JSON for downstream tooling.
 
 use super::{EntryDetail, JobTrace, LaneRole, SpanKind, TaskKind};
+use crate::json::escape;
 use crate::metrics::VNanos;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -218,27 +219,13 @@ impl TraceDiff {
     /// Emit the diff as deterministic JSON, including the per-kind wait
     /// breakdown the ASCII table folds into one column.
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        };
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
             "{{\"a\":\"{}\",\"b\":\"{}\",\"wallA\":{},\"wallB\":{},\
              \"onlyA\":{},\"onlyB\":{},\"rows\":[",
-            esc(&self.labels[0]),
-            esc(&self.labels[1]),
+            escape(&self.labels[0]),
+            escape(&self.labels[1]),
             self.wall[0],
             self.wall[1],
             self.only_a,
@@ -254,7 +241,7 @@ impl TraceDiff {
                  \"busyA\":{},\"busyB\":{},\"waitA\":{},\"waitB\":{},\"waitDelta\":{},\
                  \"waitByKind\":{{",
                 r.round,
-                esc(&r.lane),
+                escape(&r.lane),
                 r.attempts[0],
                 r.attempts[1],
                 r.busy[0],
@@ -267,7 +254,7 @@ impl TraceDiff {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":[{wa},{wb}]", esc(kind));
+                let _ = write!(out, "\"{}\":[{wa},{wb}]", escape(kind));
             }
             out.push_str("}}");
         }

@@ -30,30 +30,31 @@
 //! [`JobTrace::render_text`] draws a compact ASCII timeline for terminals
 //! and tests. For out-of-core runs whose traces should never be resident
 //! as one big string, [`stream::TraceStreamWriter`] spools the same span
-//! events to disk incrementally and produces a byte-identical file. [`validate_chrome_trace`] is a minimal dependency-free JSON
-//! schema check used by the tests and the `trace` bench bin. The export is
-//! lossless for auditing purposes: [`JobTrace::from_chrome_json`] rebuilds
-//! a `JobTrace` from its own export (cluster layout travels in a `textmr`
-//! metadata object), which is how `textmr-lint --trace` audits shipped
-//! trace files offline.
+//! events to disk incrementally and produces a byte-identical file. The
+//! export is lossless for auditing purposes: [`validate_chrome_trace`]
+//! checks a document against the event schema and
+//! [`JobTrace::from_chrome_json`] rebuilds a `JobTrace` from its own
+//! export, which is how `textmr-lint --trace` audits shipped trace files
+//! offline. The format — both directions — lives in the private `chrome`
+//! submodule; this module holds the span/lane/entry model.
 //!
 //! The [`race`] submodule is a vector-clock happens-before checker over a
-//! `JobTrace`. Traces produced by the unified event loop
-//! ([`crate::event`]) carry their ordering edges explicitly in
+//! `JobTrace`. Every trace carries its ordering edges explicitly in
 //! [`JobTrace::edges`] — each [`TraceEdge`] is emitted by the scheduler's
 //! event graph (slot reuse, retries, backups) or by the task recorders'
 //! structure (spill hand-offs, map-output→fetch, shuffle barriers,
 //! registry hand-offs) — and the checker consumes that ground truth
-//! directly. For legacy edge-less traces (including all shipped
-//! `results/trace_*.json` files) the checker falls back to reconstructing
-//! the same edges from span structure and timing. Either way it reports
+//! directly, never re-deriving an ordering from span timing. It reports
 //! span pairs that touch the same logical resource without a
 //! happens-before path — virtual-time races the per-lane tiling checks in
 //! [`JobTrace::check`] cannot see.
 
+mod chrome;
 pub mod diff;
 pub mod race;
 pub mod stream;
+
+pub use chrome::{validate_chrome_trace, ChromeTraceSummary};
 
 use crate::metrics::{Op, OpTimes, VNanos};
 use std::collections::BTreeMap;
@@ -196,7 +197,7 @@ impl LaneRole {
     }
 
     /// Lane index within its slot's thread group (`tid` offset).
-    fn sub_index(self) -> usize {
+    pub(crate) fn sub_index(self) -> usize {
         match self {
             LaneRole::Map | LaneRole::Reduce => 0,
             LaneRole::Support => 1,
@@ -798,21 +799,12 @@ pub struct JobTrace {
     pub wall: VNanos,
     /// Every scheduled attempt, including failed ones and backups.
     pub entries: Vec<TraceEntry>,
-    /// Recorded happens-before edges (empty for legacy traces; the race
-    /// checker then falls back to timing-derived reconstruction).
+    /// Recorded happens-before edges — the only ordering evidence the race
+    /// checker accepts.
     pub edges: Vec<TraceEdge>,
 }
 
 impl JobTrace {
-    /// Slot-lane geometry for Chrome-trace thread-id computation.
-    fn layout(&self) -> LaneLayout {
-        LaneLayout {
-            map_slots: self.map_slots,
-            reduce_slots: self.reduce_slots,
-            fetchers: self.fetchers,
-        }
-    }
-
     /// Sum of all `Op` spans across the attempts of record, with each
     /// entry's straggler factor divided back out — comparable to
     /// [`JobProfile::total_ops`](crate::metrics::JobProfile::total_ops).
@@ -892,37 +884,6 @@ impl JobTrace {
             }
         }
         Ok(())
-    }
-
-    /// Export as Chrome trace event format JSON (open in Perfetto or
-    /// `chrome://tracing`): `pid` = node, `tid` = slot thread lane,
-    /// timestamps and durations in virtual microseconds.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        write_trace_header(
-            &mut out,
-            self.nodes,
-            self.map_slots,
-            self.reduce_slots,
-            self.fetchers,
-            self.wall,
-            &self.edges,
-        );
-        let layout = self.layout();
-        let mut threads: BTreeMap<(usize, usize), String> = BTreeMap::new();
-        for e in &self.entries {
-            note_entry_threads(&layout, e, &mut threads);
-        }
-        let mut first = true;
-        write_meta_events(&mut out, self.nodes, &threads, &mut first);
-        // Span events. The `round` and `job` args are emitted only when
-        // non-zero, so single-round single-job exports stay byte-identical
-        // to the legacy format.
-        for e in &self.entries {
-            write_entry_events(&mut out, &layout, e, &mut first);
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Render a compact ASCII timeline (`width` columns of virtual time per
@@ -1007,258 +968,6 @@ impl JobTrace {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Chrome-trace emission internals
-// ---------------------------------------------------------------------------
-//
-// Shared by [`JobTrace::to_chrome_json`] (batch) and
-// [`stream::TraceStreamWriter`] (incremental): both paths route every byte
-// through the same four helpers, so the streamed file is byte-identical to
-// the batch export by construction, not by parallel maintenance.
-
-/// Slot-lane geometry needed to compute Chrome-trace thread ids without a
-/// full [`JobTrace`] in hand.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneLayout {
-    /// Map slots per node.
-    pub map_slots: usize,
-    /// Reduce slots per node.
-    pub reduce_slots: usize,
-    /// Shuffle fetchers per reduce task (tid-layout width).
-    pub fetchers: usize,
-}
-
-impl LaneLayout {
-    /// Width of one round's tid block: map slots first (two lanes each),
-    /// then reduce slots (1 + `fetchers` lanes each).
-    fn lane_block(&self) -> usize {
-        self.map_slots * 2 + self.reduce_slots * (1 + self.fetchers)
-    }
-
-    /// Stable Chrome-trace thread id for a lane. Round 0 occupies the
-    /// legacy layout; each later round gets its own block of lanes above
-    /// it, so a whole DAG renders as one Perfetto timeline with per-round
-    /// lane groups.
-    fn tid(&self, round: usize, kind: TaskKind, slot: usize, role: LaneRole) -> usize {
-        let base = round * self.lane_block();
-        base + match kind {
-            TaskKind::Map => slot * 2 + role.sub_index(),
-            TaskKind::Reduce => self.map_slots * 2 + slot * (1 + self.fetchers) + role.sub_index(),
-        }
-    }
-}
-
-/// Write everything up to and including the opening `"traceEvents":[`.
-///
-/// Cluster layout rides along in a `textmr` metadata object so the trace
-/// is self-describing: [`JobTrace::from_chrome_json`] needs it to invert
-/// the tid layout. Perfetto ignores unknown keys. Recorded happens-before
-/// edges travel in the same object as compact arrays `[kind, srcEntry,
-/// srcLane, srcSpan, dstEntry, dstLane, dstSpan]` (`-1` marks an
-/// entry-level endpoint); the key is omitted entirely for edge-less traces
-/// so legacy exports stay byte-identical.
-pub(crate) fn write_trace_header(
-    out: &mut String,
-    nodes: usize,
-    map_slots: usize,
-    reduce_slots: usize,
-    fetchers: usize,
-    wall: VNanos,
-    edges: &[TraceEdge],
-) {
-    let _ = write!(
-        out,
-        "{{\"displayTimeUnit\":\"ms\",\"textmr\":{{\"nodes\":{nodes},\
-         \"mapSlots\":{map_slots},\"reduceSlots\":{reduce_slots},\
-         \"fetchers\":{fetchers},\"wall\":{wall}"
-    );
-    if !edges.is_empty() {
-        out.push_str(",\"edges\":[");
-        for (i, e) in edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (sl, ss) = e.src.at.map_or((-1, -1), |(l, s)| (l as i64, s as i64));
-            let (dl, ds) = e.dst.at.map_or((-1, -1), |(l, s)| (l as i64, s as i64));
-            let _ = write!(
-                out,
-                "[\"{}\",{},{sl},{ss},{},{dl},{ds}]",
-                e.kind.name(),
-                e.src.entry,
-                e.dst.entry
-            );
-        }
-        out.push(']');
-    }
-    out.push_str("},\"traceEvents\":[");
-}
-
-/// Record the thread-name labels one entry's lanes will render under.
-/// Labels are keyed `(node, tid)`; first writer wins, so insertion order
-/// (entry order) never changes an existing label.
-pub(crate) fn note_entry_threads(
-    layout: &LaneLayout,
-    e: &TraceEntry,
-    threads: &mut BTreeMap<(usize, usize), String>,
-) {
-    let roles: Vec<LaneRole> = match &e.detail {
-        EntryDetail::Lanes(lanes) => lanes.iter().map(|l| l.role).collect(),
-        EntryDetail::Flat(_) => vec![match e.kind {
-            TaskKind::Map => LaneRole::Map,
-            TaskKind::Reduce => LaneRole::Reduce,
-        }],
-    };
-    for role in roles {
-        let tid = layout.tid(e.round, e.kind, e.slot, role);
-        threads.entry((e.node, tid)).or_insert_with(|| {
-            format!(
-                "{}{} slot {} \u{00b7} {}",
-                if e.round > 0 {
-                    format!("r{} ", e.round)
-                } else {
-                    String::new()
-                },
-                e.kind.label(),
-                e.slot,
-                role.label()
-            )
-        });
-    }
-}
-
-/// Comma-separate `event` into `out`, tracking whether any event has been
-/// written yet via `first`.
-fn push_event(out: &mut String, first: &mut bool, event: String) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str(&event);
-}
-
-/// Write the process and thread metadata events: one "process" per node,
-/// then a name and sort index for every `(node, tid)` lane in `threads`.
-pub(crate) fn write_meta_events(
-    out: &mut String,
-    nodes: usize,
-    threads: &BTreeMap<(usize, usize), String>,
-    first: &mut bool,
-) {
-    for node in 0..nodes {
-        push_event(
-            out,
-            first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"node {node}\"}}}}"
-            ),
-        );
-        push_event(
-            out,
-            first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"name\":\"process_sort_index\",\
-                 \"args\":{{\"sort_index\":{node}}}}}"
-            ),
-        );
-    }
-    for ((node, tid), label) in threads {
-        push_event(
-            out,
-            first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(label)
-            ),
-        );
-        push_event(
-            out,
-            first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{tid},\
-                 \"name\":\"thread_sort_index\",\"args\":{{\"sort_index\":{tid}}}}}"
-            ),
-        );
-    }
-}
-
-/// Write one entry's span events: every lane span for a detailed entry, or
-/// the single flat attempt span for a lanes-less one.
-pub(crate) fn write_entry_events(
-    out: &mut String,
-    layout: &LaneLayout,
-    e: &TraceEntry,
-    first: &mut bool,
-) {
-    let task = format!("{} {}", e.kind.label(), e.task);
-    let mut tags = String::new();
-    if e.job > 0 {
-        let _ = write!(tags, ",\"job\":{}", e.job);
-    }
-    if e.round > 0 {
-        let _ = write!(tags, ",\"round\":{}", e.round);
-    }
-    match &e.detail {
-        EntryDetail::Lanes(lanes) => {
-            for lane in lanes {
-                let tid = layout.tid(e.round, e.kind, e.slot, lane.role);
-                for s in &lane.spans {
-                    let cat = match s.kind {
-                        SpanKind::Op(op) if !op.is_idle() => match op.phase() {
-                            crate::metrics::Phase::Map => "map",
-                            crate::metrics::Phase::Shuffle => "shuffle",
-                            crate::metrics::Phase::Reduce => "reduce",
-                        },
-                        _ => "idle",
-                    };
-                    let src = s.flow.map(|f| format!(",\"src\":{f}")).unwrap_or_default();
-                    push_event(
-                        out,
-                        first,
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{},\
-                             \"dur\":{},\"name\":\"{}\",\"cat\":\"{cat}\",\
-                             \"args\":{{\"task\":\"{}\",\"attempt\":{},\
-                             \"backup\":{}{tags}{src}}}}}",
-                            e.node,
-                            fmt_us(s.start),
-                            fmt_us(s.end - s.start),
-                            json_escape(s.kind.name()),
-                            json_escape(&task),
-                            e.attempt,
-                            e.backup
-                        ),
-                    );
-                }
-            }
-        }
-        EntryDetail::Flat(kind) => {
-            let role = match e.kind {
-                TaskKind::Map => LaneRole::Map,
-                TaskKind::Reduce => LaneRole::Reduce,
-            };
-            let tid = layout.tid(e.round, e.kind, e.slot, role);
-            push_event(
-                out,
-                first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{},\
-                     \"dur\":{},\"name\":\"{}\",\"cat\":\"attempt\",\
-                     \"args\":{{\"task\":\"{}\",\"attempt\":{},\"backup\":{}{tags}}}}}",
-                    e.node,
-                    fmt_us(e.start),
-                    fmt_us(e.end - e.start),
-                    kind.name(),
-                    json_escape(&task),
-                    e.attempt,
-                    e.backup
-                ),
-            );
-        }
-    }
-}
-
 fn glyph(kind: SpanKind) -> char {
     match kind {
         SpanKind::Op(op) => match op {
@@ -1281,619 +990,11 @@ fn glyph(kind: SpanKind) -> char {
     }
 }
 
-/// Format virtual nanoseconds as decimal microseconds with three fraction
-/// digits — exact, deterministic, no floats.
-fn fmt_us(ns: VNanos) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Chrome-trace JSON validation (dependency-free)
-// ---------------------------------------------------------------------------
-
-/// Summary returned by [`validate_chrome_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChromeTraceSummary {
-    /// Total events in `traceEvents`.
-    pub events: usize,
-    /// Complete (`"ph":"X"`) span events.
-    pub complete_events: usize,
-    /// Distinct `pid` values seen on complete events.
-    pub pids: usize,
-}
-
-/// Check `text` is valid JSON in the Chrome trace event format: a
-/// top-level object with a `traceEvents` array whose elements are objects;
-/// every complete event (`"ph":"X"`) must carry a string `name` and
-/// numeric `pid`/`tid`/`ts`/`dur` with `ts, dur ≥ 0`. Uses a minimal
-/// built-in JSON parser (this workspace is dependency-free by design).
-pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
-    let value = JsonParser::new(text).parse()?;
-    let JsonValue::Obj(top) = &value else {
-        return Err("top level is not an object".into());
-    };
-    let Some(events) = top.iter().find(|(k, _)| k == "traceEvents").map(|(_, v)| v) else {
-        return Err("missing traceEvents".into());
-    };
-    let JsonValue::Arr(events) = events else {
-        return Err("traceEvents is not an array".into());
-    };
-    let mut complete = 0usize;
-    let mut pids = std::collections::BTreeSet::new();
-    for (i, ev) in events.iter().enumerate() {
-        let JsonValue::Obj(fields) = ev else {
-            return Err(format!("event {i} is not an object"));
-        };
-        let get = |k: &str| fields.iter().find(|(f, _)| f == k).map(|(_, v)| v);
-        let Some(JsonValue::Str(ph)) = get("ph") else {
-            return Err(format!("event {i}: missing string ph"));
-        };
-        if ph == "X" {
-            complete += 1;
-            match get("name") {
-                Some(JsonValue::Str(_)) => {}
-                _ => return Err(format!("event {i}: complete event without a name")),
-            }
-            for key in ["pid", "tid", "ts", "dur"] {
-                match get(key) {
-                    Some(JsonValue::Num(n)) => {
-                        if (key == "ts" || key == "dur") && *n < 0.0 {
-                            return Err(format!("event {i}: negative {key}"));
-                        }
-                        if key == "pid" {
-                            pids.insert(*n as i64);
-                        }
-                    }
-                    _ => return Err(format!("event {i}: missing numeric {key}")),
-                }
-            }
-        }
-    }
-    Ok(ChromeTraceSummary {
-        events: events.len(),
-        complete_events: complete,
-        pids: pids.len(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Chrome-trace JSON import (the inverse of `to_chrome_json`)
-// ---------------------------------------------------------------------------
-
-fn obj_field<'v>(fields: &'v [(String, JsonValue)], key: &str) -> Option<&'v JsonValue> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn num_field(fields: &[(String, JsonValue)], key: &str, ctx: &str) -> Result<f64, String> {
-    match obj_field(fields, key) {
-        Some(JsonValue::Num(n)) => Ok(*n),
-        _ => Err(format!("{ctx}: missing numeric {key}")),
-    }
-}
-
-fn usize_field(fields: &[(String, JsonValue)], key: &str, ctx: &str) -> Result<usize, String> {
-    let n = num_field(fields, key, ctx)?;
-    if n < 0.0 || n.fract() != 0.0 || n > usize::MAX as f64 {
-        return Err(format!("{ctx}: {key} = {n} is not a valid index"));
-    }
-    Ok(n as usize)
-}
-
-/// Exported microseconds (three exact fraction digits) back to nanoseconds.
-/// Exact for any virtual time below 2^53 ns (~104 virtual days).
-fn ns_of(us: f64) -> VNanos {
-    (us * 1000.0).round() as u64
-}
-
-/// Parse an exported task label ("map 3" / "reduce 7").
-fn parse_task(label: &str, ctx: &str) -> Result<(TaskKind, usize), String> {
-    let (kind, id) = label
-        .split_once(' ')
-        .ok_or_else(|| format!("{ctx}: malformed task label {label:?}"))?;
-    let kind = match kind {
-        "map" => TaskKind::Map,
-        "reduce" => TaskKind::Reduce,
-        other => return Err(format!("{ctx}: unknown task kind {other:?}")),
-    };
-    let id = id
-        .parse::<usize>()
-        .map_err(|_| format!("{ctx}: malformed task id in {label:?}"))?;
-    Ok((kind, id))
-}
-
-/// One task attempt being reassembled from its exported events.
-struct EntryBuild {
-    kind: TaskKind,
-    job: usize,
-    round: usize,
-    task: usize,
-    attempt: usize,
-    backup: bool,
-    node: usize,
-    slot: usize,
-    flat: Option<(AttemptKind, VNanos, VNanos)>,
-    /// Lane sub-index → spans (sub-index order is the builders' lane order).
-    lanes: BTreeMap<usize, Vec<Span>>,
-}
-
-impl JobTrace {
-    /// Rebuild a `JobTrace` from its own Chrome-trace export.
-    ///
-    /// The export carries the cluster layout in a top-level `textmr`
-    /// metadata object; complete (`"ph":"X"`) events are grouped back into
-    /// task attempts by `(node, task, attempt, backup)` and their lanes are
-    /// recovered by inverting the tid layout. Straggler factors are not
-    /// exported, so every reconstructed entry has `factor == 1`: the result
-    /// supports structural auditing ([`JobTrace::check`],
-    /// [`race::check_races`]) and lossless re-export, but not op-time
-    /// accounting of straggler-scaled jobs ([`JobTrace::op_times`] divides
-    /// durations by the factor).
-    pub fn from_chrome_json(text: &str) -> Result<JobTrace, String> {
-        let value = JsonParser::new(text).parse()?;
-        let JsonValue::Obj(top) = &value else {
-            return Err("top level is not an object".into());
-        };
-        let Some(JsonValue::Obj(meta)) = obj_field(top, "textmr") else {
-            return Err("missing textmr layout metadata (not a textmr-exported trace)".into());
-        };
-        let nodes = usize_field(meta, "nodes", "textmr")?;
-        let map_slots = usize_field(meta, "mapSlots", "textmr")?;
-        let reduce_slots = usize_field(meta, "reduceSlots", "textmr")?;
-        let fetchers = usize_field(meta, "fetchers", "textmr")?;
-        let wall = num_field(meta, "wall", "textmr")? as u64;
-        let mut edges = Vec::new();
-        if let Some(JsonValue::Arr(raw)) = obj_field(meta, "edges") {
-            for (i, e) in raw.iter().enumerate() {
-                edges.push(parse_edge(e, i)?);
-            }
-        }
-        let Some(JsonValue::Arr(events)) = obj_field(top, "traceEvents") else {
-            return Err("missing traceEvents".into());
-        };
-
-        let mut order: Vec<EntryBuild> = Vec::new();
-        #[allow(clippy::type_complexity)]
-        let mut index: BTreeMap<
-            (usize, usize, usize, TaskKind, usize, usize, bool),
-            usize,
-        > = BTreeMap::new();
-        for (i, ev) in events.iter().enumerate() {
-            let ctx = format!("event {i}");
-            let JsonValue::Obj(f) = ev else {
-                return Err(format!("{ctx}: not an object"));
-            };
-            let Some(JsonValue::Str(ph)) = obj_field(f, "ph") else {
-                return Err(format!("{ctx}: missing string ph"));
-            };
-            if ph != "X" {
-                continue;
-            }
-            let node = usize_field(f, "pid", &ctx)?;
-            let tid = usize_field(f, "tid", &ctx)?;
-            let start = ns_of(num_field(f, "ts", &ctx)?);
-            let end = start + ns_of(num_field(f, "dur", &ctx)?);
-            let Some(JsonValue::Str(name)) = obj_field(f, "name") else {
-                return Err(format!("{ctx}: missing string name"));
-            };
-            let cat = match obj_field(f, "cat") {
-                Some(JsonValue::Str(c)) => c.as_str(),
-                _ => "",
-            };
-            let Some(JsonValue::Obj(args)) = obj_field(f, "args") else {
-                return Err(format!("{ctx}: missing args"));
-            };
-            let Some(JsonValue::Str(task_label)) = obj_field(args, "task") else {
-                return Err(format!("{ctx}: missing args.task"));
-            };
-            let (kind, task) = parse_task(task_label, &ctx)?;
-            let attempt = usize_field(args, "attempt", &ctx)?;
-            let backup = matches!(obj_field(args, "backup"), Some(JsonValue::Bool(true)));
-            // Serve job id (omitted for job 0, like `round`).
-            let job = match obj_field(args, "job") {
-                Some(JsonValue::Num(_)) => usize_field(args, "job", &ctx)?,
-                _ => 0,
-            };
-            // Invert the tid layout: each DAG round owns one block of
-            // lanes (round 0 is the legacy layout); within a block, map
-            // slots first (two lanes each), then reduce slots (1 +
-            // `fetchers` lanes each).
-            let block = map_slots * 2 + reduce_slots * (1 + fetchers);
-            let round = tid.checked_div(block).unwrap_or(0);
-            let rem = tid.checked_rem(block).unwrap_or(tid);
-            let (slot, sub) = if rem < map_slots * 2 {
-                if kind != TaskKind::Reduce {
-                    (rem / 2, rem % 2)
-                } else {
-                    return Err(format!("{ctx}: reduce task on map-region tid {tid}"));
-                }
-            } else {
-                let r = rem - map_slots * 2;
-                let width = 1 + fetchers;
-                if kind != TaskKind::Map {
-                    (r / width, r % width)
-                } else {
-                    return Err(format!("{ctx}: map task on reduce-region tid {tid}"));
-                }
-            };
-            let key = (node, job, round, kind, task, attempt, backup);
-            let at = *index.entry(key).or_insert_with(|| {
-                order.push(EntryBuild {
-                    kind,
-                    job,
-                    round,
-                    task,
-                    attempt,
-                    backup,
-                    node,
-                    slot,
-                    flat: None,
-                    lanes: BTreeMap::new(),
-                });
-                order.len() - 1
-            });
-            let b = &mut order[at];
-            if b.slot != slot {
-                return Err(format!(
-                    "{ctx}: {task_label} attempt {attempt} spans slots {} and {slot}",
-                    b.slot
-                ));
-            }
-            if cat == "attempt" {
-                let k = AttemptKind::from_name(name)
-                    .ok_or_else(|| format!("{ctx}: unknown attempt fate {name:?}"))?;
-                if b.flat.replace((k, start, end)).is_some() {
-                    return Err(format!("{ctx}: duplicate flat event for {task_label}"));
-                }
-            } else {
-                let kind = SpanKind::from_name(name, cat)
-                    .ok_or_else(|| format!("{ctx}: unknown span kind {name:?}"))?;
-                let flow = match obj_field(args, "src") {
-                    Some(JsonValue::Num(n)) => u32::try_from(*n as u64).ok(),
-                    _ => None,
-                };
-                b.lanes.entry(sub).or_default().push(Span {
-                    start,
-                    end,
-                    kind,
-                    flow,
-                });
-            }
-        }
-
-        let mut entries = Vec::with_capacity(order.len());
-        for b in order {
-            let who = format!("{} {} attempt {}", b.kind.label(), b.task, b.attempt);
-            let (start, end, detail) = if let Some((k, s, e)) = b.flat {
-                if !b.lanes.is_empty() {
-                    return Err(format!("{who}: both flat and lane events"));
-                }
-                (s, e, EntryDetail::Flat(k))
-            } else {
-                let mut start = VNanos::MAX;
-                let mut end = 0;
-                let mut lanes = Vec::with_capacity(b.lanes.len());
-                for (sub, mut spans) in b.lanes {
-                    spans.sort_by_key(|s| (s.start, s.end));
-                    start = start.min(spans.first().map_or(VNanos::MAX, |s| s.start));
-                    end = end.max(spans.last().map_or(0, |s| s.end));
-                    let role = match (b.kind, sub) {
-                        (TaskKind::Map, 0) => LaneRole::Map,
-                        (TaskKind::Map, _) => LaneRole::Support,
-                        (TaskKind::Reduce, 0) => LaneRole::Reduce,
-                        (TaskKind::Reduce, s) => LaneRole::Fetcher(s - 1),
-                    };
-                    lanes.push(TaskLane { role, spans });
-                }
-                if lanes.is_empty() {
-                    return Err(format!("{who}: no events"));
-                }
-                (start, end, EntryDetail::Lanes(lanes))
-            };
-            entries.push(TraceEntry {
-                kind: b.kind,
-                job: b.job,
-                round: b.round,
-                task: b.task,
-                attempt: b.attempt,
-                backup: b.backup,
-                node: b.node,
-                slot: b.slot,
-                factor: 1,
-                start,
-                end,
-                detail,
-            });
-        }
-        Ok(JobTrace {
-            nodes,
-            map_slots,
-            reduce_slots,
-            fetchers,
-            wall,
-            entries,
-            edges,
-        })
-    }
-}
-
-/// Parse one serialized edge array
-/// `[kind, srcEntry, srcLane, srcSpan, dstEntry, dstLane, dstSpan]`.
-fn parse_edge(v: &JsonValue, i: usize) -> Result<TraceEdge, String> {
-    let JsonValue::Arr(a) = v else {
-        return Err(format!("edge {i}: not an array"));
-    };
-    if a.len() != 7 {
-        return Err(format!("edge {i}: expected 7 elements, got {}", a.len()));
-    }
-    let JsonValue::Str(kind_name) = &a[0] else {
-        return Err(format!("edge {i}: kind is not a string"));
-    };
-    let kind = EdgeKind::from_name(kind_name)
-        .ok_or_else(|| format!("edge {i}: unknown kind {kind_name:?}"))?;
-    let int = |j: usize| -> Result<i64, String> {
-        match &a[j] {
-            JsonValue::Num(n) => Ok(*n as i64),
-            _ => Err(format!("edge {i}: element {j} is not a number")),
-        }
-    };
-    let end = |entry: i64, lane: i64, span: i64| -> Result<EdgeEnd, String> {
-        if entry < 0 {
-            return Err(format!("edge {i}: negative entry index"));
-        }
-        Ok(if lane < 0 || span < 0 {
-            EdgeEnd::entry(entry as usize)
-        } else {
-            EdgeEnd::span(entry as usize, lane as usize, span as usize)
-        })
-    };
-    Ok(TraceEdge {
-        kind,
-        src: end(int(1)?, int(2)?, int(3)?)?,
-        dst: end(int(4)?, int(5)?, int(6)?)?,
-    })
-}
-
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<JsonValue, String> {
-        let v = self.value()?;
-        self.ws();
-        if self.i != self.b.len() {
-            return Err(format!("trailing data at byte {}", self.i));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn lit(&mut self, s: &str) -> bool {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') if self.lit("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.lit("false") => Ok(JsonValue::Bool(false)),
-            Some(b'n') if self.lit("null") => Ok(JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.i
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.i
-                            ))
-                        }
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let s = std::str::from_utf8(&self.b[self.i..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.i;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn map_trace() -> TaskTrace {
+    pub(crate) fn map_trace() -> TaskTrace {
         // A tiny hand-driven map attempt: two records, a wait, a spill, a
         // barrier, and a merge — amounts chosen so everything is checkable.
         let mut rec = MapTraceRecorder::new();
@@ -1985,7 +1086,7 @@ mod tests {
             .any(|s| s.kind == SpanKind::Op(Op::ShuffleWait) && s.end == 90));
     }
 
-    fn job_trace() -> JobTrace {
+    pub(crate) fn job_trace() -> JobTrace {
         let attempt = map_trace();
         let lanes = attempt.into_absolute(100, 1);
         JobTrace {
@@ -2026,216 +1127,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn job_trace_checks_and_exports_valid_chrome_json() {
-        let trace = job_trace();
-        trace.check().unwrap();
-        assert_eq!(trace.op_times().get(Op::Merge), 7);
-        let json = trace.to_chrome_json();
-        let summary = validate_chrome_trace(&json).unwrap();
-        assert!(summary.complete_events > 0);
-        assert_eq!(summary.pids, 1);
-        assert!(json.contains("\"attempt-failed\""));
-        // The text renderer shows the failed attempt and real work glyphs.
-        let text = trace.render_text(60);
-        assert!(text.contains('x'), "timeline:\n{text}");
-        assert!(text.contains('g'), "timeline:\n{text}");
-    }
-
-    #[test]
-    fn chrome_export_round_trips_through_import() {
-        let trace = job_trace();
-        let json = trace.to_chrome_json();
-        let back = JobTrace::from_chrome_json(&json).unwrap();
-        back.check().unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.to_chrome_json(), json);
-    }
-
-    #[test]
-    fn multi_round_export_round_trips_and_separates_lanes() {
-        // Two rounds of the same map attempt on the same physical slot:
-        // round 1 starts after round 0 ends (cross-round continuity).
-        let lanes0 = map_trace().into_absolute(0, 1);
-        let lanes1 = map_trace().into_absolute(100, 1);
-        let trace = JobTrace {
-            nodes: 1,
-            map_slots: 1,
-            reduce_slots: 1,
-            fetchers: 1,
-            wall: 162,
-            edges: vec![TraceEdge {
-                kind: EdgeKind::Round,
-                src: EdgeEnd::entry(0),
-                dst: EdgeEnd::entry(1),
-            }],
-            entries: vec![
-                TraceEntry {
-                    kind: TaskKind::Map,
-                    job: 0,
-                    round: 0,
-                    task: 0,
-                    attempt: 0,
-                    backup: false,
-                    node: 0,
-                    slot: 0,
-                    factor: 1,
-                    start: 0,
-                    end: 62,
-                    detail: EntryDetail::Lanes(lanes0),
-                },
-                TraceEntry {
-                    kind: TaskKind::Map,
-                    job: 0,
-                    round: 1,
-                    task: 0,
-                    attempt: 0,
-                    backup: false,
-                    node: 0,
-                    slot: 0,
-                    factor: 1,
-                    start: 100,
-                    end: 162,
-                    detail: EntryDetail::Lanes(lanes1),
-                },
-            ],
-        };
-        trace.check().unwrap();
-        let json = trace.to_chrome_json();
-        // Round 1 lanes land in their own tid block (block width = 1*2 +
-        // 1*(1+1) = 4) and carry the round arg; round 0 stays legacy.
-        assert!(json.contains("\"tid\":4"), "missing per-round lane: {json}");
-        assert!(json.contains("\"round\":1"), "missing round arg: {json}");
-        assert!(json.contains("[\"round\",0,-1,-1,1,-1,-1]"), "{json}");
-        let back = JobTrace::from_chrome_json(&json).unwrap();
-        back.check().unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.to_chrome_json(), json);
-        // The ASCII renderer labels per-round rows.
-        let text = trace.render_text(40);
-        assert!(text.contains("R1"), "timeline:\n{text}");
-    }
-
-    #[test]
-    fn multi_job_export_round_trips_and_keeps_tasks_apart() {
-        // Two serve jobs interleaved on the same physical slot: both are
-        // "map 0", distinguished only by the job id.
-        let lanes1 = map_trace().into_absolute(0, 1);
-        let lanes2 = map_trace().into_absolute(100, 1);
-        let trace = JobTrace {
-            nodes: 1,
-            map_slots: 1,
-            reduce_slots: 1,
-            fetchers: 1,
-            wall: 162,
-            edges: vec![TraceEdge {
-                kind: EdgeKind::Slot,
-                src: EdgeEnd::entry(0),
-                dst: EdgeEnd::entry(1),
-            }],
-            entries: vec![
-                TraceEntry {
-                    kind: TaskKind::Map,
-                    job: 1,
-                    round: 0,
-                    task: 0,
-                    attempt: 0,
-                    backup: false,
-                    node: 0,
-                    slot: 0,
-                    factor: 1,
-                    start: 0,
-                    end: 62,
-                    detail: EntryDetail::Lanes(lanes1),
-                },
-                TraceEntry {
-                    kind: TaskKind::Map,
-                    job: 2,
-                    round: 0,
-                    task: 0,
-                    attempt: 0,
-                    backup: false,
-                    node: 0,
-                    slot: 0,
-                    factor: 1,
-                    start: 100,
-                    end: 162,
-                    detail: EntryDetail::Lanes(lanes2),
-                },
-            ],
-        };
-        trace.check().unwrap();
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"job\":1"), "missing job arg: {json}");
-        assert!(json.contains("\"job\":2"), "missing job arg: {json}");
-        let back = JobTrace::from_chrome_json(&json).unwrap();
-        back.check().unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.to_chrome_json(), json);
-        // Without the job id in the grouping key the two "map 0 attempt 0"
-        // event sets would collapse into one malformed entry.
-        assert_eq!(back.entries.len(), 2);
-    }
-
-    #[test]
-    fn flow_tags_survive_the_round_trip() {
-        let flows = vec![FlowTrace {
-            map_task: 3,
-            src_node: 1,
-            remote: true,
-            io_ns: 10,
-            backoff_ns: 2,
-            slot: 0,
-            start: 5,
-            pre_end: 17,
-            latency_end: 25,
-            transfer_end: 60,
-            finish: 66,
-        }];
-        let attempt = build_reduce_trace(&flows, 0, 66, 4, 1, 6, 2);
-        let trace = JobTrace {
-            nodes: 1,
-            map_slots: 0,
-            reduce_slots: 1,
-            fetchers: 1,
-            wall: 79,
-            edges: Vec::new(),
-            entries: vec![TraceEntry {
-                kind: TaskKind::Reduce,
-                job: 0,
-                round: 0,
-                task: 0,
-                attempt: 0,
-                backup: false,
-                node: 0,
-                slot: 0,
-                factor: 1,
-                start: 0,
-                end: 79,
-                detail: EntryDetail::Lanes(attempt.into_absolute(0, 1)),
-            }],
-        };
-        trace.check().unwrap();
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"src\":3"), "missing src arg: {json}");
-        let back = JobTrace::from_chrome_json(&json).unwrap();
-        assert_eq!(back, trace);
-        let fetcher = match &back.entries[0].detail {
-            EntryDetail::Lanes(lanes) => lanes
-                .iter()
-                .find(|l| l.role == LaneRole::Fetcher(0))
-                .unwrap(),
-            EntryDetail::Flat(_) => panic!("flat"),
-        };
-        assert!(fetcher.spans.iter().any(|s| s.flow == Some(3)));
-    }
-
-    #[test]
-    fn import_rejects_non_textmr_traces() {
-        let err = JobTrace::from_chrome_json("{\"traceEvents\":[]}").unwrap_err();
-        assert!(err.contains("textmr"), "unexpected error: {err}");
     }
 
     #[test]
@@ -2281,41 +1172,5 @@ mod tests {
         };
         trace.check().unwrap();
         assert_eq!(trace.op_times(), ops);
-    }
-
-    #[test]
-    fn validator_rejects_malformed_traces() {
-        assert!(validate_chrome_trace("").is_err());
-        assert!(validate_chrome_trace("[]").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":{}}").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
-        assert!(validate_chrome_trace(
-            "{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"n\",\"pid\":0,\"tid\":0,\
-             \"ts\":-1,\"dur\":0}]}"
-        )
-        .is_err());
-        let ok = validate_chrome_trace(
-            "{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"n\",\"pid\":0,\"tid\":0,\
-             \"ts\":0.5,\"dur\":3,\"args\":{\"x\":[true,null,\"s\"]}}]}",
-        )
-        .unwrap();
-        assert_eq!(ok.events, 1);
-        assert_eq!(ok.complete_events, 1);
-    }
-
-    #[test]
-    fn json_escaping_survives_the_parser() {
-        let tricky = "a\"b\\c\nd\te";
-        let json = format!(
-            "{{\"traceEvents\":[],\"note\":\"{}\"}}",
-            json_escape(tricky)
-        );
-        let JsonValue::Obj(top) = JsonParser::new(&json).parse().unwrap() else {
-            panic!("not an object");
-        };
-        let JsonValue::Str(s) = &top.iter().find(|(k, _)| k == "note").unwrap().1 else {
-            panic!("not a string");
-        };
-        assert_eq!(s, tricky);
     }
 }

@@ -14,26 +14,23 @@
 //!   (failed / speculation-lost / dead-backup) is a one-event thread.
 //! * **Events**: a thread's spans in lane order. Program order within a
 //!   thread is always a happens-before edge.
-//! * **Synchronization edges** come from one of two places:
-//!   * **Recorded** ([`JobTrace::edges`] non-empty): the unified event
-//!     loop emitted the edges while scheduling — slot chains, retries,
-//!     and speculative hand-offs off the event graph; map-output
-//!     publication, spill hand-ins, and shuffle barriers off the
-//!     producer-side task structure. The checker consumes them as ground
-//!     truth instead of reconstructing orderings from span timings.
-//!   * **Derived** (legacy traces with no recorded edges): the checker
-//!     reconstructs the same edge families from the entries themselves —
-//!     slot reuse on one `(node, phase, slot)` ordered by span timing,
-//!     retry chains by attempt number, map-output publication to each
-//!     flow group (matched by [`Span::flow`] tag), spill hand-offs, and
-//!     the per-flow shuffle barrier into the reduce lane's first op.
+//! * **Synchronization edges** are the trace's recorded
+//!   [`JobTrace::edges`], and nothing else: the unified event loop emitted
+//!   them while scheduling — slot chains, retries, and speculative
+//!   hand-offs off the event graph; map-output publication, spill
+//!   hand-ins, and shuffle barriers off the producer-side task structure.
+//!   The checker never reconstructs an ordering from span timings — that
+//!   would verify the schedule against itself. A trace that has entries
+//!   but no edges (its `edges` array was stripped, or it predates
+//!   recording) therefore fails with one [`RaceKind::Structure`] finding
+//!   on the resource `edges` rather than being audited on weaker evidence.
 //!
-//!   Either way an edge is *applied* only when timing-consistent (the
-//!   source event ends no later than the destination starts): an edge the
-//!   timing contradicts is no evidence of ordering, and dropping it is
-//!   what surfaces the race on the resource it was meant to order.
-//!   Recorded endpoints that no longer resolve (a mutated trace dropped
-//!   an entry, lane, or span) are dropped the same way.
+//!   An edge is *applied* only when timing-consistent (the source event
+//!   ends no later than the destination starts): an edge the timing
+//!   contradicts is no evidence of ordering, and dropping it is what
+//!   surfaces the race on the resource it was meant to order. Endpoints
+//!   that no longer resolve (a mutated trace dropped an entry, lane, or
+//!   span) are dropped the same way.
 //! * **Resources**: scheduler slots, task attempt serialization, map
 //!   outputs, spill files, fetched runs, and reduce output partitions.
 //!   Accesses are always derived from the entries' structure — recorded
@@ -41,8 +38,7 @@
 //!   conflict when they share a resource and at least one writes; a
 //!   conflict with no happens-before path in either direction is a race.
 //!   Structural invariants (one attempt of record per task, support
-//!   bursts paired with spill-wait hand-offs) are checked unconditionally
-//!   in both modes.
+//!   bursts paired with spill-wait hand-offs) are checked alongside.
 //!
 //! Because every applied edge is timing-consistent and consecutive lane
 //! spans touch, any happens-before chain is monotone in virtual time — the
@@ -341,17 +337,25 @@ impl<'t> Checker<'t> {
     }
 
     fn run(mut self) -> RaceReport {
-        // Recorded mode: the trace carries ground-truth edges from the
-        // unified event loop; skip timing-derived edge reconstruction and
-        // apply the recorded edges instead. Accesses and structural
-        // invariants are derived from the entries either way.
-        let derive = self.trace.edges.is_empty();
-        self.slot_edges_and_accesses(derive);
-        self.attempt_edges_and_accesses(derive);
-        let of_record = self.of_record_map();
-        self.map_entry_accesses(&of_record, derive);
-        self.reduce_entry_accesses(&of_record, derive);
-        if !derive {
+        if self.trace.edges.is_empty() && !self.trace.entries.is_empty() {
+            // Without edges every conflicting pair would read as a race;
+            // name the one cause instead of gathering accesses at all.
+            self.diagnostics.push(RaceDiagnostic {
+                kind: RaceKind::Structure,
+                resource: "edges".into(),
+                message: format!(
+                    "{} entries but no recorded happens-before edges \
+                     (stripped, or exported before edges were recorded): \
+                     regenerate the trace",
+                    self.trace.entries.len()
+                ),
+            });
+        } else {
+            self.slot_accesses();
+            self.attempt_accesses();
+            let of_record = self.of_record_map();
+            self.map_entry_accesses(&of_record);
+            self.reduce_entry_accesses(&of_record);
             self.apply_recorded_edges(&of_record);
         }
         self.check_races_on_accesses()
@@ -385,10 +389,9 @@ impl<'t> Checker<'t> {
     }
 
     /// Apply the trace's recorded edges. Every edge except
-    /// [`EdgeKind::Registry`] feeds the vector clocks through the same
-    /// timing filter as derived edges; registry hand-offs synchronize in
-    /// real time, so they are validated as protocol edges instead (see the
-    /// module docs).
+    /// [`EdgeKind::Registry`] feeds the vector clocks through the timing
+    /// filter; registry hand-offs synchronize in real time, so they are
+    /// validated as protocol edges instead (see the module docs).
     fn apply_recorded_edges(&mut self, of_record: &OfRecord) {
         let recorded = self.trace.edges.clone();
         let mut registry = Vec::new();
@@ -531,11 +534,9 @@ impl<'t> Checker<'t> {
         self.diagnostics.extend(diags);
     }
 
-    /// Group entries by `(node, phase, slot)`: consecutive attempts on a
-    /// slot are serialized, and every attempt is a write to the slot.
-    /// `derive` controls whether the serialization edges are reconstructed
-    /// here (legacy traces) or left to the recorded slot chains.
-    fn slot_edges_and_accesses(&mut self, derive: bool) {
+    /// Every attempt is a write to its `(node, phase, slot)`; the recorded
+    /// slot chains are what serializes consecutive occupants.
+    fn slot_accesses(&mut self) {
         let mut by_slot: BTreeMap<(usize, TaskKind, usize), Vec<usize>> = BTreeMap::new();
         for (ei, e) in self.trace.entries.iter().enumerate() {
             by_slot
@@ -548,13 +549,6 @@ impl<'t> Checker<'t> {
                 let e = &self.trace.entries[ei];
                 (e.start, e.end, ei)
             });
-            if derive {
-                for w in eis.windows(2) {
-                    let srcs = self.entry_lasts(w[0]);
-                    let dsts = self.entry_firsts(w[1]);
-                    self.edge_all(&srcs, &dsts);
-                }
-            }
             for ei in eis {
                 let (first, last) = self.entry_envelope(ei);
                 self.accesses.push(Access {
@@ -569,12 +563,11 @@ impl<'t> Checker<'t> {
         }
     }
 
-    /// Non-backup attempts of one task are serialized retries; each is a
-    /// write to the task's attempt slot. Backups race their primary by
-    /// design (first completion wins) and are exempt. `derive` controls
-    /// whether retry edges are reconstructed here (legacy traces) or left
-    /// to the recorded retry chains.
-    fn attempt_edges_and_accesses(&mut self, derive: bool) {
+    /// Non-backup attempts of one task are retries, serialized by the
+    /// recorded retry chains; each is a write to the task's attempt slot.
+    /// Backups race their primary by design (first completion wins) and
+    /// are exempt.
+    fn attempt_accesses(&mut self) {
         let mut by_task: BTreeMap<(usize, TaskKind, usize, usize), Vec<usize>> = BTreeMap::new();
         for (ei, e) in self.trace.entries.iter().enumerate() {
             if !e.backup {
@@ -586,13 +579,6 @@ impl<'t> Checker<'t> {
         }
         for ((job, kind, round, task), mut eis) in by_task {
             eis.sort_by_key(|&ei| self.trace.entries[ei].attempt);
-            if derive {
-                for w in eis.windows(2) {
-                    let srcs = self.entry_lasts(w[0]);
-                    let dsts = self.entry_firsts(w[1]);
-                    self.edge_all(&srcs, &dsts);
-                }
-            }
             let rq = Self::jrq(job, round);
             for ei in eis {
                 let (first, last) = self.entry_envelope(ei);
@@ -653,9 +639,7 @@ impl<'t> Checker<'t> {
 
     /// Map attempts of record: spill-file accesses + hand-off structure on
     /// the support lane, merge reads, and the map-output write envelope.
-    /// `derive` controls whether the spill hand-in edges are reconstructed
-    /// here (legacy traces) or left to the recorded spill edges.
-    fn map_entry_accesses(&mut self, of_record: &OfRecord, derive: bool) {
+    fn map_entry_accesses(&mut self, of_record: &OfRecord) {
         for (&(job, kind, round, task), &ei) in of_record {
             if kind != TaskKind::Map {
                 continue;
@@ -714,9 +698,6 @@ impl<'t> Checker<'t> {
                             who: format!("{who} support"),
                         });
                         if let Some(m) = merge {
-                            if derive {
-                                self.edge((st, i), m);
-                            }
                             self.accesses.push(Access {
                                 resource,
                                 res_kind: "spill",
@@ -749,11 +730,9 @@ impl<'t> Checker<'t> {
     }
 
     /// Reduce attempts of record: flow-group reads of map outputs, run
-    /// writes, the shuffle barrier into the reduce lane, and the output
-    /// partition write. `derive` controls whether publication and barrier
-    /// edges are reconstructed here (legacy traces) or left to the
-    /// recorded map-out and barrier edges.
-    fn reduce_entry_accesses(&mut self, of_record: &OfRecord, derive: bool) {
+    /// writes, the merge's read of every fetched run, and the output
+    /// partition write.
+    fn reduce_entry_accesses(&mut self, of_record: &OfRecord) {
         for (&(job, kind, round, partition), &ei) in of_record {
             if kind != TaskKind::Reduce {
                 continue;
@@ -812,15 +791,7 @@ impl<'t> Checker<'t> {
                     // The flow reads the published map output — shuffles
                     // stay within the entry's own job and round.
                     match of_record.get(&(job, TaskKind::Map, round, src as usize)) {
-                        Some(&mei) => {
-                            if derive {
-                                if let Some(mli) = self.lane_of(mei, LaneRole::Map) {
-                                    if let Some(&mt) = self.tix.get(&(mei, mli)) {
-                                        let mlast = self.threads[mt].events.len() - 1;
-                                        self.edge((mt, mlast), (t, gf));
-                                    }
-                                }
-                            }
+                        Some(_) => {
                             self.accesses.push(Access {
                                 resource: format!("mapout:{rq}{src}"),
                                 res_kind: "mapout",
@@ -845,14 +816,11 @@ impl<'t> Checker<'t> {
                         last: (t, gl),
                         who: flow_who,
                     });
-                    // Shuffle barrier: the merge starts only after this
-                    // flow's run has fully arrived — the group's *last*
-                    // event (transfer or decompress completion), not the
-                    // fetch op that merely issued the request.
+                    // The merge reads the run; the recorded shuffle barrier
+                    // (from the group's *last* event — transfer or
+                    // decompress completion, not the fetch op that merely
+                    // issued the request) is what orders it after the write.
                     if let Some(rf) = reduce_first_op {
-                        if derive {
-                            self.edge((t, gl), rf);
-                        }
                         self.accesses.push(Access {
                             resource: format!("runs:{rq}{partition}/{src}"),
                             res_kind: "runs",
@@ -1008,9 +976,59 @@ mod tests {
         TraceEdge, TraceEntry,
     };
     use super::*;
+    use crate::cluster::{assemble_trace_edges, intra_entry_edges, EntryMeta, RegistryAssignment};
+    use crate::event::{ClusterShape, Scheduler};
+
+    /// Record `trace`'s edges the way the driver does: replay its attempts
+    /// through a fresh [`Scheduler`] (each task's attempts in entry order,
+    /// the reduce phase opening at the first reduce start), then assemble
+    /// from the scheduler's log and each entry's own lane structure. The
+    /// replay must land every attempt where the fixture put it.
+    fn record_edges(trace: &mut JobTrace, registry: Option<RegistryAssignment>) {
+        let mut sched = Scheduler::new(
+            ClusterShape {
+                nodes: trace.nodes,
+                map_slots: trace.map_slots,
+                reduce_slots: trace.reduce_slots,
+                fetchers: trace.fetchers,
+            },
+            Vec::new(),
+        );
+        type Placed = (usize, VNanos, VNanos);
+        let mut tasks: BTreeMap<(TaskKind, usize), (usize, Vec<Placed>)> = BTreeMap::new();
+        for e in &trace.entries {
+            let task = tasks
+                .entry((e.kind, e.task))
+                .or_insert((e.node, Vec::new()));
+            task.1.push((e.slot, e.start, e.end));
+        }
+        for phase in [TaskKind::Map, TaskKind::Reduce] {
+            if phase == TaskKind::Reduce {
+                let reduces = trace.entries.iter().filter(|e| e.kind == phase);
+                sched.begin_reduce_phase(reduces.map(|e| e.start).min().unwrap_or(0));
+            }
+            for (&(_, task), (node, placed)) in tasks.iter().filter(|(k, _)| k.0 == phase) {
+                let durs: Vec<VNanos> = placed.iter().map(|&(_, s, e)| e - s).collect();
+                let got = match phase {
+                    TaskKind::Map => sched.place_map(task, *node, &durs),
+                    TaskKind::Reduce => sched.place_reduce(task, *node, &durs),
+                };
+                let got: Vec<Placed> = got.iter().map(|p| (p.slot, p.start, p.end)).collect();
+                assert_eq!(&got, placed, "{} {task} replays elsewhere", phase.label());
+            }
+        }
+        let metas: Vec<EntryMeta> = trace.entries.iter().map(EntryMeta::of).collect();
+        let (mut spill, mut barrier) = (Vec::new(), Vec::new());
+        for (i, e) in trace.entries.iter().enumerate() {
+            let (s, b) = intra_entry_edges(i, e);
+            spill.extend(s);
+            barrier.extend(b);
+        }
+        trace.edges = assemble_trace_edges(&metas, &sched, &[registry], &[0], &[0], spill, barrier);
+    }
 
     /// A small but complete one-map, one-reduce job trace whose cross-lane
-    /// edges all exist and are timing-consistent.
+    /// edges are all recorded and timing-consistent.
     fn micro_trace() -> JobTrace {
         let mut rec = MapTraceRecorder::new();
         rec.on_record(0, 5, 10, 3, 2);
@@ -1032,7 +1050,7 @@ mod tests {
             finish: 55,
         }];
         let reduce = build_reduce_trace(&flows, 0, 55, 4, 1, 6, 2); // ends at 68
-        JobTrace {
+        let mut trace = JobTrace {
             nodes: 2,
             map_slots: 1,
             reduce_slots: 1,
@@ -1069,7 +1087,9 @@ mod tests {
                     detail: EntryDetail::Lanes(reduce.into_absolute(100, 1)),
                 },
             ],
-        }
+        };
+        record_edges(&mut trace, None);
+        trace
     }
 
     fn lanes_mut(e: &mut TraceEntry) -> &mut Vec<TaskLane> {
@@ -1096,11 +1116,27 @@ mod tests {
     }
 
     #[test]
+    fn entries_without_edges_are_one_structure_finding() {
+        let mut trace = micro_trace();
+        trace.edges.clear();
+        let report = check_races(&trace);
+        // Not a silent fallback to orderings re-derived from timing, and
+        // not a flood of races either: the one cause, named.
+        assert_eq!(report.diagnostics.len(), 1, "{}", report.render());
+        assert_eq!(report.diagnostics[0].kind, RaceKind::Structure);
+        assert_eq!(report.diagnostics[0].resource, "edges");
+        assert_eq!(report.edges, 0);
+        // A trace with nothing to order has nothing to record.
+        assert!(check_races(&JobTrace::default()).is_clean());
+    }
+
+    #[test]
     fn fetch_before_map_output_is_a_race() {
         let mut trace = micro_trace();
         // Shift the whole reduce attempt to start before the map sealed
         // its output: tiling still holds, but the fetch now overlaps the
-        // producing map attempt.
+        // producing map attempt — the recorded MapOut edge is
+        // timing-inconsistent, so it is dropped and the conflict surfaces.
         let e = &mut trace.entries[1];
         let shift = 90u64;
         e.start -= shift;
@@ -1127,6 +1163,7 @@ mod tests {
     /// identical task ids on the same physical slots, disjoint in time.
     fn two_job_trace(shift: u64) -> JobTrace {
         let base = micro_trace();
+        let n = base.entries.len();
         let mut trace = base.clone();
         for e in &mut trace.entries {
             e.job = 1;
@@ -1142,6 +1179,26 @@ mod tests {
                 }
             }
             trace.entries.push(e);
+        }
+        // Job 2's own edges are job 1's re-pointed at its entries, and each
+        // job-2 attempt follows its job-1 twin on the slot they share.
+        for e in base.edges {
+            let moved = |end: EdgeEnd| EdgeEnd {
+                entry: end.entry + n,
+                ..end
+            };
+            trace.edges.push(TraceEdge {
+                kind: e.kind,
+                src: moved(e.src),
+                dst: moved(e.dst),
+            });
+        }
+        for i in 0..n {
+            trace.edges.push(TraceEdge {
+                kind: EdgeKind::Slot,
+                src: EdgeEnd::entry(i),
+                dst: EdgeEnd::entry(i + n),
+            });
         }
         trace.wall = trace.entries.iter().map(|e| e.end).max().unwrap_or(0);
         trace
@@ -1352,125 +1409,9 @@ mod tests {
         );
     }
 
-    /// Rebuild the edges the unified event loop would have recorded for a
-    /// micro trace: entry-level map-out publication, span-level spill
-    /// hand-ins, and span-level shuffle barriers.
-    fn recorded_micro_edges(trace: &JobTrace) -> Vec<TraceEdge> {
-        let lanes = |ei: usize| match &trace.entries[ei].detail {
-            EntryDetail::Lanes(l) => l.as_slice(),
-            EntryDetail::Flat(_) => panic!("flat entry"),
-        };
-        let mut edges = Vec::new();
-        let (map_eis, reduce_eis): (Vec<usize>, Vec<usize>) = {
-            let m = (0..trace.entries.len())
-                .filter(|&i| trace.entries[i].kind == TaskKind::Map)
-                .collect();
-            let r = (0..trace.entries.len())
-                .filter(|&i| trace.entries[i].kind == TaskKind::Reduce)
-                .collect();
-            (m, r)
-        };
-        for &mi in &map_eis {
-            for &ri in &reduce_eis {
-                edges.push(TraceEdge {
-                    kind: EdgeKind::MapOut,
-                    src: EdgeEnd::entry(mi),
-                    dst: EdgeEnd::entry(ri),
-                });
-            }
-            let ml = lanes(mi);
-            let mli = ml.iter().position(|l| l.role == LaneRole::Map).unwrap();
-            let sli = ml.iter().position(|l| l.role == LaneRole::Support).unwrap();
-            let merge_si = ml[mli]
-                .spans
-                .iter()
-                .position(|s| s.kind == SpanKind::Op(Op::Merge))
-                .unwrap();
-            for (si, s) in ml[sli].spans.iter().enumerate() {
-                if s.kind == SpanKind::Op(Op::SpillWrite) {
-                    edges.push(TraceEdge {
-                        kind: EdgeKind::Spill,
-                        src: EdgeEnd::span(mi, sli, si),
-                        dst: EdgeEnd::span(mi, mli, merge_si),
-                    });
-                }
-            }
-        }
-        for &ri in &reduce_eis {
-            let rl = lanes(ri);
-            let rli = rl.iter().position(|l| l.role == LaneRole::Reduce).unwrap();
-            let rsi = rl[rli]
-                .spans
-                .iter()
-                .position(|s| matches!(s.kind, SpanKind::Op(_)))
-                .unwrap();
-            for (li, lane) in rl.iter().enumerate() {
-                if !matches!(lane.role, LaneRole::Fetcher(_)) {
-                    continue;
-                }
-                let mut last: BTreeMap<u32, usize> = BTreeMap::new();
-                for (si, s) in lane.spans.iter().enumerate() {
-                    if let Some(f) = s.flow {
-                        last.insert(f, si);
-                    }
-                }
-                for (_, si) in last {
-                    edges.push(TraceEdge {
-                        kind: EdgeKind::Barrier,
-                        src: EdgeEnd::span(ri, li, si),
-                        dst: EdgeEnd::span(ri, rli, rsi),
-                    });
-                }
-            }
-        }
-        edges
-    }
-
     #[test]
-    fn recorded_edges_replace_timing_derivation() {
+    fn edge_with_dangling_endpoint_is_dropped() {
         let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
-        let report = check_races(&trace);
-        assert!(
-            report.is_clean(),
-            "recorded mode must accept the clean trace:\n{}",
-            report.render()
-        );
-        assert!(report.edges > 0, "recorded edges must feed the clocks");
-    }
-
-    #[test]
-    fn recorded_edge_contradicted_by_timing_is_dropped() {
-        let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
-        // Shift the reduce attempt before the map sealed its output: the
-        // recorded MapOut edge is now timing-inconsistent, so it must be
-        // dropped and the mapout conflict surfaces as a race.
-        let e = &mut trace.entries[1];
-        let shift = 90u64;
-        e.start -= shift;
-        e.end -= shift;
-        for lane in lanes_mut(e) {
-            for s in &mut lane.spans {
-                s.start -= shift;
-                s.end -= shift;
-            }
-        }
-        let report = check_races(&trace);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.kind == RaceKind::Race && d.resource == "mapout:0"),
-            "expected a mapout race despite the recorded edge:\n{}",
-            report.render()
-        );
-    }
-
-    #[test]
-    fn recorded_edge_with_dangling_endpoint_is_dropped() {
-        let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
         // Point a barrier edge at a span past the end of its lane: the
         // endpoint no longer resolves, so the edge is dropped and the runs
         // conflict it ordered becomes a race.
@@ -1503,12 +1444,8 @@ mod tests {
         second.slot = 1;
         trace.map_slots = 2;
         trace.entries.insert(1, second);
-        trace.edges = recorded_micro_edges(&trace);
-        trace.edges.push(TraceEdge {
-            kind: EdgeKind::Registry,
-            src: EdgeEnd::entry(0),
-            dst: EdgeEnd::entry(1),
-        });
+        // Node 0's publisher is map 0; both map tasks are homed there.
+        record_edges(&mut trace, Some((vec![(0, 0)], vec![0, 0])));
         trace
     }
 
@@ -1553,12 +1490,8 @@ mod tests {
         third.slot = 2;
         trace.map_slots = 3;
         trace.entries.insert(2, third);
-        trace.edges = recorded_micro_edges(&trace);
-        trace.edges.push(TraceEdge {
-            kind: EdgeKind::Registry,
-            src: EdgeEnd::entry(0),
-            dst: EdgeEnd::entry(1),
-        });
+        // The assignment the driver recorded knows only maps 0 and 1.
+        record_edges(&mut trace, Some((vec![(0, 0)], vec![0, 0])));
         let report = check_races(&trace);
         assert!(
             report.diagnostics.iter().any(|d| {
@@ -1579,13 +1512,8 @@ mod tests {
         third.slot = 2;
         trace.map_slots = 3;
         trace.entries.insert(2, third);
-        trace.edges = recorded_micro_edges(&trace);
+        record_edges(&mut trace, Some((vec![(0, 0)], vec![0, 0])));
         // Chain 0 -> 1 -> 2: map 1 is both a waiter and a publisher.
-        trace.edges.push(TraceEdge {
-            kind: EdgeKind::Registry,
-            src: EdgeEnd::entry(0),
-            dst: EdgeEnd::entry(1),
-        });
         trace.edges.push(TraceEdge {
             kind: EdgeKind::Registry,
             src: EdgeEnd::entry(1),
@@ -1641,6 +1569,8 @@ mod tests {
         let mut retry = retried;
         retry.attempt = 1;
         trace.entries.insert(1, retry);
+        record_edges(&mut trace, None);
+        assert!(trace.edges.iter().any(|e| e.kind == EdgeKind::Retry));
         let report = check_races(&trace);
         assert!(
             report.is_clean(),

@@ -18,7 +18,7 @@
 //! chunks, and the closing bracket.
 //!
 //! **Byte parity is guaranteed by construction**: the writer calls the
-//! same `pub(crate)` emission helpers as the batch exporter
+//! same emission helpers in `trace::chrome` as the batch exporter
 //! (`write_trace_header`, `write_meta_events`, `write_entry_events`),
 //! so a streamed file is byte-identical to `to_chrome_json()` over the
 //! same entries — pinned by this module's tests and by the cluster test
@@ -37,10 +37,10 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use super::{
+use super::chrome::{
     note_entry_threads, write_entry_events, write_meta_events, write_trace_header, LaneLayout,
-    TraceEdge, TraceEntry,
 };
+use super::{TraceEdge, TraceEntry};
 use crate::metrics::VNanos;
 
 /// Incremental Chrome-trace writer: push entries as they retire, finish

@@ -4,10 +4,11 @@
 //! it emits a minimal but conformant SARIF log — `runs[].tool.driver`
 //! with the full rule catalogue, one `result` per diagnostic, and a
 //! `codeFlows` thread for every interprocedural flow finding so SARIF
-//! viewers can step source → chain → sink. The validator is an equally
-//! hand-rolled recursive-descent JSON parser plus structural checks over
-//! the parsed value, so CI can prove the artifact it uploads is
-//! well-formed without trusting the writer that produced it.
+//! viewers can step source → chain → sink. The validator parses the log
+//! back with the workspace's one JSON codec ([`textmr_engine::json`]) and
+//! runs structural checks over the parsed value, so CI can prove the
+//! artifact it uploads is well-formed without trusting the writer that
+//! produced it.
 //!
 //! The baseline is a committed `file:line:rule` list. CI regenerates the
 //! current finding set and diffs: a finding not in the baseline **fails**
@@ -15,8 +16,9 @@
 //! **warning** (stale — the debt was paid, shrink the file). The baseline
 //! can therefore only ratchet toward zero.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+
+use textmr_engine::json::{self, escape, Json};
 
 use crate::flow::FlowFinding;
 use crate::rules::Rule;
@@ -26,28 +28,11 @@ use crate::Diagnostic;
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn location(file: &str, line: u32) -> String {
     format!(
         "{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
          \"region\":{{\"startLine\":{}}}}}}}",
-        esc(file),
+        escape(file),
         line.max(1)
     )
 }
@@ -58,9 +43,9 @@ fn thread_loc(file: &str, line: u32, message: &str) -> String {
         "{{\"location\":{{\"physicalLocation\":{{\"artifactLocation\":\
          {{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{}}}}},\
          \"message\":{{\"text\":\"{}\"}}}}}}",
-        esc(file),
+        escape(file),
         line.max(1),
-        esc(message)
+        escape(message)
     )
 }
 
@@ -71,8 +56,8 @@ fn result_obj(d: &Diagnostic, code_flow: Option<String>) -> String {
     format!(
         "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
          \"locations\":[{}]{}}}",
-        esc(d.rule),
-        esc(&d.message),
+        escape(d.rule),
+        escape(&d.message),
         location(&d.file, d.line),
         flow
     )
@@ -106,8 +91,8 @@ pub fn to_sarif(diags: &[Diagnostic], flows: &[FlowFinding]) -> String {
         .map(|(name, summary)| {
             format!(
                 "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-                esc(name),
-                esc(summary)
+                escape(name),
+                escape(summary)
             )
         })
         .collect();
@@ -142,242 +127,6 @@ pub fn to_sarif(diags: &[Diagnostic], flows: &[FlowFinding]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parser (recursive descent, self-contained)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. The engine crate keeps its JSON machinery
-/// private, and the validator must not trust the writer above, so the
-/// parser here is independent and complete for the JSON grammar.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number, held as f64 (SARIF only uses small integers).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; BTreeMap keeps key order deterministic.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Object member lookup; `None` on non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-    /// String payload.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    /// Array payload.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    /// Numeric payload.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("json: {} at byte {}", what, self.i))
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", c as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => self.err("expected a value"),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            self.err("bad literal")
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while matches!(
-            self.b.get(self.i),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("json: bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => out.push(c),
-                                // Surrogate halves and bad hex: keep a
-                                // replacement char; validation only needs
-                                // structure, not lossless text.
-                                None => out.push('\u{fffd}'),
-                            }
-                            self.i += 4;
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| format!("json: invalid utf-8 at byte {}", self.i))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut v = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut m = BTreeMap::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            m.insert(key, self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-}
-
-/// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return p.err("trailing garbage");
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------------
 // Validator
 // ---------------------------------------------------------------------------
 
@@ -396,7 +145,7 @@ pub struct SarifSummary {
 /// `startLine`. Code flows, when present, must be location lists of the
 /// same shape.
 pub fn validate_sarif(text: &str) -> Result<SarifSummary, String> {
-    let doc = parse_json(text)?;
+    let doc = json::parse(text)?;
     if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
         return Err("sarif: version must be \"2.1.0\"".into());
     }
@@ -592,7 +341,7 @@ mod tests {
     #[test]
     fn code_flow_carries_every_hop() {
         let log = to_sarif(&[], &[flow()]);
-        let doc = parse_json(&log).unwrap();
+        let doc = json::parse(&log).unwrap();
         let hops = doc.get("runs").and_then(Json::as_arr).unwrap()[0]
             .get("results")
             .and_then(Json::as_arr)
@@ -621,19 +370,6 @@ mod tests {
         assert!(validate_sarif(&broken).is_err());
         let unknown = log.replace("wall-clock-in-virtual-path\",\"level", "no-such\",\"level");
         assert!(validate_sarif(&unknown).is_err());
-    }
-
-    #[test]
-    fn json_parser_round_trips_escapes_and_nesting() {
-        let doc = parse_json(
-            "{\"a\":[1,2.5,-3e2,true,false,null],\"s\":\"q\\\"\\\\\\n\\u0041\",\"o\":{}}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("s").and_then(Json::as_str), Some("q\"\\\nA"));
-        assert_eq!(doc.get("a").and_then(Json::as_arr).unwrap().len(), 6);
-        assert!(parse_json("[1,2,]").is_err());
-        assert!(parse_json("{\"a\":1} x").is_err());
-        assert!(parse_json("\"unterminated").is_err());
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //!    this lossless), rejecting traces this harness did not produce.
 //! 2. **Tiling** — `JobTrace::check()` re-validates the per-lane
 //!    invariants: lanes tile their entry exactly, slots never overlap.
-//! 3. **Happens-before** — `trace::race::check_races` reconstructs the
-//!    cross-lane ordering (hand-offs, spill→merge→fetch edges, barriers,
-//!    speculation) with vector clocks and reports any pair of spans that
-//!    touch the same logical resource without a happens-before path.
+//! 3. **Happens-before** — `trace::race::check_races` feeds the trace's
+//!    recorded edges (slot chains, retries, spill→merge→fetch hand-offs,
+//!    barriers, speculation) to vector clocks and reports any pair of
+//!    spans that touch the same logical resource without a happens-before
+//!    path. A trace with entries but no recorded edges fails here.
 
 use std::path::Path;
 

@@ -5,11 +5,9 @@
 //!
 //! 1. Every shipped fault-free 1-fetcher figure in `results/` replays
 //!    through the round-aware replay (round 0, no boundary) to the
-//!    identical `(slot, start, end)` schedule — a single-stage `JobDag`
-//!    places through exactly this recurrence
-//!    (`dag::tests::single_stage_dag_replays_run_job_bit_identically`
-//!    pins DAG == legacy skeleton), so the published figures pin the DAG
-//!    path too.
+//!    identical `(slot, start, end)` schedule — `run_job` is a
+//!    single-stage run of the executor and places through exactly this
+//!    recurrence, so the published figures pin the one driver there is.
 //! 2. A live traced single-stage DAG run replays its own schedule through
 //!    a fresh scheduler — the executor adds nothing to round 0.
 //! 3. A live traced three-round DAG replays with only the recorded

@@ -6,8 +6,10 @@
 //! 1. A genuinely traced job — real scheduler, real shuffle, real spill
 //!    hand-offs — produces a trace the checker accepts (no false races).
 //! 2. Every shipped `results/trace_*.json` round-trips through
-//!    [`JobTrace::from_chrome_json`] and audits clean, so the published
-//!    figures rest on race-free schedules.
+//!    [`JobTrace::from_chrome_json`] and audits clean on its *recorded*
+//!    edges, so the published figures rest on race-free schedules — and
+//!    a trace whose edges were stripped fails the audit outright instead
+//!    of being re-audited on orderings derived from its own timing.
 //! 3. Seeded corruptions of a valid trace — a swapped spill hand-off, an
 //!    attempt shifted onto a busy interval, a dropped shuffle barrier —
 //!    are all rejected, even when the per-lane tiling checks still pass.
@@ -23,7 +25,8 @@ use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::io::dfs::SimDfs;
 use textmr_engine::trace::race::{check_races, RaceKind};
 use textmr_engine::trace::{
-    EntryDetail, IdleKind, JobTrace, LaneRole, Span, SpanKind, TaskKind, TraceEntry,
+    validate_chrome_trace, EntryDetail, IdleKind, JobTrace, LaneRole, Span, SpanKind, TaskKind,
+    TraceEntry,
 };
 
 fn corpus_dfs() -> SimDfs {
@@ -219,6 +222,26 @@ fn real_traced_job_is_race_free() {
     assert!(report.edges > 0, "a real job must have cross-lane edges");
     assert!(report.accesses.get("mapout").copied().unwrap_or(0) > 0);
     assert!(report.accesses.get("runs").copied().unwrap_or(0) > 0);
+    // The export the offline audit reads is lossless for this run.
+    let json = real_trace().to_chrome_json();
+    validate_chrome_trace(&json).unwrap();
+    assert_eq!(&JobTrace::from_chrome_json(&json).unwrap(), real_trace());
+}
+
+#[test]
+fn stripped_edges_fail_the_audit() {
+    let mut trace = real_trace().clone();
+    trace.edges.clear();
+    let report = check_races(&trace);
+    assert!(!report.is_clean());
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.kind == RaceKind::Structure && d.resource == "edges"),
+        "expected a finding on `edges`:\n{}",
+        report.render()
+    );
 }
 
 #[test]
@@ -242,6 +265,11 @@ fn shipped_result_traces_audit_clean() {
         trace
             .check()
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            !trace.edges.is_empty(),
+            "{} carries no recorded edges",
+            path.display()
+        );
         let report = check_races(&trace);
         assert!(
             report.is_clean(),
@@ -249,6 +277,7 @@ fn shipped_result_traces_audit_clean() {
             path.display(),
             report.render()
         );
+        assert!(report.edges > 0, "{}: no edge applied", path.display());
         audited += 1;
     }
     assert!(
