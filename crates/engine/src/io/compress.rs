@@ -77,26 +77,38 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a [`compress`]-produced buffer. Returns `None` on corrupt
-/// input (never panics on malformed bytes).
+/// Output bound of [`decompress`], which has no length to check against.
+const DEFAULT_CAP: usize = 1 << 30;
+
+/// Decompress a [`compress`]-produced buffer of at most 1 GiB. Returns
+/// `None` on corrupt input (never panics on malformed bytes).
 pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(input.len() * 3);
+    decompress_into(input, DEFAULT_CAP)
+}
+
+/// Decompress a [`compress`]-produced buffer whose output may not exceed
+/// `cap` bytes. Returns `None` on corrupt input or as soon as the output
+/// would pass `cap`, so a few hostile bytes cannot claim gigabytes.
+pub fn decompress_into(input: &[u8], cap: usize) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(input.len().saturating_mul(3).min(cap));
     let mut pos = 0usize;
     loop {
-        let lit_len = read_varint(input, &mut pos)? as usize;
+        let lit_len = usize::try_from(read_varint(input, &mut pos)?).ok()?;
         let lit_end = pos.checked_add(lit_len)?;
-        if lit_end > input.len() {
+        if lit_end > input.len() || lit_len > cap - out.len() {
             return None;
         }
         out.extend_from_slice(&input[pos..lit_end]);
         pos = lit_end;
-        let dist = read_varint(input, &mut pos)? as usize;
+        let dist = usize::try_from(read_varint(input, &mut pos)?).ok()?;
         if dist == 0 {
             // End marker: must coincide with end of input.
             return if pos == input.len() { Some(out) } else { None };
         }
-        let len = read_varint(input, &mut pos)? as usize + MIN_MATCH;
-        if dist > out.len() {
+        let len = usize::try_from(read_varint(input, &mut pos)?)
+            .ok()?
+            .checked_add(MIN_MATCH)?;
+        if dist > out.len() || len > cap - out.len() {
             return None;
         }
         // Overlapping copies are legal (runs), so copy byte-wise from the
@@ -210,6 +222,43 @@ mod tests {
         let mut trailing = compress(b"xyz").to_vec();
         trailing.push(7);
         assert_eq!(decompress(&trailing), None);
+    }
+
+    /// Four literals, then a dist-1 match of `len` bytes.
+    fn bomb(len: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        write_varint(&mut b, 4);
+        b.extend_from_slice(b"aaaa");
+        write_varint(&mut b, 1);
+        write_varint(&mut b, len - MIN_MATCH as u64);
+        write_varint(&mut b, 0);
+        write_varint(&mut b, 0);
+        b
+    }
+
+    #[test]
+    fn output_cap_stops_a_decompression_bomb() {
+        // 13 bytes that would inflate to 2 GiB.
+        let b = bomb(1 << 31);
+        assert_eq!(b.len(), 13);
+        assert_eq!(decompress_into(&b, 1 << 20), None);
+        assert_eq!(decompress(&b), None);
+        // The cap is inclusive.
+        let small = bomb(100);
+        assert_eq!(decompress_into(&small, 104).map(|v| v.len()), Some(104));
+        assert_eq!(decompress_into(&small, 103), None);
+        assert_eq!(decompress_into(&compress(b"abcdef"), 5), None);
+    }
+
+    #[test]
+    fn huge_match_length_is_an_error_not_a_panic() {
+        let mut b = Vec::new();
+        write_varint(&mut b, 4);
+        b.extend_from_slice(b"aaaa");
+        write_varint(&mut b, 1);
+        write_varint(&mut b, u64::MAX);
+        assert_eq!(decompress_into(&b, usize::MAX), None);
+        assert_eq!(decompress(&b), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! without scanning.
 
 use crate::codec::{read_varint, write_record, write_varint};
-use crate::io::compress::{compress, decompress};
+use crate::io::compress::{compress, decompress_into};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -189,9 +189,8 @@ pub fn decode_frame_bytes(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
     let raw_len = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as usize;
     let stored_len = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as usize;
     let check = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as u32;
-    let payload = rest
-        .get(pos..pos + stored_len)
-        .ok_or(FrameError::Truncated)?;
+    let end = pos.checked_add(stored_len).ok_or(FrameError::Truncated)?;
+    let payload = rest.get(pos..end).ok_or(FrameError::Truncated)?;
     let raw = match flags {
         FRAME_RAW => {
             if payload.len() != raw_len {
@@ -200,7 +199,7 @@ pub fn decode_frame_bytes(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
             payload.to_vec()
         }
         FRAME_COMPRESSED => {
-            let raw = decompress(payload).ok_or(FrameError::Corrupt)?;
+            let raw = decompress_into(payload, raw_len).ok_or(FrameError::Corrupt)?;
             if raw.len() != raw_len {
                 return Err(FrameError::Corrupt);
             }
@@ -535,6 +534,35 @@ mod tests {
             Err(FrameError::Corrupt) | Err(FrameError::Truncated) => {}
             other => panic!("corrupt frame decoded: {other:?}"),
         }
+    }
+
+    #[test]
+    fn huge_stored_len_is_truncation_not_a_panic() {
+        let mut frame = vec![FRAME_RAW];
+        crate::codec::write_varint(&mut frame, 1); // raw_len
+        crate::codec::write_varint(&mut frame, u64::MAX); // stored_len
+        crate::codec::write_varint(&mut frame, 0); // check
+        frame.push(b'x');
+        assert_eq!(decode_frame_bytes(&frame), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn payload_inflating_past_raw_len_is_corrupt() {
+        // A header promising 8 bytes over a payload that would inflate to
+        // 2 GiB: decoding stops at the header's length.
+        let mut payload = Vec::new();
+        crate::codec::write_varint(&mut payload, 4);
+        payload.extend_from_slice(b"aaaa");
+        crate::codec::write_varint(&mut payload, 1);
+        crate::codec::write_varint(&mut payload, (1 << 31) - 4);
+        crate::codec::write_varint(&mut payload, 0);
+        crate::codec::write_varint(&mut payload, 0);
+        let mut frame = vec![FRAME_COMPRESSED];
+        crate::codec::write_varint(&mut frame, 8);
+        crate::codec::write_varint(&mut frame, payload.len() as u64);
+        crate::codec::write_varint(&mut frame, 0);
+        frame.extend_from_slice(&payload);
+        assert_eq!(decode_frame_bytes(&frame), Err(FrameError::Corrupt));
     }
 
     #[test]

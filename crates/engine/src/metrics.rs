@@ -621,9 +621,75 @@ impl Stopwatch {
     }
 }
 
+/// Calls per timed call of a [`SampledCost`]. One clock pair costs about
+/// 60 ns on a 2-core KVM host, as much as the emit it would time, so
+/// per-record sites time one call in this many.
+const SAMPLE_EVERY: u64 = 16;
+
+/// The cost of a per-record call, estimated from a sample of its calls.
+///
+/// Which calls are timed is decided by the caller's call counter (the
+/// [`SAMPLE_EVERY`]-th, the 2×[`SAMPLE_EVERY`]-th, …), never by time, so
+/// two runs of the same input time the same calls. Counting from 1 keeps
+/// the cold first call and the growth of a vector pushed once per call
+/// off the sample: such a vector reallocates on calls 1 and 2^k + 1,
+/// never on a multiple of [`SAMPLE_EVERY`].
+#[derive(Debug, Default)]
+pub(crate) struct SampledCost {
+    samples: u64,
+    sampled_ns: u64,
+}
+
+impl SampledCost {
+    /// Start a stopwatch if call number `count` (counted from 1) is
+    /// sampled.
+    #[inline]
+    pub(crate) fn start(count: u64) -> Option<Stopwatch> {
+        count.is_multiple_of(SAMPLE_EVERY).then(Stopwatch::start)
+    }
+
+    /// Record one sampled call's cost.
+    #[inline]
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.samples += 1;
+        self.sampled_ns = self.sampled_ns.saturating_add(ns);
+    }
+
+    /// Calls timed so far.
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> u64 {
+        self.samples
+    }
+
+    /// Estimated cost of `calls` calls at the running mean of the samples
+    /// so far (0 before the first sample).
+    pub(crate) fn estimate(&self, calls: u64) -> u64 {
+        if self.samples == 0 {
+            return 0;
+        }
+        let ns = u128::from(calls) * u128::from(self.sampled_ns) / u128::from(self.samples);
+        u64::try_from(ns).unwrap_or(u64::MAX)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sampled_cost_samples_by_counter_and_scales_the_mean() {
+        let sampled: Vec<u64> = (1..=40)
+            .filter(|&i| SampledCost::start(i).is_some())
+            .collect();
+        assert_eq!(sampled, vec![16, 32]);
+        let mut c = SampledCost::default();
+        assert_eq!(c.estimate(100), 0);
+        c.record(30);
+        c.record(50);
+        assert_eq!(c.samples(), 2);
+        assert_eq!(c.estimate(10), 400);
+        assert_eq!(c.estimate(0), 0);
+    }
 
     #[test]
     fn op_indices_match_all_order() {

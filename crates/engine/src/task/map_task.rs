@@ -14,7 +14,7 @@ use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
 use crate::io::StreamingConfig;
 use crate::job::{combine_values, Emit, Job};
-use crate::metrics::{Op, OpTimes, SpillStat, Stopwatch, TaskProfile, VNanos};
+use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile, VNanos};
 use crate::task::merge::{
     merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, CursorSource,
 };
@@ -232,20 +232,21 @@ impl<'a> Emit for SpillPath<'a> {
     }
 }
 
-/// The emitter handed to user `map()` code: times emits, routes pairs
-/// through the optional filter, and keeps producer-time bookkeeping.
+/// The emitter handed to user `map()` code: routes pairs through the
+/// optional filter, keeps producer-time bookkeeping, and times a counter-
+/// chosen sample of emits (see [`SampledCost`]).
 struct MapEmitter<'a> {
     path: SpillPath<'a>,
     filter: Option<Box<dyn EmitFilter>>,
-    emit_ns: u64,
+    emit_cost: SampledCost,
     handover_ns: u64,
     emitted: u64,
 }
 
 impl<'a> Emit for MapEmitter<'a> {
     fn emit(&mut self, key: &[u8], value: &[u8]) {
-        let sw = Stopwatch::start();
         self.emitted += 1;
+        let sw = SampledCost::start(self.emitted);
         let absorbed = match &mut self.filter {
             Some(f) => f.offer(key, value, &mut self.path),
             None => false,
@@ -253,10 +254,12 @@ impl<'a> Emit for MapEmitter<'a> {
         if !absorbed {
             self.path.append(key, value);
         }
-        let total = sw.elapsed_ns();
         let consumed = self.path.take_consume_pending();
         self.handover_ns = self.handover_ns.saturating_add(consumed);
-        self.emit_ns = self.emit_ns.saturating_add(total.saturating_sub(consumed));
+        if let Some(sw) = sw {
+            self.emit_cost
+                .record(sw.elapsed_ns().saturating_sub(consumed));
+        }
     }
 }
 
@@ -295,7 +298,7 @@ pub fn run_map_task(
     let mut emitter = MapEmitter {
         path,
         filter: cfg.filter,
-        emit_ns: 0,
+        emit_cost: SampledCost::default(),
         handover_ns: 0,
         emitted: 0,
     };
@@ -312,6 +315,7 @@ pub fn run_map_task(
     let mut last_pw = 0u64;
     loop {
         let sw_rec = Stopwatch::start();
+        let emitted_before = emitter.emitted;
         let Some(rec) = reader.next() else { break };
         let read_ns = sw_rec.elapsed_ns();
         if let Some(f) = &mut emitter.filter {
@@ -321,7 +325,10 @@ pub fn run_map_task(
         let total_ns = sw_rec.elapsed_ns();
         input_records += 1;
 
-        let emit_ns = std::mem::take(&mut emitter.emit_ns);
+        // Emit time is estimated (this record's emits × the running mean
+        // of the sampled ones); the record's total is measured, so the
+        // estimate only moves time between `emit` and `map`.
+        let emit_ns = emitter.emit_cost.estimate(emitter.emitted - emitted_before);
         let handover_ns = std::mem::take(&mut emitter.handover_ns);
         // Combine work performed inside the filter is user code: report it
         // under `combine`, not `emit` (it remains producer-side time).
@@ -960,6 +967,95 @@ mod tests {
         }
         assert_eq!(prof_s.signature(), prof_m.signature());
         assert!(prof_s.spills.len() > 3, "want multi-spill coverage");
+    }
+
+    /// WordSum without a combiner: no `Combine` time on any side.
+    struct WordList;
+    impl Job for WordList {
+        fn name(&self) -> &str {
+            "wordlist"
+        }
+        fn map(&self, r: &Record<'_>, e: &mut dyn Emit) {
+            WordSum.map(r, e);
+        }
+        fn reduce(&self, k: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit) {
+            WordSum.reduce(k, values, out);
+        }
+    }
+
+    #[test]
+    fn sampled_emit_time_is_reported_and_tiles_the_producer() {
+        let text: String = (0..300).map(|i| format!("w{} b c d\n", i % 31)).collect();
+        let split = one_split(&text);
+        let job: Arc<dyn Job> = Arc::new(WordList);
+        let mut c = cfg(2048);
+        c.task_id = 20;
+        let (_, prof) = run_map_task(&job, &split, c).unwrap();
+        assert!(prof.emitted_records >= 16 * 10 && prof.spills.len() > 1);
+        assert!(prof.ops.get(Op::Emit) > 0, "sampled emits must report time");
+        assert_eq!(prof.ops.get(Op::Combine), 0);
+        assert_eq!(
+            prof.ops.get(Op::Read) + prof.ops.get(Op::Map) + prof.ops.get(Op::Emit),
+            prof.produce_busy,
+            "producer ops must tile the producer's busy time exactly"
+        );
+    }
+
+    /// An emitter over `job` with a large buffer and no filter.
+    fn emitter<'a>(job: &'a dyn Job, dir: &'a Path, task_id: usize) -> MapEmitter<'a> {
+        MapEmitter {
+            path: SpillPath {
+                job,
+                num_partitions: 2,
+                pipeline: Pipeline::new(1 << 20, 0.8),
+                seg: Segment::new(),
+                controller: Box::new(FixedSpill(0.8)),
+                spills: Vec::new(),
+                stats: Vec::new(),
+                ops: OpTimes::new(),
+                spill_dir: dir,
+                task_id,
+                consume_pending_ns: 0,
+                io_error: None,
+                fail_spill: None,
+                framed: false,
+                frame_bytes: 0,
+                injected: false,
+                trace: None,
+            },
+            filter: None,
+            emit_cost: SampledCost::default(),
+            handover_ns: 0,
+            emitted: 0,
+        }
+    }
+
+    #[test]
+    fn repeated_runs_sample_the_same_emits() {
+        let text: String = (0..300).map(|i| format!("w{} b c d\n", i % 31)).collect();
+        let split = one_split(&text);
+        let job: Arc<dyn Job> = Arc::new(WordSum);
+        let run = |task_id| {
+            let mut c = cfg(2048);
+            c.task_id = task_id;
+            run_map_task(&job, &split, c).unwrap().1
+        };
+        assert_eq!(run(21).signature(), run(22).signature());
+        // The emitter times the emits whose counter is a multiple of the
+        // sampling period, whatever the clock reads.
+        let dir = tmpdir();
+        let samples: Vec<u64> = (23..25)
+            .map(|task_id| {
+                let mut e = emitter(job.as_ref(), &dir, task_id);
+                let mut reader = SplitReader::new(&split);
+                while let Some(rec) = reader.next() {
+                    job.map(&rec, &mut e);
+                }
+                assert_eq!(e.emitted, 1200);
+                e.emit_cost.samples()
+            })
+            .collect();
+        assert_eq!(samples, vec![1200 / 16; 2]);
     }
 
     #[test]

@@ -32,6 +32,11 @@ impl<'a> Cursor<'a> {
         c
     }
 
+    /// The head key, or `None` once exhausted.
+    fn head(&self) -> Option<&'a [u8]> {
+        (!self.exhausted).then_some(self.key)
+    }
+
     fn advance(&mut self) {
         let mut pos = self.next_pos;
         match read_record(self.data, &mut pos) {
@@ -44,6 +49,99 @@ impl<'a> Cursor<'a> {
                 self.exhausted = true;
             }
         }
+    }
+}
+
+/// Binary min-heap of run indices ordered by head key; a run that is
+/// exhausted stays in the heap and orders after every run with a head.
+///
+/// A parent never orders after its child, so the runs whose head equals the
+/// top's form a subtree containing the root. [`RunHeap::gather`] walks that
+/// subtree, testing only it and its rim, and [`RunHeap::restore`] sifts its
+/// nodes down, deepest first, once their runs have moved past the group. A
+/// key held by one run of k costs O(log k) compares; a key held by all k
+/// costs a heapify, O(k), as a scan of the runs would.
+struct RunHeap {
+    heap: Vec<usize>,
+    /// Heap positions of the gathered group, each after its parent.
+    group: Vec<usize>,
+    /// Run indices of the gathered group, ascending.
+    runs: Vec<usize>,
+}
+
+impl RunHeap {
+    fn new(runs: usize, before: impl Fn(usize, usize) -> bool) -> Self {
+        let mut heap = RunHeap {
+            heap: (0..runs).collect(),
+            group: Vec::new(),
+            runs: Vec::new(),
+        };
+        for i in (0..runs / 2).rev() {
+            heap.sift_down(i, &before);
+        }
+        heap
+    }
+
+    fn top(&self) -> Option<usize> {
+        self.heap.first().copied()
+    }
+
+    /// The top run and every run whose head key equals its head
+    /// (`tied(run)`), in ascending run index: the tie rule that puts a
+    /// group's values in run order, then within-run order.
+    fn gather(&mut self, tied: impl Fn(usize) -> bool) -> &[usize] {
+        self.group.clear();
+        self.group.push(0);
+        let mut i = 0;
+        while let Some(&p) = self.group.get(i) {
+            for child in [2 * p + 1, 2 * p + 2] {
+                if self.heap.get(child).is_some_and(|&r| tied(r)) {
+                    self.group.push(child);
+                }
+            }
+            i += 1;
+        }
+        self.runs.clear();
+        self.runs.extend(self.group.iter().map(|&p| self.heap[p]));
+        self.runs.sort_unstable();
+        &self.runs
+    }
+
+    /// Restore heap order after every gathered run moved past the group.
+    fn restore(&mut self, before: impl Fn(usize, usize) -> bool) {
+        for i in (0..self.group.len()).rev() {
+            self.sift_down(self.group[i], &before);
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize, before: &impl Fn(usize, usize) -> bool) {
+        let h = &mut self.heap;
+        loop {
+            let left = 2 * i + 1;
+            if left >= h.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < h.len() && before(h[right], h[left]) {
+                right
+            } else {
+                left
+            };
+            if !before(h[child], h[i]) {
+                return;
+            }
+            h.swap(i, child);
+            i = child;
+        }
+    }
+}
+
+/// Head-key order of two runs, an exhausted run (no head) last.
+#[inline]
+fn head_before(cmp: &dyn Fn(&[u8], &[u8]) -> Ordering, a: Option<&[u8]>, b: Option<&[u8]>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => cmp(a, b) == Ordering::Less,
+        (a, b) => a.is_some() && b.is_none(),
     }
 }
 
@@ -61,33 +159,28 @@ pub fn merge_grouped<'a, F>(
     F: FnMut(&'a [u8], &[&'a [u8]]),
 {
     let mut cursors: Vec<Cursor<'a>> = runs.iter().map(|r| Cursor::new(r)).collect();
+    let before = |c: &[Cursor<'a>], a: usize, b: usize| head_before(cmp, c[a].head(), c[b].head());
+    let mut heap = RunHeap::new(cursors.len(), |a, b| before(&cursors, a, b));
     let mut values: Vec<&'a [u8]> = Vec::new();
-    loop {
-        // Find the minimum head key with a linear scan: the fan-in is the
-        // number of spill files / map outputs (tens), so a scan beats heap
-        // bookkeeping at this scale.
-        let mut min: Option<usize> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.exhausted {
-                continue;
-            }
-            min = Some(match min {
-                None => i,
-                Some(m) if cmp(c.key, cursors[m].key) == Ordering::Less => i,
-                Some(m) => m,
-            });
-        }
-        let Some(m) = min else { break };
-        let group_key = cursors[m].key;
+    while let Some(group_key) = heap.top().and_then(|t| cursors[t].head()) {
         values.clear();
-        // Collect every value equal to group_key, run by run (a run may
-        // contain repeats of the key, e.g. without a combiner).
-        for c in cursors.iter_mut() {
-            while !c.exhausted && cmp(c.key, group_key) == Ordering::Equal {
+        let tied = heap.gather(|r| {
+            cursors[r]
+                .head()
+                .is_some_and(|k| cmp(k, group_key) == Ordering::Equal)
+        });
+        // A run may repeat the key (e.g. no combiner).
+        for &r in tied {
+            let c = &mut cursors[r];
+            loop {
                 values.push(c.val);
                 c.advance();
+                if c.exhausted || cmp(c.key, group_key) != Ordering::Equal {
+                    break;
+                }
             }
         }
+        heap.restore(|a, b| before(&cursors, a, b));
         on_group(group_key, &values);
     }
 }
@@ -183,12 +276,11 @@ impl RunCursor for crate::io::frame::FrameRunCursor {
 }
 
 /// [`merge_grouped`] over windowed [`RunCursor`]s: identical group order
-/// and value order (linear-scan minimum, strict-`Less` wins, so ties
-/// break to the earliest run; values gathered run by run), but each run
-/// holds only its current window in memory. Keys and values are copied
-/// into a scratch arena before cursors advance, so the slices handed to
-/// `on_group` are valid only for the duration of the call — the same
-/// contract `merge_grouped` callers already honor.
+/// and value order (ties break to the earliest run; values gathered run by
+/// run), but each run holds only its current window in memory. Keys and
+/// values are copied into a scratch arena before cursors advance, so the
+/// slices handed to `on_group` are valid only for the duration of the call
+/// — the same contract `merge_grouped` callers already honor.
 pub fn merge_grouped_cursors<C, F>(
     cursors: &mut [C],
     cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
@@ -198,45 +290,49 @@ where
     C: RunCursor,
     F: FnMut(&[u8], &[&[u8]]),
 {
+    fn head<C: RunCursor>(c: &C) -> Option<&[u8]> {
+        c.peek().map(|(k, _)| k)
+    }
+    let before = |c: &[C], a: usize, b: usize| head_before(cmp, head(&c[a]), head(&c[b]));
+    let mut heap = RunHeap::new(cursors.len(), |a, b| before(cursors, a, b));
     let mut key_buf: Vec<u8> = Vec::new();
     let mut arena: Vec<u8> = Vec::new();
     let mut bounds: Vec<(usize, usize)> = Vec::new();
-    loop {
-        // Linear scan for the minimum head key, as in `merge_grouped`.
-        let mut min: Option<usize> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            let Some((k, _)) = c.peek() else { continue };
-            min = Some(match min {
-                None => i,
-                Some(m) => {
-                    let (mk, _) = cursors[m].peek().expect("min cursor has a head");
-                    if cmp(k, mk) == Ordering::Less {
-                        i
-                    } else {
-                        m
-                    }
-                }
-            });
-        }
-        let Some(m) = min else { return Ok(()) };
+    let mut spare: Vec<&[u8]> = Vec::new();
+    while let Some(key) = heap.top().and_then(|t| head(&cursors[t])) {
         key_buf.clear();
-        key_buf.extend_from_slice(cursors[m].peek().expect("min cursor has a head").0);
+        key_buf.extend_from_slice(key);
         arena.clear();
         bounds.clear();
-        for c in cursors.iter_mut() {
-            while let Some((k, v)) = c.peek() {
-                if cmp(k, &key_buf) != Ordering::Equal {
-                    break;
-                }
+        let tied =
+            heap.gather(|r| head(&cursors[r]).is_some_and(|k| cmp(k, &key_buf) == Ordering::Equal));
+        for &r in tied {
+            let c = &mut cursors[r];
+            while let Some((_, v)) = c.peek() {
                 let start = arena.len();
                 arena.extend_from_slice(v);
                 bounds.push((start, arena.len()));
                 c.advance()?;
+                match c.peek() {
+                    Some((k, _)) if cmp(k, &key_buf) == Ordering::Equal => {}
+                    _ => break,
+                }
             }
         }
-        let values: Vec<&[u8]> = bounds.iter().map(|&(s, e)| &arena[s..e]).collect();
+        heap.restore(|a, b| before(cursors, a, b));
+        let mut values = recycle(std::mem::take(&mut spare));
+        values.extend(bounds.iter().map(|&(s, e)| &arena[s..e]));
         on_group(&key_buf, &values);
+        spare = recycle(values);
     }
+    Ok(())
+}
+
+/// Empty `v` and hand its allocation back for slices of another lifetime
+/// (an in-place `collect` of an empty vector reallocates nothing).
+fn recycle<'b>(mut v: Vec<&[u8]>) -> Vec<&'b [u8]> {
+    v.clear();
+    v.into_iter().map(|_| &[][..]).collect()
 }
 
 /// A framed run that can be opened as a

@@ -15,7 +15,7 @@ use crate::hash::FnvHashMap;
 use crate::io::frame::{decode_run, scan_frames, RunStore};
 use crate::io::StreamingConfig;
 use crate::job::{Emit, Job, SliceValues};
-use crate::metrics::{Op, OpTimes, Stopwatch, TaskProfile, VNanos};
+use crate::metrics::{Op, OpTimes, SampledCost, Stopwatch, TaskProfile, VNanos};
 use crate::net::NetworkConfig;
 use crate::shuffle::{run_shuffle, FlowInput, ShuffleStats};
 use crate::task::map_task::MapOutput;
@@ -84,20 +84,24 @@ pub struct ReduceResult {
     pub post_parts: [u64; 4],
 }
 
-/// Output sink measuring serialization cost separately from user reduce
-/// time.
+/// Output sink: collects the pairs, counts their serialized bytes, and
+/// times a counter-chosen sample of its calls (see [`SampledCost`]) so
+/// that write cost is measured apart from user reduce time.
+#[derive(Default)]
 struct ReduceSink {
     pairs: Vec<(Vec<u8>, Vec<u8>)>,
-    out_buf: Vec<u8>,
-    write_ns: u64,
+    output_bytes: u64,
+    write_cost: SampledCost,
 }
 
 impl Emit for ReduceSink {
     fn emit(&mut self, key: &[u8], value: &[u8]) {
-        let sw = Stopwatch::start();
-        crate::codec::write_record(&mut self.out_buf, key, value);
+        let sw = SampledCost::start(self.pairs.len() as u64 + 1);
+        self.output_bytes += crate::codec::record_len(key.len(), value.len()) as u64;
         self.pairs.push((key.to_vec(), value.to_vec()));
-        self.write_ns = self.write_ns.saturating_add(sw.elapsed_ns());
+        if let Some(sw) = sw {
+            self.write_cost.record(sw.elapsed_ns());
+        }
     }
 }
 
@@ -191,11 +195,7 @@ pub fn run_reduce_task(
     let framed = map_outputs.iter().any(|m| m.framed);
     let sw_all = Stopwatch::start();
     let peak_buffer_bytes;
-    let mut sink = ReduceSink {
-        pairs: Vec::new(),
-        out_buf: Vec::new(),
-        write_ns: 0,
-    };
+    let mut sink = ReduceSink::default();
     let mut reduce_ns = 0u64;
     let mut input_records = 0u64;
     let mut intermediate_combine_ns = 0u64;
@@ -206,13 +206,10 @@ pub fn run_reduce_task(
     let mut aborted: Option<Abort> = None;
     let reduce_group =
         |key: &[u8], values: &[&[u8]], sink: &mut ReduceSink, reduce_ns: &mut u64| {
-            let write_before = sink.write_ns;
             let sw_r = Stopwatch::start();
             let mut cursor = SliceValues::new(values);
             job.reduce(key, &mut cursor, sink);
-            let group_ns = sw_r.elapsed_ns();
-            *reduce_ns =
-                reduce_ns.saturating_add(group_ns.saturating_sub(sink.write_ns - write_before));
+            *reduce_ns = reduce_ns.saturating_add(sw_r.elapsed_ns());
         };
     match cfg.grouping {
         Grouping::Sort if framed && !cfg.streaming.materialize_reads => {
@@ -366,9 +363,14 @@ pub fn run_reduce_task(
     // components sum to `total_ns` *exactly* (the trace's reduce lane must
     // tile it); in the normal case (components measured inside `sw_all`,
     // so their sum never exceeds it) each equals the plain subtraction
-    // used before.
-    let reduce_c = reduce_ns.min(total_ns);
-    let write_c = sink.write_ns.min(total_ns - reduce_c);
+    // used before. Writes happen inside the timed reduce calls, so their
+    // estimate is carved out of the reduce time.
+    let write_ns = sink
+        .write_cost
+        .estimate(sink.pairs.len() as u64)
+        .min(reduce_ns);
+    let reduce_c = (reduce_ns - write_ns).min(total_ns);
+    let write_c = write_ns.min(total_ns - reduce_c);
     let ic_c = intermediate_combine_ns.min(total_ns - reduce_c - write_c);
     let merge_c = total_ns - reduce_c - write_c - ic_c;
     ops.add_nanos(Op::ReduceMerge, merge_c);
@@ -387,12 +389,11 @@ pub fn run_reduce_task(
             write_c,
         ))
     });
-    let output_bytes = sink.out_buf.len() as u64;
     let profile = TaskProfile {
         ops,
         virtual_duration: shuffle_virtual_ns + total_ns,
         input_records,
-        output_bytes,
+        output_bytes: sink.output_bytes,
         peak_buffer_bytes,
         trace,
         ..Default::default()
@@ -661,6 +662,51 @@ mod tests {
             matches!(err, ReduceTaskError::Injected { .. }),
             "got {err:?}"
         );
+    }
+
+    /// Emits each word's key repeated `count²` times with a value of
+    /// `count × 37` bytes: lengths on both sides of the one-byte varint
+    /// limit (127).
+    struct Widen;
+    impl Job for Widen {
+        fn name(&self) -> &str {
+            "widen"
+        }
+        fn map(&self, r: &Record<'_>, e: &mut dyn Emit) {
+            WordSum.map(r, e);
+        }
+        fn reduce(&self, k: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit) {
+            let mut n = 0usize;
+            while let Some(v) = values.next() {
+                n += decode_u64(v).unwrap() as usize;
+            }
+            out.emit(&k.repeat(n * n), &vec![b'v'; n * 37]);
+        }
+    }
+
+    #[test]
+    fn output_bytes_count_the_serialized_output() {
+        let text: String = (1..=40)
+            .map(|i| format!("{}\n", vec![format!("k{i}"); i % 9 + 1].join(" ")))
+            .collect();
+        let outputs = map_all(&[&text], 1);
+        let job: Arc<dyn Job> = Arc::new(Widen);
+        let r = run_reduce_task(
+            &job,
+            &outputs,
+            &NetworkConfig::local_cluster(),
+            &rcfg(0, 0, 1),
+        )
+        .unwrap();
+        assert!(r.pairs.len() >= 32, "want several sampled writes");
+        let mut serialized = Vec::new();
+        for (k, v) in &r.pairs {
+            crate::codec::write_record(&mut serialized, k, v);
+        }
+        assert!(r.pairs.iter().any(|(k, v)| k.len() > 127 && v.len() > 127));
+        assert!(r.pairs.iter().any(|(k, v)| k.len() < 128 && v.len() < 128));
+        assert_eq!(r.profile.output_bytes, serialized.len() as u64);
+        assert!(r.profile.ops.get(Op::OutputWrite) > 0);
     }
 
     #[test]

@@ -4,10 +4,21 @@
 use proptest::prelude::*;
 use textmr_engine::codec;
 use textmr_engine::io::compress;
+use textmr_engine::io::frame::{FrameEncoder, RunStore};
 use textmr_engine::job::{Emit, Job, Record, ValueCursor};
-use textmr_engine::task::merge::{count_records, merge_grouped};
+use textmr_engine::task::merge::{
+    count_records, merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in,
+    reduce_to_fan_in, CursorSource,
+};
 use textmr_engine::task::segment::Segment;
 use textmr_engine::task::spill::sort_indices;
+
+/// A scratch directory private to this test process.
+fn scratch_dir() -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("textmr-components-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
 
 struct Bytewise;
 impl Job for Bytewise {
@@ -18,8 +29,124 @@ impl Job for Bytewise {
     fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
 }
 
+/// One merged group: key and values in delivery order.
+type Group = (Vec<u8>, Vec<Vec<u8>>);
+
+/// The merge contract, stated directly: a stable sort of every record by
+/// key over the runs laid end to end, i.e. by (key, run, position), then
+/// grouped by key.
+fn reference_merge(runs: &[Vec<(Vec<u8>, Vec<u8>)>]) -> Vec<Group> {
+    let mut all: Vec<&(Vec<u8>, Vec<u8>)> = runs.iter().flatten().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut groups: Vec<Group> = Vec::new();
+    for (k, v) in all {
+        match groups.last_mut() {
+            Some((gk, vs)) if gk == k => vs.push(v.clone()),
+            _ => groups.push((k.clone(), vec![v.clone()])),
+        }
+    }
+    groups
+}
+
+/// The multi-pass batching rule: while more than `fan_in` runs remain,
+/// the first `fan_in` merge into one run appended at the end.
+fn reference_fan_in(
+    mut runs: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
+    fan_in: usize,
+) -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
+    while runs.len() > fan_in {
+        let batch: Vec<_> = runs.drain(..fan_in).collect();
+        let merged = reference_merge(&batch)
+            .into_iter()
+            .flat_map(|(k, vs)| vs.into_iter().map(move |v| (k.clone(), v)))
+            .collect();
+        runs.push(merged);
+    }
+    runs
+}
+
+fn encode_run(run: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for (k, v) in run {
+        codec::write_record(&mut buf, k, v);
+    }
+    buf
+}
+
+fn framed_source(run: &[u8]) -> CursorSource<'static> {
+    let mut enc = FrameEncoder::new(64);
+    let mut pos = 0;
+    while let Some((k, v)) = codec::read_record(run, &mut pos) {
+        enc.push_record(k, v);
+    }
+    let (stored, metas, _) = enc.finish();
+    CursorSource::Mem { stored, metas }
+}
+
+fn to_groups(k: &[u8], vs: &[&[u8]], out: &mut Vec<Group>) {
+    out.push((k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn grouped_merges_keep_the_tie_rule(
+        runs_keys in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u8..3, 0..3), 0..12),
+            2..25),
+        fan_in in 2usize..12,
+    ) {
+        // Tiny key alphabet: duplicate keys within and across runs are the
+        // common case. Each value names its run and position.
+        let runs: Vec<Vec<(Vec<u8>, Vec<u8>)>> = runs_keys
+            .into_iter()
+            .enumerate()
+            .map(|(r, mut keys)| {
+                keys.sort();
+                keys.into_iter()
+                    .enumerate()
+                    .map(|(p, k)| (k, format!("{r}.{p}").into_bytes()))
+                    .collect()
+            })
+            .collect();
+        let encoded: Vec<Vec<u8>> = runs.iter().map(|r| encode_run(r)).collect();
+        let expected = reference_merge(&runs);
+        let cmp = |a: &[u8], b: &[u8]| a.cmp(b);
+
+        let mut buffered = Vec::new();
+        merge_grouped(&encoded, &cmp, |k, vs| to_groups(k, vs, &mut buffered));
+        prop_assert_eq!(&buffered, &expected);
+
+        let mut store = RunStore::create(scratch_dir().join("tie-store.bin")).unwrap();
+        let mut cursors: Vec<_> = encoded
+            .iter()
+            .map(|r| framed_source(r).open(&mut store).unwrap())
+            .collect();
+        let mut streamed = Vec::new();
+        merge_grouped_cursors(&mut cursors, &cmp, |k, vs| to_groups(k, vs, &mut streamed))
+            .unwrap();
+        prop_assert_eq!(&streamed, &expected);
+
+        // Multi-pass: both fan-in reductions follow the batching rule, so
+        // their final merges equal the reference applied the same way.
+        let expected_multi = reference_merge(&reference_fan_in(runs.clone(), fan_in));
+        let multi = reduce_to_fan_in(
+            encoded.clone(), &Bytewise, false, fan_in, &scratch_dir().join("tie.bin"),
+        ).unwrap();
+        let mut buffered = Vec::new();
+        merge_grouped(&multi.runs, &cmp, |k, vs| to_groups(k, vs, &mut buffered));
+        prop_assert_eq!(&buffered, &expected_multi);
+
+        let sources = encoded.iter().map(|r| framed_source(r)).collect();
+        let multi = reduce_sources_to_fan_in(sources, &Bytewise, false, fan_in, 64, &mut store)
+            .unwrap();
+        let mut cursors = multi.cursors;
+        let mut streamed = Vec::new();
+        merge_grouped_cursors(&mut cursors, &cmp, |k, vs| to_groups(k, vs, &mut streamed))
+            .unwrap();
+        prop_assert_eq!(&streamed, &expected_multi);
+    }
 
     #[test]
     fn varint_roundtrips(v in any::<u64>()) {
