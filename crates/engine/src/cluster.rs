@@ -36,13 +36,12 @@ use crate::metrics::{JobProfile, Op, SpeculationStats, TaskProfile, TaskSpan, VN
 use crate::net::NetworkConfig;
 use crate::pool::run_indexed;
 use crate::shuffle::MAX_FETCHERS;
-use crate::task::map_task::{run_map_task, MapOutput, MapTaskConfig, MapTaskError};
-use crate::task::reduce_task::{
-    run_reduce_task, Grouping, ReduceResult, ReduceTaskConfig, ReduceTaskError,
-};
+use crate::task::map_task::{run_map_task, MapOutput, MapTaskConfig};
+use crate::task::reduce_task::{run_reduce_task, Grouping, ReduceResult, ReduceTaskConfig};
+use crate::task::TaskError;
 use crate::trace::{
-    build_reduce_trace, AttemptKind, EdgeEnd, EdgeKind, EntryDetail, FlowTrace, JobTrace, LaneRole,
-    SpanKind, TaskKind, TraceEdge, TraceEntry,
+    build_reduce_trace, AttemptKind, EdgeEnd, EdgeKind, EntryDetail, JobTrace, LaneRole, SpanKind,
+    TaskKind, TraceEdge, TraceEntry,
 };
 use std::collections::BTreeMap;
 // textmr-lint: allow(unordered-iteration, reason = "per-node lookups only; never iterated")
@@ -85,11 +84,11 @@ pub struct ClusterConfig {
     /// always have.
     pub worker_threads: usize,
     /// Parallel shuffle fetchers per reduce task (Hadoop's `parallel
-    /// copies`). `1` (the default) is the sequential legacy behaviour with
-    /// independent-flow network accounting; larger values fetch on a
-    /// bounded pool and price concurrent flows through the contention-aware
-    /// NIC model (see [`crate::shuffle`]). Outputs and signatures are
-    /// identical at any setting; clamped to
+    /// copies`). `1` (the default) fetches sequentially, which the
+    /// contention-aware NIC model (see [`crate::shuffle`]) prices as the
+    /// serial sum of independent flows; larger values fetch on a bounded
+    /// pool and price concurrent flows through the same model. Outputs and
+    /// signatures are identical at any setting; clamped to
     /// [`crate::shuffle::MAX_FETCHERS`].
     pub shuffle_fetchers: usize,
     /// Out-of-core streaming knobs (see [`StreamingConfig`]). Default off:
@@ -381,48 +380,376 @@ impl JobRun {
     }
 }
 
-/// Outcome of one map task's full retry loop, as produced on a worker.
-enum MapTaskOutcome {
+/// Outcome of one task's full retry ladder, as produced on a worker.
+enum TaskOutcome<T> {
     /// The task completed; carries every attempt's virtual duration
     /// (failed attempts first) for slot scheduling.
-    Done {
-        attempts: Vec<VNanos>,
-        out: MapOutput,
-        prof: Box<TaskProfile>,
-        /// Whether the output came from the map-output cache (a hit is
-        /// never offered back to the cache).
-        cached: bool,
-    },
+    Done { attempts: Vec<VNanos>, out: T },
     /// All `max_attempts` attempts failed.
     Exhausted { attempts: usize },
-    /// An I/O error killed the task outright.
+    /// An I/O error (for a reducer, including exhausted shuffle-fetch
+    /// retries) killed the task outright.
     Failed(io::Error),
     /// The task gave up because another task had already doomed the job.
     Cancelled,
 }
 
-/// Outcome of one reduce task's full retry loop (mirror of
-/// [`MapTaskOutcome`]).
-enum ReduceTaskOutcome {
-    /// The task completed; carries every attempt's virtual duration
-    /// (failed attempts first) for slot scheduling.
-    Done {
-        attempts: Vec<VNanos>,
-        res: Box<ReduceResult>,
-    },
-    /// All `max_attempts` attempts failed.
-    Exhausted { attempts: usize },
-    /// An I/O error (including exhausted shuffle-fetch retries) killed the
-    /// task outright.
-    Failed(io::Error),
-    /// The task gave up because another task had already doomed the job.
-    Cancelled,
+/// What one real attempt (or speculative backup) hands the driver: its
+/// result and unscaled virtual duration, or why it died.
+type Attempt<T> = Result<(T, VNanos), TaskError>;
+
+/// A completed map task.
+struct MapDone {
+    out: MapOutput,
+    prof: TaskProfile,
+    /// Whether the output came from the map-output cache (a hit is never
+    /// offered back to the cache).
+    cached: bool,
 }
 
-/// A captured speculative-backup placement for the trace: `(task, node,
-/// slot, start, end, flat outcome)` — the outcome is `None` when the backup
-/// won the race and owns the task's detailed lanes.
-type BackupCapture = (usize, usize, usize, VNanos, VNanos, Option<AttemptKind>);
+/// One scheduled attempt, captured for the trace: where and when it ran,
+/// and — unless it is the attempt of record, which owns the task's
+/// detailed lanes — the flat outcome it renders as.
+struct Capture {
+    task: usize,
+    attempt: usize,
+    backup: bool,
+    node: usize,
+    slot: usize,
+    start: VNanos,
+    end: VNanos,
+    flat: Option<AttemptKind>,
+}
+
+impl Capture {
+    /// One task's placed primary attempts as `(slot, start, end)`: every
+    /// attempt but the last is a flat failure.
+    fn primaries(
+        task: usize,
+        node: usize,
+        placed: impl ExactSizeIterator<Item = (usize, VNanos, VNanos)>,
+    ) -> Vec<Capture> {
+        let last = placed.len().saturating_sub(1);
+        placed
+            .enumerate()
+            .map(|(attempt, (slot, start, end))| Capture {
+                task,
+                attempt,
+                backup: false,
+                node,
+                slot,
+                start,
+                end,
+                flat: (attempt < last).then_some(AttemptKind::Failed),
+            })
+            .collect()
+    }
+}
+
+/// One phase's virtual schedule: per task, its span of record and every
+/// attempt's virtual duration (failed attempts first); when tracing, every
+/// attempt's and backup's placement.
+struct PhaseSchedule {
+    spans: Vec<TaskSpan>,
+    durations: Vec<Vec<VNanos>>,
+    /// Per task, its primary attempts' placements (tracing only).
+    attempts: Vec<Vec<Capture>>,
+    /// Speculative backups' placements (tracing only).
+    backups: Vec<Capture>,
+}
+
+impl PhaseSchedule {
+    fn new(durations: Vec<Vec<VNanos>>) -> Self {
+        PhaseSchedule {
+            spans: Vec::with_capacity(durations.len()),
+            durations,
+            attempts: Vec::new(),
+            backups: Vec::new(),
+        }
+    }
+}
+
+/// One phase of a round as the Hadoop attempt model sees it. Map tasks
+/// and reducers share one retry ladder, one outcome collection, one
+/// speculation routine and one trace-entry builder; the phase closures
+/// supply only the real work of an attempt.
+struct Phase<'a> {
+    kind: TaskKind,
+    round: usize,
+    /// Global task-id offset inside the shared scheduler.
+    task_base: usize,
+    temp: &'a Path,
+    cfg: &'a JobConfig,
+    nodes: usize,
+}
+
+impl Phase<'_> {
+    /// Task `task`'s private directory for attempt `Some(n)`
+    /// (`rd{round}_t{task}_a{n}` for a map task, `rd{round}_r{task}_a{n}`
+    /// for a reducer) or for its speculative backup (`None`: `…_spec`).
+    fn dir(&self, task: usize, attempt: Option<usize>) -> PathBuf {
+        let tag = match self.kind {
+            TaskKind::Map => 't',
+            TaskKind::Reduce => 'r',
+        };
+        let round = self.round;
+        self.temp.join(match attempt {
+            Some(a) => format!("rd{round}_{tag}{task}_a{a}"),
+            None => format!("rd{round}_{tag}{task}_spec"),
+        })
+    }
+
+    /// One task's retry ladder. Every attempt runs in its own directory —
+    /// a retry never reuses (or trips over) a dead attempt's files, even
+    /// when other tasks run concurrently in the same job temp — and a
+    /// failed attempt's directory is removed before the retry. A task that
+    /// exhausts its attempts or hits an I/O error sets `cancel`: in-flight
+    /// tasks notice it and bail with `Cancelled`, and queued tasks never
+    /// start real work, so the pool drains promptly instead of grinding
+    /// through a doomed job.
+    fn ladder<T>(
+        &self,
+        task: usize,
+        cancel: &AtomicBool,
+        run: impl Fn(usize, &Path) -> Attempt<T>,
+    ) -> TaskOutcome<T> {
+        if cancel.load(Ordering::Relaxed) {
+            return TaskOutcome::Cancelled;
+        }
+        let mut attempts: Vec<VNanos> = Vec::new();
+        loop {
+            let dir = self.dir(task, Some(attempts.len()));
+            if let Err(e) = std::fs::create_dir_all(&dir) {
+                cancel.store(true, Ordering::Relaxed);
+                return TaskOutcome::Failed(e);
+            }
+            match run(attempts.len(), &dir) {
+                Ok((out, dur)) => {
+                    attempts.push(dur);
+                    return TaskOutcome::Done { attempts, out };
+                }
+                Err(TaskError::Injected { virtual_elapsed }) => {
+                    attempts.push(virtual_elapsed);
+                    let _ = std::fs::remove_dir_all(&dir);
+                    if attempts.len() >= self.cfg.max_attempts {
+                        cancel.store(true, Ordering::Relaxed);
+                        return TaskOutcome::Exhausted {
+                            attempts: attempts.len(),
+                        };
+                    }
+                }
+                Err(TaskError::Io(e)) => {
+                    cancel.store(true, Ordering::Relaxed);
+                    return TaskOutcome::Failed(e);
+                }
+                Err(TaskError::Cancelled) => return TaskOutcome::Cancelled,
+            }
+        }
+    }
+
+    /// Collect the phase's outcomes in task-id order, handing each
+    /// completed task's result to `on_done`, and return every task's
+    /// attempt durations. The first failure in task-id order is the error
+    /// reported — the one a sequential run would have hit first.
+    fn collect<T>(
+        &self,
+        outcomes: Vec<TaskOutcome<T>>,
+        mut on_done: impl FnMut(usize, T),
+    ) -> io::Result<Vec<Vec<VNanos>>> {
+        let tasks = outcomes.len();
+        let mut durations = Vec::with_capacity(tasks);
+        let mut failure: Option<io::Error> = None;
+        for (t, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                TaskOutcome::Done { attempts, out } => {
+                    on_done(t, out);
+                    durations.push(attempts);
+                }
+                TaskOutcome::Exhausted { attempts } => {
+                    failure.get_or_insert_with(|| {
+                        io::Error::other(format!(
+                            "{} task {t} failed {attempts} attempts",
+                            self.kind.label()
+                        ))
+                    });
+                }
+                TaskOutcome::Failed(e) => {
+                    failure.get_or_insert(e);
+                }
+                TaskOutcome::Cancelled => {}
+            }
+        }
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        // Hard assert: a violation would silently shift task indices in the
+        // scheduling loops, attributing results to the wrong tasks and
+        // dropping outputs instead of failing loudly.
+        assert_eq!(durations.len(), tasks, "task cancelled without an error");
+        Ok(durations)
+    }
+
+    /// Speculative execution for the phase; returns `(backups launched,
+    /// backups won)`.
+    ///
+    /// A task whose scheduled span exceeds the policy threshold of the
+    /// median span gets a backup on the fastest other node, launched (in
+    /// virtual time) the moment the lag becomes detectable. `run(task,
+    /// node, spec_dir)` re-executes the task for real — its output depends
+    /// only on its input, so either copy is valid — and whichever attempt
+    /// finishes first in virtual time wins. A winner becomes the task of
+    /// record (`on_win` installs its result) and the primary's final
+    /// attempt directory is reclaimed. A backup killed by an injected fault
+    /// occupies its slot for the time it burned; one that fails outright
+    /// never unseats the primary. A winning map backup keeps its spec dir
+    /// (its output file lives there); every other spec dir is removed,
+    /// since reduce output lives in memory. Simplification: a loser's slot
+    /// reservation is not retroactively shrunk (no cascading reschedule of
+    /// already-placed tasks) — speculation here is a tail-latency patch,
+    /// not a full re-plan.
+    fn speculate<T>(
+        &self,
+        vsched: &mut Scheduler,
+        sched: &mut PhaseSchedule,
+        run: impl Fn(usize, usize, &Path) -> Attempt<T>,
+        mut on_win: impl FnMut(usize, T),
+    ) -> (u64, u64) {
+        let Some(spec) = self.cfg.speculation.as_ref().filter(|_| self.nodes > 1) else {
+            return (0, 0);
+        };
+        let plan = &self.cfg.fault_plan;
+        let threshold = spec.threshold();
+        let med = median(sched.spans.iter().map(|s| s.end - s.start).collect());
+        let (mut launched, mut wins) = (0, 0);
+        for t in 0..sched.spans.len() {
+            let TaskSpan {
+                node: home,
+                start: p_start,
+                end: p_end,
+            } = sched.spans[t];
+            let dur = p_end - p_start;
+            if med == 0 || (dur as u128) * 100 <= (med as u128) * (threshold as u128) {
+                continue;
+            }
+            let detect = p_start + med.saturating_mul(threshold) / 100;
+            if detect >= p_end {
+                continue;
+            }
+            let Some(node) = plan.fastest_other_node(self.nodes, home) else {
+                continue;
+            };
+            let spec_dir = self.dir(t, None);
+            if std::fs::create_dir_all(&spec_dir).is_err() {
+                continue;
+            }
+            launched += 1;
+            let final_attempt = sched.durations[t].len().saturating_sub(1);
+            let key = |attempt, backup| AttemptKey {
+                kind: self.kind,
+                task: self.task_base + t,
+                attempt,
+                backup,
+            };
+            let (origin, bkey) = (key(final_attempt, false), key(0, true));
+            let (elapsed, done) = match run(t, node, &spec_dir) {
+                Ok((out, dur)) => (dur, Some(out)),
+                Err(TaskError::Injected { virtual_elapsed }) => (virtual_elapsed, None),
+                Err(_) => {
+                    let _ = std::fs::remove_dir_all(&spec_dir);
+                    continue;
+                }
+            };
+            let (slot, free) = vsched.probe_backup(self.kind, node);
+            let start = free.max(detect);
+            let end = start + plan.scale(node, elapsed);
+            let capture = |end, flat| Capture {
+                task: t,
+                attempt: 0,
+                backup: true,
+                node,
+                slot,
+                start,
+                end,
+                flat,
+            };
+            match done {
+                Some(out) if end < p_end => {
+                    wins += 1;
+                    vsched.commit_backup(bkey, origin, node, slot, start, end);
+                    sched.spans[t] = TaskSpan { node, start, end };
+                    on_win(t, out);
+                    let _ = std::fs::remove_dir_all(self.dir(t, Some(final_attempt)));
+                    if self.cfg.trace {
+                        if let Some(primary) = sched.attempts[t].last_mut() {
+                            primary.flat = Some(AttemptKind::Lost);
+                        }
+                        sched.backups.push(capture(end, None));
+                    }
+                    // A winning map backup's output file lives in its spec
+                    // dir; a reducer's output lives in memory.
+                    if self.kind == TaskKind::Map {
+                        continue;
+                    }
+                }
+                done => {
+                    // The primary won — the backup is cancelled the moment
+                    // the primary completes, and its slot frees then — or
+                    // the backup died after `elapsed`.
+                    let (end, kind) = match done {
+                        Some(_) => (p_end.max(start), AttemptKind::Lost),
+                        None => (end, AttemptKind::Dead),
+                    };
+                    vsched.commit_backup(bkey, origin, node, slot, start, end);
+                    drop(done);
+                    if self.cfg.trace && end > start {
+                        sched.backups.push(capture(end, Some(kind)));
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&spec_dir);
+        }
+        (launched, wins)
+    }
+
+    /// Append one trace entry per capture, in capture order. The attempt
+    /// of record takes its task profile's recorded lanes (moving the
+    /// payload out, so the returned profile stays lean), shifted to its
+    /// scheduled start and stretched by its node's straggler factor; a
+    /// record with no lanes renders as a flat failed primary or lost
+    /// backup.
+    fn push_entries<'c>(
+        &self,
+        captures: impl IntoIterator<Item = &'c Capture>,
+        profiles: &mut [TaskProfile],
+        entries: &mut Vec<TraceEntry>,
+    ) {
+        for c in captures {
+            let factor = self.cfg.fault_plan.node_factor(c.node);
+            let detail = match c.flat {
+                Some(kind) => EntryDetail::Flat(kind),
+                None => match profiles[c.task].trace.take() {
+                    Some(tr) => EntryDetail::Lanes(tr.into_absolute(c.start, factor)),
+                    None if c.backup => EntryDetail::Flat(AttemptKind::Lost),
+                    None => EntryDetail::Flat(AttemptKind::Failed),
+                },
+            };
+            entries.push(TraceEntry {
+                kind: self.kind,
+                job: 0,
+                round: self.round,
+                task: c.task,
+                attempt: c.attempt,
+                backup: c.backup,
+                node: c.node,
+                slot: c.slot,
+                factor,
+                start: c.start,
+                end: c.end,
+                detail,
+            });
+        }
+    }
+}
 
 /// The frequent-key registry's designated-publisher assignment: sorted
 /// `(node, publisher task)` pairs, plus every map task's home node.
@@ -797,6 +1124,16 @@ pub(crate) fn run_round(
         temp,
     } = ctx;
     let workers = cluster.worker_threads.max(1);
+    let phase = |kind, task_base| Phase {
+        kind,
+        round,
+        task_base,
+        temp,
+        cfg,
+        nodes: cluster.nodes,
+    };
+    let map_phase = phase(TaskKind::Map, map_task_base);
+    let reduce_phase = phase(TaskKind::Reduce, reduce_task_base);
 
     // ---- execute map tasks (real), collecting per-attempt durations -----------
     let streaming = cluster.effective_streaming();
@@ -808,10 +1145,8 @@ pub(crate) fn run_round(
     };
     let pipeline_capacity = (spill_buffer - filter_budget).max(1024);
 
-    // A task that exhausts its retries (or hits an I/O error) sets this
-    // flag; in-flight tasks notice it between input records and bail with
-    // `Cancelled`, and queued tasks never start real work — the pool drains
-    // promptly instead of grinding through a doomed job.
+    // Set by a map task that exhausts its retries or hits an I/O error
+    // (see `Phase::ladder`).
     let cancel = Arc::new(AtomicBool::new(false));
     // Lowest task id per node: the designated publisher for the node's
     // frequent-key registry slot. Deterministic (derived from the split
@@ -823,167 +1158,140 @@ pub(crate) fn run_round(
             .entry(split.home_node % cluster.nodes)
             .or_insert(t);
     }
-    let run_one_map_task = |t: usize| -> MapTaskOutcome {
+    // One real map attempt of task `t` on `node`, spilling into `dir`:
+    // attempt `Some(n)` of the retry ladder, or the speculative backup
+    // (`None`), which runs with only its own backup fault and no cancel
+    // token.
+    let run_map = |t: usize, node: usize, attempt: Option<usize>, dir: &Path| -> Attempt<MapDone> {
+        let split = &splits[t];
+        let home = split.home_node % cluster.nodes;
+        // The filter context keeps the *home* node's identity so a
+        // backup's output is byte-identical to the primary's (the
+        // frequent-key registry is first-decision-wins, so a re-run
+        // publisher is harmless); only the output's placement moves.
+        let ctx = TaskCtx {
+            node: home,
+            task: t,
+        };
+        let (fail_after_records, fail_spill, cancel) = match attempt {
+            Some(a) => (
+                cfg.fault_plan.map_fault(t, a),
+                cfg.fault_plan.spill_fault(t, a),
+                Some(Arc::clone(&cancel)),
+            ),
+            None => (cfg.fault_plan.map_backup_fault(t), None, None),
+        };
+        // An inactive filter (e.g. frequency-buffering on a job with no
+        // combiner) is dropped and its budget returned to the spill buffer
+        // — total memory is constant either way.
+        let filter = cfg
+            .emit_filter
+            .as_ref()
+            .map(|f| {
+                f(FilterCtx {
+                    task: ctx,
+                    job: Arc::clone(&job),
+                    budget_bytes: filter_budget,
+                    estimated_records: split.count_records(),
+                    node_first_task: node_first_task.get(&home).copied().unwrap_or(t),
+                    cancel: cancel.clone(),
+                })
+            })
+            .filter(|f| f.is_active());
+        let task_cfg = MapTaskConfig {
+            task_id: t,
+            node,
+            num_partitions: cfg.num_reducers,
+            buffer_capacity: if filter.is_some() {
+                pipeline_capacity
+            } else {
+                spill_buffer
+            },
+            controller: (cfg.spill_controller)(ctx),
+            filter,
+            merge_fan_in: cluster.merge_fan_in,
+            compress_output: cluster.compress_map_output,
+            spill_dir: dir.to_path_buf(),
+            fail_after_records,
+            fail_spill,
+            cancel,
+            trace: cfg.trace,
+            streaming,
+        };
+        let (out, prof) = run_map_task(&job, split, task_cfg)?;
+        let dur = prof.virtual_duration;
+        Ok((
+            MapDone {
+                out,
+                prof,
+                cached: false,
+            },
+            dur,
+        ))
+    };
+    let run_one_map_task = |t: usize| -> TaskOutcome<MapDone> {
         if cancel.load(Ordering::Relaxed) {
-            return MapTaskOutcome::Cancelled;
+            return TaskOutcome::Cancelled;
         }
         let split = &splits[t];
         let node = split.home_node % cluster.nodes;
-        // Map-output cache: a hit rematerializes the cached partitions
-        // into a fresh attempt dir and charges the flat lookup cost —
-        // the map (and any fault fated for it) never executes. Keys are
-        // unique per (job prefix, round, task, split digest), so each
-        // key sees at most one `get` per wave and per-key cache state
-        // stays deterministic under the worker pool.
+        // Map-output cache, checked in front of the ladder: a hit
+        // rematerializes the cached partitions into a fresh attempt dir and
+        // charges the flat lookup cost — the map (and any fault fated for
+        // it) never executes. Keys are unique per (job prefix, round, task,
+        // split digest), so each key sees at most one `get` per wave and
+        // per-key cache state stays deterministic under the worker pool.
         if let Some(mc) = &cfg.map_cache {
             let key = crate::cache::map_cache_key(&mc.key_prefix, round, t, split);
             if let Some(hit) = mc.cache.get(&key) {
-                let attempt_dir = temp.join(format!("rd{round}_t{t}_a0"));
-                if let Err(e) = std::fs::create_dir_all(&attempt_dir) {
-                    cancel.store(true, Ordering::Relaxed);
-                    return MapTaskOutcome::Failed(e);
-                }
-                return match hit.materialize(
-                    &attempt_dir.join("cached.spill"),
-                    node,
-                    mc.lookup_cost_ns,
-                    cfg.trace,
-                ) {
-                    Ok((out, prof)) => MapTaskOutcome::Done {
+                let attempt_dir = map_phase.dir(t, Some(0));
+                let done = std::fs::create_dir_all(&attempt_dir).and_then(|()| {
+                    hit.materialize(
+                        &attempt_dir.join("cached.spill"),
+                        node,
+                        mc.lookup_cost_ns,
+                        cfg.trace,
+                    )
+                });
+                return match done {
+                    Ok((out, prof)) => TaskOutcome::Done {
                         attempts: vec![prof.virtual_duration],
-                        out,
-                        prof: Box::new(prof),
-                        cached: true,
+                        out: MapDone {
+                            out,
+                            prof,
+                            cached: true,
+                        },
                     },
                     Err(e) => {
                         cancel.store(true, Ordering::Relaxed);
-                        MapTaskOutcome::Failed(e)
+                        TaskOutcome::Failed(e)
                     }
                 };
             }
         }
-        let mut attempts: Vec<VNanos> = Vec::new();
-        let mut attempt = 0usize;
-        loop {
-            // Every attempt spills into its own directory: a retry never
-            // reuses (or trips over) a dead attempt's files, even when
-            // other tasks are running concurrently in the same job temp.
-            let attempt_dir = temp.join(format!("rd{round}_t{t}_a{attempt}"));
-            if let Err(e) = std::fs::create_dir_all(&attempt_dir) {
-                cancel.store(true, Ordering::Relaxed);
-                return MapTaskOutcome::Failed(e);
-            }
-            let ctx = TaskCtx { node, task: t };
-            // An inactive filter (e.g. frequency-buffering on a job with
-            // no combiner) is dropped and its budget returned to the spill
-            // buffer — total memory is constant either way.
-            let filter = cfg
-                .emit_filter
-                .as_ref()
-                .map(|f| {
-                    f(FilterCtx {
-                        task: ctx,
-                        job: Arc::clone(&job),
-                        budget_bytes: filter_budget,
-                        estimated_records: split.count_records(),
-                        node_first_task: node_first_task.get(&node).copied().unwrap_or(t),
-                        cancel: Some(Arc::clone(&cancel)),
-                    })
-                })
-                .filter(|f| f.is_active());
-            let task_cfg = MapTaskConfig {
-                task_id: t,
-                node,
-                num_partitions: cfg.num_reducers,
-                buffer_capacity: if filter.is_some() {
-                    pipeline_capacity
-                } else {
-                    spill_buffer
-                },
-                controller: (cfg.spill_controller)(ctx),
-                filter,
-                merge_fan_in: cluster.merge_fan_in,
-                compress_output: cluster.compress_map_output,
-                spill_dir: attempt_dir.clone(),
-                fail_after_records: cfg.fault_plan.map_fault(t, attempt),
-                fail_spill: cfg.fault_plan.spill_fault(t, attempt),
-                cancel: Some(Arc::clone(&cancel)),
-                trace: cfg.trace,
-                streaming,
-            };
-            match run_map_task(&job, split, task_cfg) {
-                Ok((out, prof)) => {
-                    attempts.push(prof.virtual_duration);
-                    return MapTaskOutcome::Done {
-                        attempts,
-                        out,
-                        prof: Box::new(prof),
-                        cached: false,
-                    };
-                }
-                Err(MapTaskError::Injected { virtual_elapsed }) => {
-                    attempts.push(virtual_elapsed);
-                    let _ = std::fs::remove_dir_all(&attempt_dir);
-                    attempt += 1;
-                    if attempt >= cfg.max_attempts {
-                        cancel.store(true, Ordering::Relaxed);
-                        return MapTaskOutcome::Exhausted { attempts: attempt };
-                    }
-                }
-                Err(MapTaskError::Io(e)) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    return MapTaskOutcome::Failed(e);
-                }
-                Err(MapTaskError::Cancelled) => return MapTaskOutcome::Cancelled,
-            }
-        }
+        map_phase.ladder(t, &cancel, |attempt, dir| {
+            run_map(t, node, Some(attempt), dir)
+        })
     };
     let map_results = run_indexed(workers, splits.len(), run_one_map_task);
 
     let mut map_outputs: Vec<MapOutput> = Vec::with_capacity(splits.len());
     let mut map_profiles = Vec::with_capacity(splits.len());
-    // Per task: virtual durations of every attempt (failed attempts first).
-    let mut attempt_durations: Vec<Vec<VNanos>> = Vec::with_capacity(splits.len());
-    // Results arrive in task-id order; the first hard failure seen is the
-    // lowest-numbered one, matching the error a sequential run reports.
-    let mut failure: Option<io::Error> = None;
-    for (t, outcome) in map_results.into_iter().enumerate() {
-        match outcome {
-            MapTaskOutcome::Done {
-                attempts,
-                out,
-                prof,
-                cached,
-            } => {
-                // Offer misses back to the cache here — sequentially, in
-                // task-id order — so admission and eviction never depend
-                // on worker-pool timing.
-                if !cached {
-                    if let Some(mc) = &cfg.map_cache {
-                        let key = crate::cache::map_cache_key(&mc.key_prefix, round, t, &splits[t]);
-                        if let Ok(c) = crate::cache::CachedMapOutput::capture(&out, &prof) {
-                            mc.cache.put(&key, Arc::new(c));
-                        }
-                    }
+    let map_durations = map_phase.collect(map_results, |t, done| {
+        // Offer misses back to the cache here — sequentially, in task-id
+        // order — so admission and eviction never depend on worker-pool
+        // timing.
+        if !done.cached {
+            if let Some(mc) = &cfg.map_cache {
+                let key = crate::cache::map_cache_key(&mc.key_prefix, round, t, &splits[t]);
+                if let Ok(c) = crate::cache::CachedMapOutput::capture(&done.out, &done.prof) {
+                    mc.cache.put(&key, Arc::new(c));
                 }
-                attempt_durations.push(attempts);
-                map_outputs.push(out);
-                map_profiles.push(*prof);
             }
-            MapTaskOutcome::Exhausted { attempts } => {
-                failure.get_or_insert_with(|| {
-                    io::Error::other(format!("map task {t} failed {attempts} attempts"))
-                });
-            }
-            MapTaskOutcome::Failed(e) => {
-                failure.get_or_insert(e);
-            }
-            MapTaskOutcome::Cancelled => {}
         }
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
+        map_outputs.push(done.out);
+        map_profiles.push(done.prof);
+    })?;
 
     // ---- virtual-schedule the map phase ---------------------------------------
     // All virtual placement goes through the unified event loop
@@ -993,198 +1301,35 @@ pub(crate) fn run_round(
     // every attempt's enabling predecessors for the race checker. The
     // scheduler is shared across a DAG job's rounds, so placements are
     // keyed by globally unique task ids (`map_task_base + t`).
-    let mut map_spans = Vec::with_capacity(splits.len());
-    // When tracing: per task, every attempt's (slot, start, end) placement.
-    let mut map_sched: Vec<Vec<(usize, VNanos, VNanos)>> = Vec::new();
+    let mut map_sched = PhaseSchedule::new(map_durations);
     for (t, split) in splits.iter().enumerate() {
         // Earliest-free slot on the home node; a retry can only start
         // after its previous attempt failed. A straggler node stretches
         // the attempt's virtual duration by its factor.
         let node = split.home_node % cluster.nodes;
-        let placed = vsched.place_map(map_task_base + t, node, &attempt_durations[t]);
+        let placed = vsched.place_map(map_task_base + t, node, &map_sched.durations[t]);
         if cfg.trace {
-            map_sched.push(placed.iter().map(|p| (p.slot, p.start, p.end)).collect());
+            let placed = placed.iter().map(|p| (p.slot, p.start, p.end));
+            map_sched.attempts.push(Capture::primaries(t, node, placed));
         }
-        let (span_start, span_end) = placed.last().map(|p| (p.start, p.end)).unwrap_or((0, 0));
-        map_spans.push(TaskSpan {
-            node,
-            start: span_start,
-            end: span_end,
-        });
+        let (start, end) = placed.last().map(|p| (p.start, p.end)).unwrap_or((0, 0));
+        map_sched.spans.push(TaskSpan { node, start, end });
     }
 
     // ---- speculative execution: map phase -------------------------------------
-    // A task whose scheduled span exceeds the policy threshold of the
-    // median span gets a backup attempt on the fastest other node,
-    // launched (in virtual time) at the moment the lag becomes
-    // detectable. The backup re-executes the task for real — its output
-    // bytes depend only on the input split, so either copy is valid — and
-    // whichever attempt finishes first in virtual time wins; the loser's
-    // spill directory is reclaimed immediately. Simplification: a loser's
-    // slot reservation is not retroactively shrunk (no cascading
-    // reschedule of already-placed tasks) — speculation here is a
-    // tail-latency patch, not a full re-plan.
     let mut spec_stats = SpeculationStats::default();
-    // When tracing: backup attempts' placements, and which tasks' primary
-    // lost its speculative race (its final attempt renders as a flat
-    // "speculation-lost" span; the backup owns the detailed lanes).
-    let mut map_backups: Vec<BackupCapture> = Vec::new();
-    let mut map_lost_to_backup = vec![false; if cfg.trace { splits.len() } else { 0 }];
-    if let Some(spec) = cfg.speculation.as_ref().filter(|_| cluster.nodes > 1) {
-        let threshold = spec.threshold();
-        let med = median(map_spans.iter().map(|s| s.end - s.start).collect());
-        for t in 0..splits.len() {
-            let (home, p_start, p_end) = {
-                let s = &map_spans[t];
-                (s.node, s.start, s.end)
-            };
-            let dur = p_end - p_start;
-            if med == 0 || (dur as u128) * 100 <= (med as u128) * (threshold as u128) {
-                continue;
-            }
-            let detect = p_start + med.saturating_mul(threshold) / 100;
-            if detect >= p_end {
-                continue;
-            }
-            let Some(backup_node) = cfg.fault_plan.fastest_other_node(cluster.nodes, home) else {
-                continue;
-            };
-            let spec_dir = temp.join(format!("rd{round}_t{t}_spec"));
-            if std::fs::create_dir_all(&spec_dir).is_err() {
-                continue;
-            }
-            spec_stats.map_backups += 1;
-            let split = &splits[t];
-            // The filter context keeps the *home* node's identity so the
-            // backup's output is byte-identical to the primary's (the
-            // frequent-key registry is first-decision-wins, so a re-run
-            // publisher is harmless); only the output's placement moves.
-            let ctx = TaskCtx {
-                node: home,
-                task: t,
-            };
-            let filter = cfg
-                .emit_filter
-                .as_ref()
-                .map(|f| {
-                    f(FilterCtx {
-                        task: ctx,
-                        job: Arc::clone(&job),
-                        budget_bytes: filter_budget,
-                        estimated_records: split.count_records(),
-                        node_first_task: node_first_task.get(&home).copied().unwrap_or(t),
-                        cancel: None,
-                    })
-                })
-                .filter(|f| f.is_active());
-            let task_cfg = MapTaskConfig {
-                task_id: t,
-                node: backup_node,
-                num_partitions: cfg.num_reducers,
-                buffer_capacity: if filter.is_some() {
-                    pipeline_capacity
-                } else {
-                    spill_buffer
-                },
-                controller: (cfg.spill_controller)(ctx),
-                filter,
-                merge_fan_in: cluster.merge_fan_in,
-                compress_output: cluster.compress_map_output,
-                spill_dir: spec_dir.clone(),
-                fail_after_records: cfg.fault_plan.map_backup_fault(t),
-                fail_spill: None,
-                cancel: None,
-                trace: cfg.trace,
-                streaming,
-            };
-            let origin = AttemptKey {
-                kind: TaskKind::Map,
-                task: map_task_base + t,
-                attempt: attempt_durations[t].len().saturating_sub(1),
-                backup: false,
-            };
-            let bkey = AttemptKey {
-                kind: TaskKind::Map,
-                task: map_task_base + t,
-                attempt: 0,
-                backup: true,
-            };
-            match run_map_task(&job, split, task_cfg) {
-                Ok((out_b, prof_b)) => {
-                    let (slot, free) = vsched.probe_backup(TaskKind::Map, backup_node);
-                    let start_b = free.max(detect);
-                    let end_b =
-                        start_b + cfg.fault_plan.scale(backup_node, prof_b.virtual_duration);
-                    if end_b < p_end {
-                        // Backup wins: it becomes the task of record; the
-                        // primary is cancelled and its final attempt's
-                        // spill directory reclaimed.
-                        spec_stats.map_wins += 1;
-                        vsched.commit_backup(bkey, origin, backup_node, slot, start_b, end_b);
-                        map_spans[t] = TaskSpan {
-                            node: backup_node,
-                            start: start_b,
-                            end: end_b,
-                        };
-                        // Dropping the loser's MapOutput deletes its spill
-                        // file; then its (now empty) directory goes too.
-                        drop(std::mem::replace(&mut map_outputs[t], out_b));
-                        let final_attempt = attempt_durations[t].len().saturating_sub(1);
-                        let _ = std::fs::remove_dir_all(
-                            temp.join(format!("rd{round}_t{t}_a{final_attempt}")),
-                        );
-                        map_profiles[t] = prof_b;
-                        if cfg.trace {
-                            map_lost_to_backup[t] = true;
-                            map_backups.push((t, backup_node, slot, start_b, end_b, None));
-                        }
-                    } else {
-                        // Primary wins: the backup is cancelled the moment
-                        // the primary completes; its slot frees then.
-                        let end_b = p_end.max(start_b);
-                        vsched.commit_backup(bkey, origin, backup_node, slot, start_b, end_b);
-                        drop(out_b);
-                        let _ = std::fs::remove_dir_all(&spec_dir);
-                        if cfg.trace && end_b > start_b {
-                            map_backups.push((
-                                t,
-                                backup_node,
-                                slot,
-                                start_b,
-                                end_b,
-                                Some(AttemptKind::Lost),
-                            ));
-                        }
-                    }
-                }
-                Err(MapTaskError::Injected { virtual_elapsed }) => {
-                    // An injected fault killed the backup mid-flight: the
-                    // primary stands, but the dead backup occupied its slot
-                    // for the virtual time it burned before dying.
-                    let (slot, free) = vsched.probe_backup(TaskKind::Map, backup_node);
-                    let start_b = free.max(detect);
-                    let end_b = start_b + cfg.fault_plan.scale(backup_node, virtual_elapsed);
-                    vsched.commit_backup(bkey, origin, backup_node, slot, start_b, end_b);
-                    let _ = std::fs::remove_dir_all(&spec_dir);
-                    if cfg.trace && end_b > start_b {
-                        map_backups.push((
-                            t,
-                            backup_node,
-                            slot,
-                            start_b,
-                            end_b,
-                            Some(AttemptKind::Dead),
-                        ));
-                    }
-                }
-                Err(_) => {
-                    // A failed backup never unseats the primary.
-                    let _ = std::fs::remove_dir_all(&spec_dir);
-                }
-            }
-        }
-    }
-    let map_phase_end = map_spans.iter().map(|s| s.end).max().unwrap_or(0);
+    (spec_stats.map_backups, spec_stats.map_wins) = map_phase.speculate(
+        vsched,
+        &mut map_sched,
+        |t, node, dir| run_map(t, node, None, dir),
+        |t, done| {
+            // Dropping the loser's MapOutput deletes its spill file; the
+            // speculation routine then removes its (now empty) directory.
+            map_outputs[t] = done.out;
+            map_profiles[t] = done.prof;
+        },
+    );
+    let map_phase_end = map_sched.spans.iter().map(|s| s.end).max().unwrap_or(0);
     // The shuffle barrier enters the event graph (enabled by every map
     // attempt recorded so far), and every reduce slot frees at it.
     vsched.begin_reduce_phase(map_phase_end);
@@ -1192,104 +1337,58 @@ pub(crate) fn run_round(
     // ---- execute reduce tasks (real), with per-attempt retries -----------------
     // Reduce tasks are independent (each reads its own partition out of the
     // map-output files, which are opened per read), so they run on the same
-    // pool. Every attempt gets a private scratch directory for multi-pass
-    // merges; a failed attempt's directory is reclaimed before the retry.
+    // pool, through the same retry ladder; every attempt's directory is its
+    // scratch space for multi-pass merges.
     let rcancel = Arc::new(AtomicBool::new(false));
     let shuffle_faults: Option<Arc<FaultPlan>> = if cfg.fault_plan.is_empty() {
         None
     } else {
         Some(Arc::new(cfg.fault_plan.clone()))
     };
-    let run_one_reduce_task = |r: usize| -> ReduceTaskOutcome {
-        if rcancel.load(Ordering::Relaxed) {
-            return ReduceTaskOutcome::Cancelled;
-        }
-        let mut attempts: Vec<VNanos> = Vec::new();
-        let mut attempt = 0usize;
-        loop {
-            let scratch_dir = temp.join(format!("rd{round}_r{r}_a{attempt}"));
-            if let Err(e) = std::fs::create_dir_all(&scratch_dir) {
-                rcancel.store(true, Ordering::Relaxed);
-                return ReduceTaskOutcome::Failed(e);
-            }
+    // One real reduce attempt of partition `r` on `node`, scratching in
+    // `dir`: attempt `Some(n)` of the retry ladder, or the speculative
+    // backup (`None`), which runs with no faults, one fetch attempt and no
+    // cancel token.
+    let run_reduce =
+        |r: usize, node: usize, attempt: Option<usize>, dir: &Path| -> Attempt<ReduceResult> {
+            let (fail_after_groups, faults, max_fetch_attempts, cancel) = match attempt {
+                Some(a) => (
+                    cfg.fault_plan.reduce_fault(r, a),
+                    shuffle_faults.clone(),
+                    cfg.max_attempts.max(1),
+                    Some(Arc::clone(&rcancel)),
+                ),
+                None => (None, None, 1, None),
+            };
             let res = run_reduce_task(
                 &job,
                 &map_outputs,
                 &cluster.network,
                 &ReduceTaskConfig {
                     partition: r,
-                    node: r % cluster.nodes,
+                    node,
                     merge_fan_in: cluster.merge_fan_in,
-                    scratch_dir: scratch_dir.clone(),
+                    scratch_dir: dir.to_path_buf(),
                     grouping: cfg.grouping,
                     fetchers: cluster.shuffle_fetchers.max(1),
-                    fail_after_groups: cfg.fault_plan.reduce_fault(r, attempt),
-                    faults: shuffle_faults.clone(),
-                    max_fetch_attempts: cfg.max_attempts.max(1),
-                    cancel: Some(Arc::clone(&rcancel)),
+                    fail_after_groups,
+                    faults,
+                    max_fetch_attempts,
+                    cancel,
                     trace: cfg.trace,
                     streaming,
                 },
-            );
-            match res {
-                Ok(res) => {
-                    attempts.push(res.profile.virtual_duration);
-                    return ReduceTaskOutcome::Done {
-                        attempts,
-                        res: Box::new(res),
-                    };
-                }
-                Err(ReduceTaskError::Injected { virtual_elapsed }) => {
-                    attempts.push(virtual_elapsed);
-                    let _ = std::fs::remove_dir_all(&scratch_dir);
-                    attempt += 1;
-                    if attempt >= cfg.max_attempts {
-                        rcancel.store(true, Ordering::Relaxed);
-                        return ReduceTaskOutcome::Exhausted { attempts: attempt };
-                    }
-                }
-                Err(ReduceTaskError::Io(e)) => {
-                    rcancel.store(true, Ordering::Relaxed);
-                    return ReduceTaskOutcome::Failed(e);
-                }
-                Err(ReduceTaskError::Cancelled) => return ReduceTaskOutcome::Cancelled,
-            }
-        }
-    };
-    let reduce_outcomes = run_indexed(workers, cfg.num_reducers, run_one_reduce_task);
-
-    let mut first_err: Option<io::Error> = None;
+            )?;
+            let dur = res.profile.virtual_duration;
+            Ok((res, dur))
+        };
+    let reduce_outcomes = run_indexed(workers, cfg.num_reducers, |r| {
+        reduce_phase.ladder(r, &rcancel, |attempt, dir| {
+            run_reduce(r, r % cluster.nodes, Some(attempt), dir)
+        })
+    });
     let mut results: Vec<ReduceResult> = Vec::with_capacity(cfg.num_reducers);
-    // Per partition: virtual durations of every attempt (failed first).
-    let mut rattempt_durations: Vec<Vec<VNanos>> = Vec::with_capacity(cfg.num_reducers);
-    for (r, outcome) in reduce_outcomes.into_iter().enumerate() {
-        match outcome {
-            ReduceTaskOutcome::Done { attempts, res } => {
-                rattempt_durations.push(attempts);
-                results.push(*res);
-            }
-            ReduceTaskOutcome::Exhausted { attempts } => {
-                first_err.get_or_insert_with(|| {
-                    io::Error::other(format!("reduce task {r} failed {attempts} attempts"))
-                });
-            }
-            ReduceTaskOutcome::Failed(e) => {
-                first_err.get_or_insert(e);
-            }
-            ReduceTaskOutcome::Cancelled => {}
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    // Hard assert: a violation would silently shift partition indices in
-    // the scheduling loop below, attributing results to the wrong
-    // partitions and dropping outputs instead of failing loudly.
-    assert_eq!(
-        results.len(),
-        cfg.num_reducers,
-        "reducer cancelled without an error"
-    );
+    let reduce_durations = reduce_phase.collect(reduce_outcomes, |_, res| results.push(res))?;
 
     // ---- virtual-schedule the reduce phase, in partition order -----------------
     // With one fetcher (the legacy configuration behind every shipped
@@ -1299,31 +1398,30 @@ pub(crate) fn run_round(
     // shared resource: concurrent flows into a node fair-share its
     // bandwidth regardless of which reduce task owns them, so co-located
     // reducers now contend instead of being priced in isolation.
-    let mut reduce_spans = Vec::with_capacity(cfg.num_reducers);
-    let mut reduce_sched: Vec<Vec<(usize, VNanos, VNanos)>> = Vec::new();
+    let mut reduce_sched = PhaseSchedule::new(reduce_durations);
     if cluster.shuffle_fetchers.clamp(1, MAX_FETCHERS) <= 1 {
-        for (r, attempts) in rattempt_durations.iter().enumerate() {
+        for (r, attempts) in reduce_sched.durations.iter().enumerate() {
             let node = r % cluster.nodes;
             let placed = vsched.place_reduce(reduce_task_base + r, node, attempts);
             if cfg.trace {
-                reduce_sched.push(placed.iter().map(|p| (p.slot, p.start, p.end)).collect());
+                let placed = placed.iter().map(|p| (p.slot, p.start, p.end));
+                reduce_sched
+                    .attempts
+                    .push(Capture::primaries(r, node, placed));
             }
-            let (span_start, span_end) = placed
+            let (start, end) = placed
                 .last()
                 .map(|p| (p.start, p.end))
                 .unwrap_or((map_phase_end, map_phase_end));
-            reduce_spans.push(TaskSpan {
-                node,
-                start: span_start,
-                end: span_end,
-            });
+            reduce_sched.spans.push(TaskSpan { node, start, end });
         }
     } else {
         // Failed attempts block their slot for the isolated virtual time
         // they burned (their partial shuffles are not replayed — a
         // documented approximation); the of-record attempt replays its
         // recorded flows through the shared-ingress NIC model.
-        let tasks: Vec<(usize, Vec<ReduceAttempt>)> = rattempt_durations
+        let tasks: Vec<(usize, Vec<ReduceAttempt>)> = reduce_sched
+            .durations
             .iter()
             .enumerate()
             .map(|(r, durs)| {
@@ -1342,10 +1440,13 @@ pub(crate) fn run_round(
         for (r, outs) in outcomes.iter().enumerate() {
             let node = r % cluster.nodes;
             if cfg.trace {
-                reduce_sched.push(outs.iter().map(|o| (o.slot, o.start, o.end)).collect());
+                let placed = outs.iter().map(|o| (o.slot, o.start, o.end));
+                reduce_sched
+                    .attempts
+                    .push(Capture::primaries(r, node, placed));
             }
             let last = outs.last().expect("every reducer has an attempt");
-            reduce_spans.push(TaskSpan {
+            reduce_sched.spans.push(TaskSpan {
                 node,
                 start: last.start,
                 end: last.end,
@@ -1369,27 +1470,7 @@ pub(crate) fn run_round(
             res.shuffle.wait_ns = sh.wait_ns;
             res.shuffle.virtual_ns = sh.virtual_ns;
             if cfg.trace {
-                let mut sched_flows = sh.flows.clone();
-                sched_flows.sort_by_key(|s| s.flow);
-                let flow_traces: Vec<FlowTrace> = sched_flows
-                    .iter()
-                    .map(|s| {
-                        let inp = res.flow_inputs[s.flow];
-                        FlowTrace {
-                            map_task: s.flow,
-                            src_node: inp.src_node,
-                            remote: inp.flow.remote,
-                            io_ns: inp.flow.io_ns,
-                            backoff_ns: inp.flow.backoff_ns,
-                            slot: s.slot,
-                            start: s.start,
-                            pre_end: s.pre_end,
-                            latency_end: s.latency_end,
-                            transfer_end: s.transfer_end,
-                            finish: s.finish,
-                        }
-                    })
-                    .collect();
+                let flow_traces = crate::shuffle::flow_traces(&sh.flows, &res.flow_inputs);
                 let [merge_c, ic_c, reduce_c, write_c] = res.post_parts;
                 res.profile.trace = Some(Box::new(build_reduce_trace(
                     &flow_traces,
@@ -1405,111 +1486,16 @@ pub(crate) fn run_round(
     }
 
     // ---- speculative execution: reduce phase -----------------------------------
-    // Mirrors the map phase. The backup reducer re-fetches its partition
-    // from the (final) map outputs and re-reduces for real; a winning
-    // backup replaces the primary's result wholesale, so output pairs stay
-    // exact. Must run before `map_outputs` is dropped.
-    let mut reduce_backups: Vec<BackupCapture> = Vec::new();
-    let mut reduce_lost_to_backup = vec![false; if cfg.trace { cfg.num_reducers } else { 0 }];
-    if let Some(spec) = cfg.speculation.as_ref().filter(|_| cluster.nodes > 1) {
-        let threshold = spec.threshold();
-        let med = median(reduce_spans.iter().map(|s| s.end - s.start).collect());
-        for r in 0..cfg.num_reducers {
-            let (home, p_start, p_end) = {
-                let s = &reduce_spans[r];
-                (s.node, s.start, s.end)
-            };
-            let dur = p_end - p_start;
-            if med == 0 || (dur as u128) * 100 <= (med as u128) * (threshold as u128) {
-                continue;
-            }
-            let detect = p_start + med.saturating_mul(threshold) / 100;
-            if detect >= p_end {
-                continue;
-            }
-            let Some(backup_node) = cfg.fault_plan.fastest_other_node(cluster.nodes, home) else {
-                continue;
-            };
-            let spec_dir = temp.join(format!("rd{round}_r{r}_spec"));
-            if std::fs::create_dir_all(&spec_dir).is_err() {
-                continue;
-            }
-            spec_stats.reduce_backups += 1;
-            let res_b = run_reduce_task(
-                &job,
-                &map_outputs,
-                &cluster.network,
-                &ReduceTaskConfig {
-                    partition: r,
-                    node: backup_node,
-                    merge_fan_in: cluster.merge_fan_in,
-                    scratch_dir: spec_dir.clone(),
-                    grouping: cfg.grouping,
-                    fetchers: cluster.shuffle_fetchers.max(1),
-                    fail_after_groups: None,
-                    faults: None,
-                    max_fetch_attempts: 1,
-                    cancel: None,
-                    trace: cfg.trace,
-                    streaming,
-                },
-            );
-            if let Ok(b) = res_b {
-                let origin = AttemptKey {
-                    kind: TaskKind::Reduce,
-                    task: reduce_task_base + r,
-                    attempt: rattempt_durations[r].len().saturating_sub(1),
-                    backup: false,
-                };
-                let bkey = AttemptKey {
-                    kind: TaskKind::Reduce,
-                    task: reduce_task_base + r,
-                    attempt: 0,
-                    backup: true,
-                };
-                let (slot, free) = vsched.probe_backup(TaskKind::Reduce, backup_node);
-                let start_b = free.max(detect);
-                let end_b = start_b
-                    + cfg
-                        .fault_plan
-                        .scale(backup_node, b.profile.virtual_duration);
-                if end_b < p_end {
-                    spec_stats.reduce_wins += 1;
-                    vsched.commit_backup(bkey, origin, backup_node, slot, start_b, end_b);
-                    reduce_spans[r] = TaskSpan {
-                        node: backup_node,
-                        start: start_b,
-                        end: end_b,
-                    };
-                    results[r] = b;
-                    let final_attempt = rattempt_durations[r].len().saturating_sub(1);
-                    let _ = std::fs::remove_dir_all(
-                        temp.join(format!("rd{round}_r{r}_a{final_attempt}")),
-                    );
-                    if cfg.trace {
-                        reduce_lost_to_backup[r] = true;
-                        reduce_backups.push((r, backup_node, slot, start_b, end_b, None));
-                    }
-                } else {
-                    let end_b = p_end.max(start_b);
-                    vsched.commit_backup(bkey, origin, backup_node, slot, start_b, end_b);
-                    if cfg.trace && end_b > start_b {
-                        reduce_backups.push((
-                            r,
-                            backup_node,
-                            slot,
-                            start_b,
-                            end_b,
-                            Some(AttemptKind::Lost),
-                        ));
-                    }
-                }
-            }
-            // Reduce output lives in memory, so the backup's scratch is
-            // disposable whether it won or lost.
-            let _ = std::fs::remove_dir_all(&spec_dir);
-        }
-    }
+    // The backup reducer re-fetches its partition from the (final) map
+    // outputs and re-reduces for real; a winning backup replaces the
+    // primary's result wholesale, so output pairs stay exact. Must run
+    // before `map_outputs` is dropped.
+    (spec_stats.reduce_backups, spec_stats.reduce_wins) = reduce_phase.speculate(
+        vsched,
+        &mut reduce_sched,
+        |r, node, dir| run_reduce(r, node, None, dir),
+        |r, res| results[r] = res,
+    );
 
     // ---- aggregate -------------------------------------------------------------
     let mut outputs = Vec::with_capacity(cfg.num_reducers);
@@ -1522,132 +1508,34 @@ pub(crate) fn run_round(
         outputs.push(res.pairs);
         reduce_profiles.push(res.profile);
     }
-    let wall = reduce_spans
+    let wall = reduce_sched
+        .spans
         .iter()
         .map(|s| s.end)
         .max()
         .unwrap_or(map_phase_end);
 
     // ---- assemble the round's trace entries (opt-in) ---------------------------
-    // Each attempt of record contributes its task-local lanes, shifted to
-    // its scheduled start and stretched by its node's straggler factor;
-    // failed attempts, speculation losers, and dead backups contribute flat
-    // slot-occupancy spans. The profiles' trace payloads move into the
-    // entries here, so the returned profile stays lean. Entries keep
-    // round-local task ids plus the round stamp; the caller assembles the
-    // whole job's `JobTrace`.
+    // Each attempt of record contributes its task-local lanes; failed
+    // attempts, speculation losers, and dead backups contribute flat
+    // slot-occupancy spans. Entries keep round-local task ids plus the
+    // round stamp; the caller assembles the whole job's `JobTrace`. The
+    // order — map attempts, reduce attempts, map backups, reduce backups —
+    // fixes the entry indices that edges refer to.
     let (entries, registry) = if cfg.trace {
         let mut entries = Vec::new();
-        for (t, sched) in map_sched.iter().enumerate() {
-            let node = splits[t].home_node % cluster.nodes;
-            let factor = cfg.fault_plan.node_factor(node);
-            let last = sched.len().saturating_sub(1);
-            for (attempt, &(slot, start, end)) in sched.iter().enumerate() {
-                let detail = if attempt < last {
-                    EntryDetail::Flat(AttemptKind::Failed)
-                } else if map_lost_to_backup[t] {
-                    EntryDetail::Flat(AttemptKind::Lost)
-                } else {
-                    match map_profiles[t].trace.take() {
-                        Some(tr) => EntryDetail::Lanes(tr.into_absolute(start, factor)),
-                        None => EntryDetail::Flat(AttemptKind::Failed),
-                    }
-                };
-                entries.push(TraceEntry {
-                    kind: TaskKind::Map,
-                    job: 0,
-                    round,
-                    task: t,
-                    attempt,
-                    backup: false,
-                    node,
-                    slot,
-                    factor,
-                    start,
-                    end,
-                    detail,
-                });
-            }
-        }
-        for (r, sched) in reduce_sched.iter().enumerate() {
-            let node = r % cluster.nodes;
-            let factor = cfg.fault_plan.node_factor(node);
-            let last = sched.len().saturating_sub(1);
-            for (attempt, &(slot, start, end)) in sched.iter().enumerate() {
-                let detail = if attempt < last {
-                    EntryDetail::Flat(AttemptKind::Failed)
-                } else if reduce_lost_to_backup[r] {
-                    EntryDetail::Flat(AttemptKind::Lost)
-                } else {
-                    match reduce_profiles[r].trace.take() {
-                        Some(tr) => EntryDetail::Lanes(tr.into_absolute(start, factor)),
-                        None => EntryDetail::Flat(AttemptKind::Failed),
-                    }
-                };
-                entries.push(TraceEntry {
-                    kind: TaskKind::Reduce,
-                    job: 0,
-                    round,
-                    task: r,
-                    attempt,
-                    backup: false,
-                    node,
-                    slot,
-                    factor,
-                    start,
-                    end,
-                    detail,
-                });
-            }
-        }
-        for &(t, node, slot, start, end, outcome) in &map_backups {
-            let factor = cfg.fault_plan.node_factor(node);
-            let detail = match outcome {
-                None => match map_profiles[t].trace.take() {
-                    Some(tr) => EntryDetail::Lanes(tr.into_absolute(start, factor)),
-                    None => EntryDetail::Flat(AttemptKind::Lost),
-                },
-                Some(kind) => EntryDetail::Flat(kind),
-            };
-            entries.push(TraceEntry {
-                kind: TaskKind::Map,
-                job: 0,
-                round,
-                task: t,
-                attempt: 0,
-                backup: true,
-                node,
-                slot,
-                factor,
-                start,
-                end,
-                detail,
-            });
-        }
-        for &(r, node, slot, start, end, outcome) in &reduce_backups {
-            let factor = cfg.fault_plan.node_factor(node);
-            let detail = match outcome {
-                None => match reduce_profiles[r].trace.take() {
-                    Some(tr) => EntryDetail::Lanes(tr.into_absolute(start, factor)),
-                    None => EntryDetail::Flat(AttemptKind::Lost),
-                },
-                Some(kind) => EntryDetail::Flat(kind),
-            };
-            entries.push(TraceEntry {
-                kind: TaskKind::Reduce,
-                job: 0,
-                round,
-                task: r,
-                attempt: 0,
-                backup: true,
-                node,
-                slot,
-                factor,
-                start,
-                end,
-                detail,
-            });
-        }
+        map_phase.push_entries(
+            map_sched.attempts.iter().flatten(),
+            &mut map_profiles,
+            &mut entries,
+        );
+        reduce_phase.push_entries(
+            reduce_sched.attempts.iter().flatten(),
+            &mut reduce_profiles,
+            &mut entries,
+        );
+        map_phase.push_entries(&map_sched.backups, &mut map_profiles, &mut entries);
+        reduce_phase.push_entries(&reduce_sched.backups, &mut reduce_profiles, &mut entries);
         // The frequent-key registry's designated-publisher assignment,
         // kept alongside the entries so the caller can build the
         // protocol's happens-before edges for this round.
@@ -1676,8 +1564,8 @@ pub(crate) fn run_round(
         profile: JobProfile {
             map_tasks: map_profiles,
             reduce_tasks: reduce_profiles,
-            map_spans,
-            reduce_spans,
+            map_spans: map_sched.spans,
+            reduce_spans: reduce_sched.spans,
             map_phase_end,
             wall,
             shuffled_bytes,
@@ -2043,11 +1931,12 @@ mod tests {
         // Same job, same faults and stragglers (flat markers, backups, and
         // multi-round tid layout all flow through the shared emitters):
         // the file `trace_stream` writes must equal `to_chrome_json()` of
-        // the in-memory trace byte for byte.
+        // the in-memory trace byte for byte. The node is slow enough that
+        // its tasks' backups win, so both runs carry winning backup lanes.
         let cluster = ClusterConfig::local();
         let mut dfs = SimDfs::new(cluster.nodes, 2048);
         dfs.put("c", corpus(300));
-        let plan = FaultPlan::new().map_fail_after(0, 3).slow_node(0, 4);
+        let plan = FaultPlan::new().map_fail_after(0, 3).slow_node(0, 24);
         let cfg = JobConfig::default()
             .with_fault_plan(plan)
             .with_speculation(SpeculationConfig::default())
@@ -2092,7 +1981,32 @@ mod tests {
         .unwrap();
         assert!(streamed.trace.is_none(), "stream mode keeps no JobTrace");
         assert_eq!(batch.sorted_pairs(), streamed.sorted_pairs());
-        assert_eq!(batch.profile.signature(), streamed.profile.signature());
+        // Per-task signatures and total fetched bytes do not depend on
+        // where a task ran: a backup re-reads the same input under the
+        // same spill policy.
+        let (b, s) = (batch.profile.signature(), streamed.profile.signature());
+        assert_eq!(b.map_tasks, s.map_tasks);
+        assert_eq!(b.reduce_tasks, s.reduce_tasks);
+        assert_eq!(
+            batch.profile.shuffle_stats().fetched_bytes,
+            streamed.profile.shuffle_stats().fetched_bytes
+        );
+        // Remote shuffle bytes follow placement. The 24× node's backups
+        // win in both phases, but a healthy task lagging the median by
+        // noise may also get a backup whose win depends on measured time,
+        // so `shuffled_bytes` is compared when both runs placed every task
+        // alike — which they do almost always.
+        let nodes = |r: &JobRun| -> Vec<usize> {
+            let p = &r.profile;
+            p.map_spans
+                .iter()
+                .chain(&p.reduce_spans)
+                .map(|s| s.node)
+                .collect()
+        };
+        if nodes(&batch) == nodes(&streamed) {
+            assert_eq!(b.shuffled_bytes, s.shuffled_bytes);
+        }
         let file = std::fs::read_to_string(&path).unwrap();
         crate::trace::validate_chrome_trace(&file).unwrap();
         JobTrace::from_chrome_json(&file).unwrap().check().unwrap();

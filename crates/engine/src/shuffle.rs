@@ -17,16 +17,17 @@
 //!   **map-task-id order** (the same recipe the job driver uses for task
 //!   results), so the merged reduce input is byte-identical at any fetcher
 //!   count.
-//! * **NIC-sharing virtual-time model**: with one fetcher, each remote flow
-//!   has the destination NIC to itself and shuffle virtual time is the
-//!   plain sum of `latency + bytes/bandwidth` terms — exactly the legacy
-//!   accounting, reproduced bit-for-bit. With `f > 1` fetchers, up to `f`
+//! * **NIC-sharing virtual-time model**: with `f` fetchers, up to `f`
 //!   flows are in flight at once and concurrent flows into the reducer's
 //!   node share its ingress bandwidth fairly; the unified event loop in
 //!   [`crate::event`] computes the resulting schedule
-//!   ([`crate::event::simulate_attempt_flows`]). Parallel fetch virtual
-//!   time is therefore the *makespan* of overlapping flows — never more
-//!   than the sequential sum, never less than the largest single flow.
+//!   ([`crate::event::simulate_attempt_flows`]) at every fetcher count.
+//!   Fetch virtual time is therefore the *makespan* of overlapping flows —
+//!   never more than the sequential sum, never less than the largest
+//!   single flow. One fetcher is the degenerate case: flows run back to
+//!   back on one slot, each with the NIC to itself, so virtual time is the
+//!   plain sum of every flow's isolated cost (disk read, `latency +
+//!   bytes/bandwidth`, decompress).
 //!
 //! The event loop also measures the **straggler tail**: the span during
 //! which every other fetcher has drained and the reducer is stalled on its
@@ -51,7 +52,7 @@
 //! measured costs that replay needs. (Before the unified event loop this
 //! was a documented modeling gap: co-located reducers did not contend.)
 
-use crate::event::{simulate_attempt_flows, Flow};
+use crate::event::{simulate_attempt_flows, Flow, FlowSched};
 use crate::fault::{shuffle_backoff_ns, FaultPlan};
 use crate::io::compress::decompress;
 use crate::metrics::{Stopwatch, VNanos};
@@ -141,8 +142,9 @@ pub struct ShuffleStats {
     /// Virtual shuffle makespan under the NIC-sharing model. Equals
     /// [`ShuffleStats::sequential_ns`] when `fetchers == 1`.
     pub virtual_ns: VNanos,
-    /// Degenerate one-fetcher virtual time (the legacy independent-flow
-    /// sum), computed from the same measured inputs for comparison.
+    /// The one-fetcher virtual time — the serial sum of every flow's
+    /// isolated cost — computed from the same measured inputs for
+    /// comparison.
     pub sequential_ns: VNanos,
     /// Largest single fetch (disk + latency + full-bandwidth transfer +
     /// decompress): a lower bound on any schedule's makespan.
@@ -283,17 +285,11 @@ fn fetch_one(
     }
 }
 
-// The per-attempt NIC step loop that used to live here (its own `Slot` /
-// `SlotState` state machine and `SCALE = lcm(1..=16)` arithmetic) is now a
-// special case of the unified event loop: one node, one reduce slot, this
-// attempt's flows. See `crate::event` for the loop and the proof sketch
-// that the schedules are bit-identical.
-
 /// Fetch a reduce task's partition from every map output.
 ///
 /// Real disk reads and decompression run on up to `fetchers` scoped
-/// threads (1 = inline, the legacy path); the virtual-time schedule is
-/// computed by the NIC-sharing model. Runs come back in map-task-id order
+/// threads (1 = inline); the virtual-time schedule is computed by the
+/// NIC-sharing model. Runs come back in map-task-id order
 /// regardless of fetcher count.
 ///
 /// `faults` injects transient fetch failures (keyed by map-task id and
@@ -365,87 +361,19 @@ pub fn run_shuffle(
         }
     }
 
-    let mut flows: Option<Vec<FlowTrace>> = None;
-    if fetchers <= 1 {
-        // Degenerate case: the legacy independent-flow sum, bit-for-bit.
-        stats.virtual_ns = stats.sequential_ns;
-        stats.wait_ns = 0;
-        if trace {
-            // Sequential schedule: flows run back to back on one slot, each
-            // paying its full isolated cost (including a local flow's
-            // decompress — the one-fetcher sum has no NIC event loop).
-            let mut cursor = 0u64;
-            let traced = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, inp)| {
-                    let job = inp.flow;
-                    let start = cursor;
-                    let pre_end = start + job.pre_ns();
-                    let (latency_end, transfer_end) = if job.remote {
-                        let le = pre_end.saturating_add(job.latency_ns);
-                        (le, le.saturating_add(job.rate_ns))
-                    } else {
-                        (pre_end, pre_end)
-                    };
-                    let finish = transfer_end.saturating_add(job.post_ns);
-                    cursor = finish;
-                    FlowTrace {
-                        map_task: i,
-                        src_node: inp.src_node,
-                        remote: job.remote,
-                        io_ns: job.io_ns,
-                        backoff_ns: job.backoff_ns,
-                        slot: 0,
-                        start,
-                        pre_end,
-                        latency_end,
-                        transfer_end,
-                        finish,
-                    }
-                })
-                .collect();
-            flows = Some(traced);
-        }
-    } else {
-        let jobs: Vec<Flow> = inputs.iter().map(|i| i.flow).collect();
-        let sim = simulate_attempt_flows(&jobs, fetchers);
-        stats.virtual_ns = sim.virtual_ns;
-        stats.wait_ns = sim.wait_ns;
-        debug_assert!(
-            stats.virtual_ns <= stats.sequential_ns,
-            "NIC sharing cannot exceed the sequential sum"
-        );
-        debug_assert!(
-            stats.virtual_ns >= stats.max_flow_ns,
-            "no schedule beats the largest single flow"
-        );
-        if trace {
-            let mut sched = sim.flows;
-            sched.sort_by_key(|s| s.flow);
-            flows = Some(
-                sched
-                    .iter()
-                    .map(|s| {
-                        let inp = inputs[s.flow];
-                        FlowTrace {
-                            map_task: s.flow,
-                            src_node: inp.src_node,
-                            remote: inp.flow.remote,
-                            io_ns: inp.flow.io_ns,
-                            backoff_ns: inp.flow.backoff_ns,
-                            slot: s.slot,
-                            start: s.start,
-                            pre_end: s.pre_end,
-                            latency_end: s.latency_end,
-                            transfer_end: s.transfer_end,
-                            finish: s.finish,
-                        }
-                    })
-                    .collect(),
-            );
-        }
-    }
+    let jobs: Vec<Flow> = inputs.iter().map(|i| i.flow).collect();
+    let sim = simulate_attempt_flows(&jobs, fetchers);
+    stats.virtual_ns = sim.virtual_ns;
+    stats.wait_ns = sim.wait_ns;
+    debug_assert!(
+        stats.virtual_ns <= stats.sequential_ns,
+        "NIC sharing cannot exceed the sequential sum"
+    );
+    debug_assert!(
+        stats.virtual_ns >= stats.max_flow_ns,
+        "no schedule beats the largest single flow"
+    );
+    let flows = trace.then(|| flow_traces(&sim.flows, &inputs));
 
     Ok(ShuffleOutcome {
         runs,
@@ -454,6 +382,32 @@ pub fn run_shuffle(
         inputs,
         flows,
     })
+}
+
+/// Trace rows for a shuffle schedule, in map-task order: each scheduled
+/// flow's phase marks joined with its measured input.
+pub(crate) fn flow_traces(sched: &[FlowSched], inputs: &[FlowInput]) -> Vec<FlowTrace> {
+    let mut sched = sched.to_vec();
+    sched.sort_by_key(|s| s.flow);
+    sched
+        .iter()
+        .map(|s| {
+            let inp = inputs[s.flow];
+            FlowTrace {
+                map_task: s.flow,
+                src_node: inp.src_node,
+                remote: inp.flow.remote,
+                io_ns: inp.flow.io_ns,
+                backoff_ns: inp.flow.backoff_ns,
+                slot: s.slot,
+                start: s.start,
+                pre_end: s.pre_end,
+                latency_end: s.latency_end,
+                transfer_end: s.transfer_end,
+                finish: s.finish,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

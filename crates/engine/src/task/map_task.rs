@@ -14,13 +14,14 @@ use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
 use crate::io::StreamingConfig;
 use crate::job::{combine_values, Emit, Job};
-use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile, VNanos};
+use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
 use crate::task::merge::{
     merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, CursorSource,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
 use crate::task::spill::{spill_segment, spill_segment_framed};
+use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -90,29 +91,6 @@ pub struct MapOutput {
     /// whole-blob compression, so `compressed` and `framed` are mutually
     /// exclusive.
     pub framed: bool,
-}
-
-/// Why a map task did not complete.
-#[derive(Debug)]
-pub enum MapTaskError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Injected fault (testing / failure-handling exercises). Carries the
-    /// virtual time the attempt consumed before dying.
-    Injected {
-        /// Virtual nanoseconds elapsed at the point of failure.
-        virtual_elapsed: VNanos,
-    },
-    /// The driver cancelled the job while this attempt was running; the
-    /// attempt's partial state is discarded without being counted as a
-    /// task failure.
-    Cancelled,
-}
-
-impl From<io::Error> for MapTaskError {
-    fn from(e: io::Error) -> Self {
-        MapTaskError::Io(e)
-    }
 }
 
 /// The spill path: active segment + virtual pipeline + spill files.
@@ -273,7 +251,7 @@ pub fn run_map_task(
     job: &Arc<dyn Job>,
     split: &InputSplit,
     cfg: MapTaskConfig,
-) -> Result<(MapOutput, TaskProfile), MapTaskError> {
+) -> Result<(MapOutput, TaskProfile), TaskError> {
     let mut controller = cfg.controller;
     let initial = controller.initial_fraction().clamp(MIN_FRACTION, 1.0);
     let path = SpillPath {
@@ -366,19 +344,19 @@ pub fn run_map_task(
 
         if let Some(e) = emitter.path.io_error.take() {
             if emitter.path.injected {
-                return Err(MapTaskError::Injected {
+                return Err(TaskError::Injected {
                     virtual_elapsed: emitter.path.pipeline.pipeline_end(),
                 });
             }
             return Err(e.into());
         }
         if cfg.fail_after_records == Some(input_records) {
-            return Err(MapTaskError::Injected {
+            return Err(TaskError::Injected {
                 virtual_elapsed: emitter.path.pipeline.pipeline_end(),
             });
         }
         if is_cancelled(&cfg.cancel) {
-            return Err(MapTaskError::Cancelled);
+            return Err(TaskError::Cancelled);
         }
     }
 
@@ -417,7 +395,7 @@ pub fn run_map_task(
     path.do_spill();
     if let Some(e) = path.io_error.take() {
         if path.injected {
-            return Err(MapTaskError::Injected {
+            return Err(TaskError::Injected {
                 virtual_elapsed: path.pipeline.pipeline_end(),
             });
         }
@@ -427,7 +405,7 @@ pub fn run_map_task(
 
     // ---- merge spills into the map output -----------------------------------
     if is_cancelled(&cfg.cancel) {
-        return Err(MapTaskError::Cancelled);
+        return Err(TaskError::Cancelled);
     }
     let sw_merge = Stopwatch::start();
     let mut combine_in_merge_ns = 0u64;
@@ -845,7 +823,7 @@ mod tests {
         c.fail_after_records = Some(2);
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
         match err {
-            MapTaskError::Injected { .. } => {}
+            TaskError::Injected { .. } => {}
             other => panic!("expected injected failure, got {other:?}"),
         }
     }
@@ -860,7 +838,7 @@ mod tests {
         c.fail_spill = Some(1);
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
         match err {
-            MapTaskError::Injected { .. } => {}
+            TaskError::Injected { .. } => {}
             other => panic!("expected injected spill failure, got {other:?}"),
         }
     }
@@ -882,7 +860,7 @@ mod tests {
         let mut c = cfg(1 << 20);
         c.cancel = Some(Arc::new(AtomicBool::new(true)));
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
-        assert!(matches!(err, MapTaskError::Cancelled), "got {err:?}");
+        assert!(matches!(err, TaskError::Cancelled), "got {err:?}");
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl Pipeline {
         self.in_flight = 0;
     }
 
-    /// Bytes currently in the active segment (mirror of the real segment).
+    /// Bytes currently in the active segment (tracks the real segment).
     pub fn active_bytes(&self) -> usize {
         self.active_bytes
     }

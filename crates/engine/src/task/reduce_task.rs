@@ -15,13 +15,14 @@ use crate::hash::FnvHashMap;
 use crate::io::frame::{decode_run, scan_frames, RunStore};
 use crate::io::StreamingConfig;
 use crate::job::{Emit, Job, SliceValues};
-use crate::metrics::{Op, OpTimes, SampledCost, Stopwatch, TaskProfile, VNanos};
+use crate::metrics::{Op, OpTimes, SampledCost, Stopwatch, TaskProfile};
 use crate::net::NetworkConfig;
 use crate::shuffle::{run_shuffle, FlowInput, ShuffleStats};
 use crate::task::map_task::MapOutput;
 use crate::task::merge::{
     merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, CursorSource,
 };
+use crate::task::TaskError;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,30 +39,6 @@ pub enum Grouping {
     /// Lin et al.): skips the reduce-side merge sort entirely; output
     /// order is unspecified. Only valid for order-insensitive jobs.
     Hash,
-}
-
-/// Why a reduce task did not complete (mirror of
-/// [`MapTaskError`](crate::task::map_task::MapTaskError)).
-#[derive(Debug)]
-pub enum ReduceTaskError {
-    /// Underlying I/O failure (including exhausted shuffle-fetch retries).
-    Io(io::Error),
-    /// Injected fault: the attempt died after its budgeted number of key
-    /// groups. Carries the virtual time the attempt consumed (shuffle +
-    /// partial reduce), so the driver can schedule the dead attempt's slot
-    /// occupancy before the retry.
-    Injected {
-        /// Virtual nanoseconds elapsed at the point of failure.
-        virtual_elapsed: VNanos,
-    },
-    /// The driver cancelled the job while this attempt was running.
-    Cancelled,
-}
-
-impl From<io::Error> for ReduceTaskError {
-    fn from(e: io::Error) -> Self {
-        ReduceTaskError::Io(e)
-    }
 }
 
 /// A finished reduce task.
@@ -118,8 +95,8 @@ pub struct ReduceTaskConfig {
     pub scratch_dir: std::path::PathBuf,
     /// Grouping strategy.
     pub grouping: Grouping,
-    /// Parallel shuffle fetchers (1 = sequential legacy behaviour; clamped
-    /// to [`crate::shuffle::MAX_FETCHERS`]).
+    /// Parallel shuffle fetchers (1 = sequential; clamped to
+    /// [`crate::shuffle::MAX_FETCHERS`]).
     pub fetchers: usize,
     /// Fault injection: abort (as a retryable task failure) after reducing
     /// this many key groups.
@@ -163,11 +140,11 @@ pub fn run_reduce_task(
     map_outputs: &[MapOutput],
     net: &NetworkConfig,
     cfg: &ReduceTaskConfig,
-) -> Result<ReduceResult, ReduceTaskError> {
+) -> Result<ReduceResult, TaskError> {
     let partition = cfg.partition;
     let mut ops = OpTimes::new();
     if is_cancelled(&cfg.cancel) {
-        return Err(ReduceTaskError::Cancelled);
+        return Err(TaskError::Cancelled);
     }
 
     // ---- shuffle fetch (see crate::shuffle) ----------------------------------
@@ -351,11 +328,11 @@ pub fn run_reduce_task(
     match aborted {
         Some(Abort::Injected) => {
             // The dead attempt consumed its shuffle plus the partial reduce.
-            return Err(ReduceTaskError::Injected {
+            return Err(TaskError::Injected {
                 virtual_elapsed: shuffle_virtual_ns + sw_all.elapsed_ns(),
             });
         }
-        Some(Abort::Cancelled) => return Err(ReduceTaskError::Cancelled),
+        Some(Abort::Cancelled) => return Err(TaskError::Cancelled),
         None => {}
     }
     let total_ns = sw_all.elapsed_ns();
@@ -638,7 +615,7 @@ mod tests {
         let err =
             run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
         match err {
-            ReduceTaskError::Injected { virtual_elapsed } => {
+            TaskError::Injected { virtual_elapsed } => {
                 assert!(virtual_elapsed > 0);
             }
             other => panic!("expected injected failure, got {other:?}"),
@@ -658,10 +635,7 @@ mod tests {
         cfg.fail_after_groups = Some(2);
         let err =
             run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
-        assert!(
-            matches!(err, ReduceTaskError::Injected { .. }),
-            "got {err:?}"
-        );
+        assert!(matches!(err, TaskError::Injected { .. }), "got {err:?}");
     }
 
     /// Emits each word's key repeated `count²` times with a value of
@@ -717,7 +691,7 @@ mod tests {
         cfg.cancel = Some(Arc::new(AtomicBool::new(true)));
         let err =
             run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
-        assert!(matches!(err, ReduceTaskError::Cancelled), "got {err:?}");
+        assert!(matches!(err, TaskError::Cancelled), "got {err:?}");
     }
 
     #[test]

@@ -307,6 +307,99 @@ fn faulty_backup_dies_and_primary_still_wins() {
     }
 }
 
+/// Speculation in both phases, as the trace records it: a 24× straggler
+/// hosting both a map task and a reducer gets backups in each phase. Every
+/// backup entry hangs off its primary's final attempt by exactly one
+/// `Backup` edge; a winning backup carries the task's lanes while that
+/// primary attempt renders as a flat "speculation-lost" span; and the
+/// winners in the trace are exactly the profile's win counts.
+#[test]
+fn winning_backups_in_both_phases_own_the_trace() {
+    use textmr_engine::trace::{AttemptKind, EdgeKind, EntryDetail, TaskKind};
+
+    let base = baseline();
+    // Reducer `r` runs on node `r % nodes`, so nodes below the reducer
+    // count host one; pick such a node that also hosts a map task.
+    let slow = base
+        .map_nodes
+        .iter()
+        .copied()
+        .find(|&n| n < base.shape.reducers)
+        .expect("a map task on a reducer's node");
+    let root = temp_root("spec-both");
+    let dfs = corpus_dfs();
+    let run = run_job(
+        &cluster(&root, 1, 1),
+        &JobConfig::default()
+            .with_fault_plan(FaultPlan::new().slow_node(slow, 24))
+            .with_speculation(SpeculationConfig::default())
+            .with_trace(),
+        Arc::new(WordCount),
+        &dfs,
+        &[("corpus", 0)],
+    )
+    .unwrap();
+    assert_empty_and_remove(&root);
+    assert_eq!(run.sorted_pairs(), base.pairs);
+
+    let trace = run.trace.as_ref().expect("trace requested");
+    trace.check().unwrap();
+    let (mut map_wins, mut reduce_wins) = (0u64, 0u64);
+    for (i, e) in trace.entries.iter().enumerate() {
+        if !e.backup {
+            continue;
+        }
+        let same_task = |p: &&textmr_engine::trace::TraceEntry| {
+            !p.backup && p.kind == e.kind && p.round == e.round && p.task == e.task
+        };
+        let final_attempt = trace
+            .entries
+            .iter()
+            .filter(same_task)
+            .map(|p| p.attempt)
+            .max()
+            .expect("a backup has a primary");
+        let origin = trace
+            .entries
+            .iter()
+            .position(|p| same_task(&p) && p.attempt == final_attempt)
+            .expect("the primary's final attempt is traced");
+        let edges: Vec<_> = trace
+            .edges
+            .iter()
+            .filter(|x| x.kind == EdgeKind::Backup && x.dst.entry == i)
+            .collect();
+        assert_eq!(
+            edges.len(),
+            1,
+            "backup entry {i} has {} Backup edges",
+            edges.len()
+        );
+        assert_eq!(
+            edges[0].src.entry, origin,
+            "backup entry {i} not launched off its primary"
+        );
+        if matches!(e.detail, EntryDetail::Lanes(_)) {
+            assert!(
+                matches!(
+                    trace.entries[origin].detail,
+                    EntryDetail::Flat(AttemptKind::Lost)
+                ),
+                "winning backup {i}'s primary is not marked lost"
+            );
+            match e.kind {
+                TaskKind::Map => map_wins += 1,
+                TaskKind::Reduce => reduce_wins += 1,
+            }
+        }
+    }
+    let stats = run.profile.speculation;
+    assert_eq!(map_wins, stats.map_wins, "{stats:?}");
+    assert_eq!(reduce_wins, stats.reduce_wins, "{stats:?}");
+    assert!(map_wins > 0, "no map backup won: {stats:?}");
+    assert!(reduce_wins > 0, "no reduce backup won: {stats:?}");
+}
+
 /// Speculation composes with fault injection: backups plus retries still
 /// produce exact output.
 #[test]

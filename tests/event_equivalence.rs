@@ -29,7 +29,7 @@ use textmr_apps::WordCount;
 use textmr_data::text::CorpusConfig;
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig, JobRun};
 use textmr_engine::event::{
-    simulate_attempt_flows, ClusterShape, Flow, Placement, ReduceAttempt, Scheduler,
+    simulate_attempt_flows, ClusterShape, Flow, FlowSched, Placement, ReduceAttempt, Scheduler,
 };
 use textmr_engine::fault::{ChaosShape, FaultPlan};
 use textmr_engine::io::dfs::SimDfs;
@@ -212,7 +212,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// One fetcher, one reducer: no sharing, no tail — the shuffle is the
-    /// serial sum of isolated flow costs, completed in submission order.
+    /// serial sum of isolated flow costs, and every flow's schedule is the
+    /// back-to-back serial one: submission order, slot 0, each flow
+    /// starting when its predecessor finished and paying its full isolated
+    /// cost (a local flow's network marks collapse onto its read's end).
     #[test]
     fn single_fetcher_shuffle_is_the_serial_sum_of_isolated_flows(
         flows in proptest::collection::vec(any_flow(), 0..12),
@@ -221,8 +224,24 @@ proptest! {
         let serial: u64 = flows.iter().map(Flow::isolated_ns).sum();
         prop_assert_eq!(shuffle.virtual_ns, serial);
         prop_assert_eq!(shuffle.wait_ns, 0);
-        let order: Vec<usize> = shuffle.flows.iter().map(|f| f.flow).collect();
-        prop_assert_eq!(order, (0..flows.len()).collect::<Vec<_>>());
+        let mut cursor = 0u64;
+        let back_to_back: Vec<FlowSched> = flows
+            .iter()
+            .enumerate()
+            .map(|(flow, f)| {
+                let start = cursor;
+                let pre_end = start + f.pre_ns();
+                let (latency_end, transfer_end) = if f.remote {
+                    let latency_end = pre_end + f.latency_ns;
+                    (latency_end, latency_end + f.rate_ns)
+                } else {
+                    (pre_end, pre_end)
+                };
+                cursor = transfer_end + f.post_ns;
+                FlowSched { flow, slot: 0, start, pre_end, latency_end, transfer_end, finish: cursor }
+            })
+            .collect();
+        prop_assert_eq!(shuffle.flows, back_to_back);
     }
 }
 
