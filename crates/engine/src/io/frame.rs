@@ -165,12 +165,11 @@ impl FrameEncoder {
 /// Decode one frame's payload from `run[meta.offset..]` into raw record
 /// bytes, validating the header against the index entry.
 pub fn decode_frame(stored: &[u8], meta: &FrameMeta) -> Result<Vec<u8>, FrameError> {
-    let start = meta.offset as usize;
-    let end = start + meta.stored_len as usize;
-    if end > stored.len() {
-        return Err(FrameError::Truncated);
-    }
-    decode_frame_bytes(&stored[start..end])
+    let start = usize::try_from(meta.offset).map_err(|_| FrameError::Truncated)?;
+    let end = start
+        .checked_add(meta.stored_len as usize)
+        .ok_or(FrameError::Truncated)?;
+    decode_frame_bytes(stored.get(start..end).ok_or(FrameError::Truncated)?)
 }
 
 /// Low 32 bits of FNV-1a over the raw record bytes — the frame header's
@@ -321,12 +320,16 @@ impl FrameRunCursor {
         match &self.bytes {
             RunBytes::Mem(stored) => Ok(decode_frame(stored, &meta)?),
             RunBytes::File { path, base, len } => {
-                let end = meta.offset + u64::from(meta.stored_len);
+                let end = meta.offset.checked_add(u64::from(meta.stored_len));
+                let start = base.checked_add(meta.offset);
+                let (Some(start), Some(end)) = (start, end) else {
+                    return Err(FrameError::Truncated.into());
+                };
                 if end > *len {
                     return Err(FrameError::Truncated.into());
                 }
                 let mut f = File::open(path)?;
-                f.seek(SeekFrom::Start(base + meta.offset))?;
+                f.seek(SeekFrom::Start(start))?;
                 let mut buf = vec![0u8; meta.stored_len as usize];
                 f.read_exact(&mut buf)?;
                 Ok(decode_frame_bytes(&buf)?)
@@ -544,6 +547,32 @@ mod tests {
         crate::codec::write_varint(&mut frame, 0); // check
         frame.push(b'x');
         assert_eq!(decode_frame_bytes(&frame), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn frame_offset_past_u64_is_truncation_not_a_panic() {
+        let (stored, metas, _) = encode(&[(b"k", b"v")], 1 << 10);
+        let bad = FrameMeta {
+            offset: u64::MAX,
+            ..metas[0]
+        };
+        assert_eq!(decode_frame(&stored, &bad), Err(FrameError::Truncated));
+        let truncated = FrameError::Truncated.to_string();
+        let err = FrameRunCursor::from_mem(stored.clone(), vec![bad]).unwrap_err();
+        assert_eq!(err.to_string(), truncated);
+
+        let path =
+            std::env::temp_dir().join(format!("textmr-frame-offset-{}.bin", std::process::id()));
+        std::fs::write(&path, &stored).unwrap();
+        // `offset + stored_len` overflows; then `base + offset` does, under
+        // a run length that would let it through.
+        let cases = [(0, u64::MAX, stored.len() as u64), (u64::MAX, 1, u64::MAX)];
+        for (base, offset, len) in cases {
+            let meta = FrameMeta { offset, ..metas[0] };
+            let err = FrameRunCursor::from_file(path.clone(), base, len, vec![meta]).unwrap_err();
+            assert_eq!(err.to_string(), truncated);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

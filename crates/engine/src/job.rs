@@ -102,6 +102,11 @@ impl<'a> ValueCursor for SliceValues<'a> {
 ///
 /// Implementations must be `Send + Sync` because the framework invokes
 /// `map`/`combine`/`reduce` from many tasks concurrently.
+///
+/// **Equal keys.** The framework's order among values of one key does not
+/// depend on a sort algorithm: within a spill they keep emit order, and a
+/// merge takes equal keys from its runs in ascending run index. Value
+/// order inside a group is still unspecified to the job, as in Hadoop.
 pub trait Job: Send + Sync {
     /// Short name used in profiles and bench output.
     fn name(&self) -> &str;
@@ -131,7 +136,10 @@ pub trait Job: Send + Sync {
     fn reduce(&self, key: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit);
 
     /// Key ordering used by sort/merge/group. Defaults to bytewise
-    /// comparison, which matches order-preserving key encodings.
+    /// comparison, which matches order-preserving key encodings. The spill
+    /// sort orders keys by their bytes first and checks that order with one
+    /// call per distinct key; an override that disagrees is sorted by this
+    /// alone.
     fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
         a.cmp(b)
     }

@@ -12,6 +12,7 @@ use crate::io::spill_file::SpillFile;
 use crate::job::{combine_values, Job};
 use crate::metrics::Stopwatch;
 use crate::task::segment::Segment;
+use std::cmp::Ordering;
 use std::io;
 use std::path::PathBuf;
 
@@ -40,17 +41,97 @@ impl SpillOutcome {
 }
 
 /// Sort record indices of `seg` by `(partition, key)` using the job's key
-/// comparator. Exposed for benches and property tests.
+/// comparator; equal keys keep emit order (ascending index). Exposed for
+/// benches and property tests.
+///
+/// Each record is packed into one `u128`: the partition in the top 32
+/// bits, then 7 key bytes taken after the segment's longest common key
+/// prefix and one byte `min(suffix_len, 8)`, then the record index. One
+/// plain integer sort orders every key of at most 7 suffix bytes exactly
+/// (`a` < `a\0` by the length byte); only runs whose 7 bytes tie and whose
+/// keys are longer reach `job.compare_keys`, through a stable sort that
+/// keeps their ascending indices. That is the comparator's order only if
+/// the comparator agrees with bytewise order, which the sort checks with
+/// one call per run: where a custom `compare_keys` does not put a run
+/// strictly after the one before it, the segment is sorted again with
+/// every word tied, so each partition is one comparator run.
 pub fn sort_indices(seg: &Segment, job: &dyn Job) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..seg.len() as u32).collect();
-    // textmr-lint: allow(sort-unstable-key-runs, reason = "shipped figures pin this equal-key order; value order within a group is unspecified by the job contract")
-    idx.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        seg.part(a)
-            .cmp(&seg.part(b))
-            .then_with(|| job.compare_keys(seg.key(a), seg.key(b)))
-    });
-    idx
+    let skip = common_prefix_len(seg);
+    sort_packed(seg, job, |key| prefix_word(&key[skip..]))
+        .or_else(|| sort_packed(seg, job, |_| TIED))
+        .expect("a run per partition has no boundary to check")
+}
+
+/// Sort `seg` on packed words (see [`sort_indices`]) with `word` as each
+/// key's prefix word, then sort runs of tied words by `job.compare_keys`.
+/// `None` if the comparator puts some run's first key at or before the
+/// last key of the run before it in the same partition.
+fn sort_packed(seg: &Segment, job: &dyn Job, word: impl Fn(&[u8]) -> u64) -> Option<Vec<u32>> {
+    let mut packed: Vec<u128> = (0..seg.len())
+        .map(|i| {
+            let word = word(seg.key(i));
+            ((seg.part(i) as u128) << 96) | (u128::from(word) << 32) | i as u128
+        })
+        .collect();
+    packed.sort_unstable();
+
+    let mut idx: Vec<u32> = packed.iter().map(|&p| p as u32).collect();
+    let mut start = 0;
+    for run in packed.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let end = start + run.len();
+        if run.len() > 1 && (run[0] >> 32) as u8 == TIED as u8 {
+            idx[start..end]
+                .sort_by(|&a, &b| job.compare_keys(seg.key(a as usize), seg.key(b as usize)));
+        }
+        if start > 0 && packed[start - 1] >> 96 == run[0] >> 96 {
+            let (last, first) = (idx[start - 1] as usize, idx[start] as usize);
+            if job.compare_keys(seg.key(last), seg.key(first)) != Ordering::Less {
+                return None;
+            }
+        }
+        start = end;
+    }
+    Some(idx)
+}
+
+/// Length byte of a key suffix longer than the 7 packed bytes: its order
+/// against another such suffix with the same 7 bytes is the comparator's.
+const TIED: u64 = 8;
+
+/// The 7 leading bytes of `suffix` (zero-padded) above one length byte
+/// `min(suffix.len(), 8)`, as a big-endian word.
+fn prefix_word(suffix: &[u8]) -> u64 {
+    match suffix.first_chunk::<8>() {
+        Some(head) => (u64::from_be_bytes(*head) & !0xff) | TIED,
+        None => {
+            let mut buf = [0u8; 8];
+            buf[..suffix.len()].copy_from_slice(suffix);
+            buf[7] = suffix.len() as u8;
+            u64::from_be_bytes(buf)
+        }
+    }
+}
+
+/// Length of the longest prefix every key of `seg` shares (0 for an
+/// empty segment); stops at the first record that shares nothing.
+fn common_prefix_len(seg: &Segment) -> usize {
+    if seg.is_empty() {
+        return 0;
+    }
+    let first = seg.key(0);
+    let mut len = first.len();
+    for i in 1..seg.len() {
+        let key = seg.key(i);
+        len = first[..len]
+            .iter()
+            .zip(key)
+            .take_while(|(a, b)| a == b)
+            .count();
+        if len == 0 {
+            break;
+        }
+    }
+    len
 }
 
 /// Sort, combine and write `seg` to a new spill file at `path`.
@@ -299,11 +380,47 @@ mod tests {
         assert_eq!(out.file.total_bytes(), 0);
     }
 
+    /// Bytewise order that counts its comparator calls.
+    #[derive(Default)]
+    struct CountingJob(std::sync::atomic::AtomicUsize);
+    impl Job for CountingJob {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn map(&self, _r: &Record<'_>, _e: &mut dyn Emit) {}
+        fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
+        fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            a.cmp(b)
+        }
+    }
+
+    #[test]
+    fn short_suffixes_cost_one_comparison_per_distinct_key() {
+        // Every key shares the URL prefix and ends in at most 7 more bytes,
+        // `\0` included: the packed words alone order them, and the one
+        // check per run boundary is the only comparator call.
+        let tails: [&[u8]; 6] = [b"a", b"a\0", b"a\0\0", b"", b"ab", b"zzzzzzz"];
+        let mut seg = Segment::new();
+        for i in 0..60 {
+            let key = [b"http://site/".as_slice(), tails[i % 6]].concat();
+            seg.push(i % 4, &key, b"v");
+        }
+        let job = CountingJob::default();
+        let idx = sort_indices(&seg, &job);
+        // 4 partitions hold 12 distinct (partition, key) pairs: 8 boundaries.
+        assert_eq!(job.0.load(std::sync::atomic::Ordering::Relaxed), 8);
+        for w in idx.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            assert!((seg.part(a), seg.key(a), a) < (seg.part(b), seg.key(b), b));
+        }
+    }
+
     #[test]
     fn sort_indices_is_a_permutation() {
         let mut seg = Segment::new();
         for i in 0..50 {
-            seg.push(i % 3, format!("k{}", 50 - i).as_bytes(), b"v");
+            seg.push(i % 3, format!("k{}", (50 - i) % 7).as_bytes(), b"v");
         }
         let idx = sort_indices(&seg, &SumJob);
         let mut seen = [false; 50];
@@ -312,5 +429,12 @@ mod tests {
             seen[i as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+        // Equal keys leave the sort in emit order.
+        for w in idx.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            if (seg.part(a), seg.key(a)) == (seg.part(b), seg.key(b)) {
+                assert!(a < b, "equal keys out of emit order: {a} before {b}");
+            }
+        }
     }
 }

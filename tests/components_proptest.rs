@@ -29,6 +29,76 @@ impl Job for Bytewise {
     fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
 }
 
+/// A custom key order that reverses bytewise order.
+struct Descending;
+impl Job for Descending {
+    fn name(&self) -> &str {
+        "descending"
+    }
+    fn map(&self, _r: &Record<'_>, _e: &mut dyn Emit) {}
+    fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
+    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        b.cmp(a)
+    }
+}
+
+/// A custom key order coarser than bytewise order: only the first 3 bytes
+/// count, so keys with distinct bytes can be equal.
+struct Truncated;
+impl Job for Truncated {
+    fn name(&self) -> &str {
+        "truncated"
+    }
+    fn map(&self, _r: &Record<'_>, _e: &mut dyn Emit) {}
+    fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
+    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        a[..a.len().min(3)].cmp(&b[..b.len().min(3)])
+    }
+}
+
+/// One key byte from a small alphabet, so generated keys tie often.
+fn key_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), Just(b'a'), Just(b'b'), Just(0xffu8)]
+}
+
+/// Keys shaped for the packed spill sort: any 0–11 bytes; empty; 1–3
+/// bytes (short keys tie often); 6–9 bytes (around the 7 packed bytes and
+/// the length byte); 20 bytes; a fixed 7-byte stem plus 0–2 bytes (ties on
+/// the packed bytes); and `a` followed by runs of `0x00` (`a` < `a\0` <
+/// `a\0\0`).
+fn spill_key() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..12),
+        Just(Vec::new()),
+        proptest::collection::vec(key_byte(), 1..4),
+        proptest::collection::vec(key_byte(), 6..10),
+        proptest::collection::vec(key_byte(), 20..21),
+        proptest::collection::vec(key_byte(), 0..3).prop_map(|tail| {
+            let mut k = b"ab\0ab\0a".to_vec();
+            k.extend(tail);
+            k
+        }),
+        (0usize..10).prop_map(|zeros| {
+            let mut k = b"a".to_vec();
+            k.resize(1 + zeros, 0);
+            k
+        }),
+    ]
+}
+
+/// The spill-sort contract, stated directly: a stable sort of the record
+/// indices by `(partition, key)` under the job's comparator.
+fn reference_sort(seg: &Segment, job: &dyn Job) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..seg.len() as u32).collect();
+    idx.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        seg.part(a)
+            .cmp(&seg.part(b))
+            .then_with(|| job.compare_keys(seg.key(a), seg.key(b)))
+    });
+    idx
+}
+
 /// One merged group: key and values in delivery order.
 type Group = (Vec<u8>, Vec<Vec<u8>>);
 
@@ -218,19 +288,18 @@ proptest! {
     #[test]
     fn sort_indices_orders_by_partition_then_key(
         recs in proptest::collection::vec(
-            (0u32..4, proptest::collection::vec(any::<u8>(), 0..12)), 0..80)
+            (prop_oneof![0u32..3, 0u32..64], spill_key()), 0..200),
+        url_prefix in prop_oneof![Just(""), Just("http://site/"), Just("http://site/page")],
     ) {
+        // A shared URL-like prefix moves the packed bytes past it.
         let mut seg = Segment::new();
         for (part, key) in &recs {
-            seg.push(*part as usize, key, b"v");
+            let mut k = url_prefix.as_bytes().to_vec();
+            k.extend_from_slice(key);
+            seg.push(*part as usize, &k, b"v");
         }
-        let idx = sort_indices(&seg, &Bytewise);
-        prop_assert_eq!(idx.len(), recs.len());
-        for w in idx.windows(2) {
-            let (a, b) = (w[0] as usize, w[1] as usize);
-            let ka = (seg.part(a), seg.key(a));
-            let kb = (seg.part(b), seg.key(b));
-            prop_assert!(ka <= kb, "out of order: {:?} then {:?}", ka, kb);
+        for job in [&Bytewise as &dyn Job, &Descending, &Truncated] {
+            prop_assert_eq!(sort_indices(&seg, job), reference_sort(&seg, job), "{}", job.name());
         }
     }
 

@@ -8,7 +8,7 @@ use textmr_data::text::CorpusConfig;
 use textmr_data::weblog::WeblogConfig;
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::io::dfs::SimDfs;
-use textmr_engine::job::Job;
+use textmr_engine::job::{Emit, Job, Record, ValueCursor, ValueSink};
 use textmr_engine::reference::{flatten_sorted, reference_run};
 
 fn small_cluster() -> ClusterConfig {
@@ -133,6 +133,59 @@ fn syntext_end_to_end() {
         &corpus_dfs(1500),
         &[("corpus", 0)],
     );
+}
+
+/// WordCount under a custom key order: descending bytes.
+struct DescendingWordCount;
+
+impl Job for DescendingWordCount {
+    fn name(&self) -> &str {
+        "wordcount-descending"
+    }
+    fn map(&self, record: &Record<'_>, emit: &mut dyn Emit) {
+        WordCount.map(record, emit)
+    }
+    fn has_combiner(&self) -> bool {
+        true
+    }
+    fn combine(&self, key: &[u8], values: &mut dyn ValueCursor, out: &mut dyn ValueSink) {
+        WordCount.combine(key, values, out)
+    }
+    fn reduce(&self, key: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit) {
+        WordCount.reduce(key, values, out)
+    }
+    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        b.cmp(a)
+    }
+}
+
+#[test]
+fn custom_key_order_runs_end_to_end() {
+    let dfs = corpus_dfs(2000);
+    let cfg = JobConfig::default().with_reducers(3);
+    let engine = run_job(
+        &small_cluster(),
+        &cfg,
+        Arc::new(DescendingWordCount),
+        &dfs,
+        &[("corpus", 0)],
+    )
+    .unwrap();
+    let reference = reference_run(
+        &DescendingWordCount,
+        &dfs,
+        &[("corpus", 0)],
+        cfg.num_reducers,
+    )
+    .unwrap();
+    assert_eq!(engine.outputs, reference);
+    for part in &engine.outputs {
+        assert!(part.len() > 1);
+        assert!(
+            part.windows(2).all(|w| w[0].0 > w[1].0),
+            "partition not in descending key order"
+        );
+    }
 }
 
 #[test]
