@@ -1307,7 +1307,13 @@ pub(crate) fn run_round(
         // after its previous attempt failed. A straggler node stretches
         // the attempt's virtual duration by its factor.
         let node = split.home_node % cluster.nodes;
-        let placed = vsched.place_map(map_task_base + t, node, &map_sched.durations[t]);
+        let placed = vsched.place_attempts(
+            TaskKind::Map,
+            map_task_base + t,
+            node,
+            &map_sched.durations[t],
+            0,
+        );
         if cfg.trace {
             let placed = placed.iter().map(|p| (p.slot, p.start, p.end));
             map_sched.attempts.push(Capture::primaries(t, node, placed));
@@ -1402,7 +1408,8 @@ pub(crate) fn run_round(
     if cluster.shuffle_fetchers.clamp(1, MAX_FETCHERS) <= 1 {
         for (r, attempts) in reduce_sched.durations.iter().enumerate() {
             let node = r % cluster.nodes;
-            let placed = vsched.place_reduce(reduce_task_base + r, node, attempts);
+            let placed =
+                vsched.place_attempts(TaskKind::Reduce, reduce_task_base + r, node, attempts, 0);
             if cfg.trace {
                 let placed = placed.iter().map(|p| (p.slot, p.start, p.end));
                 reduce_sched
@@ -1436,7 +1443,7 @@ pub(crate) fn run_round(
                 (r % cluster.nodes, attempts)
             })
             .collect();
-        let outcomes = vsched.run_reduce_phase_from(reduce_task_base, tasks);
+        let outcomes = vsched.run_reduce_phase(reduce_task_base, tasks);
         for (r, outs) in outcomes.iter().enumerate() {
             let node = r % cluster.nodes;
             if cfg.trace {

@@ -23,11 +23,13 @@
 //!   from span timings.
 //! * **[`Scheduler`]** — owns the per-node slot tables and drives both
 //!   placement modes:
-//!   * *Reservation mode* ([`Scheduler::place_map`],
-//!     [`Scheduler::place_reduce`]) reproduces the legacy greedy
-//!     recurrence **bit-for-bit** — first-minimum slot choice, `start =
-//!     max(slot_free, previous_attempt_end)` — so every shipped 1-fetcher
-//!     figure is unchanged.
+//!   * *Reservation mode* ([`Scheduler::place_attempts`]) places a task's
+//!     attempt ladder by the greedy recurrence — first minimum over
+//!     `max(slot_free, floor)`, `start = max(that,
+//!     previous_attempt_end)`. The engine passes `floor = 0`, which
+//!     reproduces the legacy recurrence **bit-for-bit**, so every shipped
+//!     1-fetcher figure is unchanged; `textmr-serve`'s multiplexer is the
+//!     second caller, passing each job's phase floor.
 //!   * *Dynamic mode* ([`Scheduler::run_reduce_phase`]) runs reduce
 //!     attempts through the event loop with **shared node ingress**: all
 //!     concurrent flows into a node fair-share its bandwidth regardless of
@@ -106,6 +108,12 @@ impl<E: Ord> EventQueue<E> {
         self.heap.pop().map(|Reverse(t)| t)
     }
 
+    /// Virtual time of the earliest pending event, without removing it.
+    /// Lets a driver drain one same-instant batch before acting on it.
+    pub fn peek_time(&self) -> Option<VNanos> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -120,66 +128,6 @@ impl<E: Ord> EventQueue<E> {
 impl<E: Ord> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
-    }
-}
-
-/// A deterministic min-priority queue of `(virtual_ns, job, seq, event)`
-/// for multi-job serving: the serve job id joins the tie-break between
-/// virtual time and push order, so simultaneous events from different
-/// jobs resolve by job id — stable under any change in the order jobs
-/// happen to *push* their events — and only same-job simultaneous events
-/// fall back to push order. This is what makes a `textmr-serve`
-/// interleaving replayable: the popped sequence is a pure function of the
-/// admitted job set, never of driver-side enumeration order.
-#[derive(Debug)]
-pub struct JobEventQueue<E> {
-    heap: BinaryHeap<Reverse<(VNanos, usize, u64, E)>>,
-    seq: u64,
-}
-
-impl<E: Ord> JobEventQueue<E> {
-    /// An empty queue; sequence numbers start at zero.
-    pub fn new() -> Self {
-        JobEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedule `ev` for `job` at virtual time `at`; returns its sequence
-    /// number.
-    pub fn push(&mut self, at: VNanos, job: usize, ev: E) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, job, seq, ev)));
-        seq
-    }
-
-    /// Remove and return the earliest event as `(at, job, seq, event)`.
-    pub fn pop(&mut self) -> Option<(VNanos, usize, u64, E)> {
-        self.heap.pop().map(|Reverse(t)| t)
-    }
-
-    /// Virtual time of the earliest pending event, without removing it.
-    /// Lets a driver drain one same-instant batch before acting on it.
-    pub fn peek_time(&self) -> Option<VNanos> {
-        self.heap.peek().map(|Reverse((at, _, _, _))| *at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E: Ord> Default for JobEventQueue<E> {
-    fn default() -> Self {
-        JobEventQueue::new()
     }
 }
 
@@ -517,13 +465,16 @@ impl Scheduler {
         ns.saturating_mul(self.factors.get(node).copied().unwrap_or(1).max(1))
     }
 
-    /// First minimum: the lowest-indexed slot with the earliest free time
-    /// (the legacy recurrence's `min_by_key` tie-break).
-    fn argmin(free: &[VNanos]) -> usize {
-        let mut best = 0;
+    /// First minimum over `max(slot_free, floor)`: the lowest-indexed slot
+    /// among those free earliest once the floor is applied (the legacy
+    /// recurrence's `min_by_key` tie-break). Returns `(slot, max(free,
+    /// floor))`.
+    fn argmin(free: &[VNanos], floor: VNanos) -> (usize, VNanos) {
+        let mut best = (0, free[0].max(floor));
         for (i, &f) in free.iter().enumerate().skip(1) {
-            if f < free[best] {
-                best = i;
+            let at = f.max(floor);
+            if at < best.1 {
+                best = (i, at);
             }
         }
         best
@@ -639,19 +590,35 @@ impl Scheduler {
         &self.edges
     }
 
-    /// Place every attempt of map task `task` with the legacy greedy
-    /// recurrence (first-minimum slot, `start = max(slot_free,
-    /// prev_attempt_end)`, durations scaled by the node factor).
-    pub fn place_map(&mut self, task: usize, node: usize, durs: &[VNanos]) -> Vec<Placement> {
+    /// Place every attempt of task `task` on `node` with the reservation
+    /// recurrence: each attempt takes the first minimum over
+    /// `max(slot_free, floor)` and starts at `max(that, prev_attempt_end)`;
+    /// durations are scaled by the node factor. The engine passes `floor =
+    /// 0` (its [`Scheduler::begin_round`] / [`Scheduler::begin_reduce_phase`]
+    /// raises already floor every slot), which is the legacy greedy
+    /// recurrence bit for bit; `textmr-serve` passes each job's phase floor
+    /// to multiplex many jobs onto one cluster.
+    pub fn place_attempts(
+        &mut self,
+        kind: TaskKind,
+        task: usize,
+        node: usize,
+        durs: &[VNanos],
+        floor: VNanos,
+    ) -> Vec<Placement> {
         let mut out = Vec::with_capacity(durs.len());
         let mut prev_end = 0;
         for (attempt, &dur) in durs.iter().enumerate() {
-            let slot = Self::argmin(&self.map_free[node]);
-            let start = self.map_free[node][slot].max(prev_end);
+            let free = match kind {
+                TaskKind::Map => &self.map_free[node],
+                TaskKind::Reduce => &self.reduce_free[node],
+            };
+            let (slot, free_at) = Self::argmin(free, floor);
+            let start = free_at.max(prev_end);
             let end = start.saturating_add(self.scale(node, dur));
             self.record_attempt(
                 AttemptKey {
-                    kind: TaskKind::Map,
+                    kind,
                     task,
                     attempt,
                     backup: false,
@@ -675,8 +642,7 @@ impl Scheduler {
             TaskKind::Map => &self.map_free[node],
             TaskKind::Reduce => &self.reduce_free[node],
         };
-        let slot = Self::argmin(free);
-        (slot, free[slot])
+        Self::argmin(free, 0)
     }
 
     /// Commit a speculative backup attempt at an explicit `(start, end)`
@@ -744,50 +710,13 @@ impl Scheduler {
         }
     }
 
-    /// Place every attempt of reduce task `task` with the legacy greedy
-    /// recurrence — the bit-identical 1-fetcher path.
-    pub fn place_reduce(&mut self, task: usize, node: usize, durs: &[VNanos]) -> Vec<Placement> {
-        let mut out = Vec::with_capacity(durs.len());
-        let mut prev_end = 0;
-        for (attempt, &dur) in durs.iter().enumerate() {
-            let slot = Self::argmin(&self.reduce_free[node]);
-            let start = self.reduce_free[node][slot].max(prev_end);
-            let end = start.saturating_add(self.scale(node, dur));
-            self.record_attempt(
-                AttemptKey {
-                    kind: TaskKind::Reduce,
-                    task,
-                    attempt,
-                    backup: false,
-                },
-                node,
-                slot,
-                start,
-                end,
-                None,
-            );
-            prev_end = end;
-            out.push(Placement { slot, start, end });
-        }
-        out
-    }
-
     /// Run the whole reduce phase through the dynamic event loop with
     /// shared node ingress. `tasks[r] = (node, attempts)`; returns one
-    /// [`AttemptOutcome`] per attempt per task. Call
+    /// [`AttemptOutcome`] per attempt per task. Attempt and flow-finish
+    /// events are recorded as task `base + r`, keeping keys unique when a
+    /// DAG job runs several rounds through one scheduler. Call
     /// [`Scheduler::begin_reduce_phase`] first.
     pub fn run_reduce_phase(
-        &mut self,
-        tasks: Vec<(usize, Vec<ReduceAttempt>)>,
-    ) -> Vec<Vec<AttemptOutcome>> {
-        self.run_reduce_phase_from(0, tasks)
-    }
-
-    /// [`Scheduler::run_reduce_phase`] with a global task-id base: attempt
-    /// and flow-finish events are recorded as task `base + r`, keeping
-    /// keys unique when a DAG job runs several rounds through one
-    /// scheduler. `base = 0` is the single-round path.
-    pub fn run_reduce_phase_from(
         &mut self,
         base: usize,
         tasks: Vec<(usize, Vec<ReduceAttempt>)>,
@@ -1372,26 +1301,6 @@ impl ReduceSim {
 mod tests {
     use super::*;
 
-    #[test]
-    fn job_queue_breaks_time_ties_by_job_then_seq() {
-        let mut q: JobEventQueue<u32> = JobEventQueue::new();
-        // Push order deliberately scrambles job order at equal times.
-        q.push(10, 2, 20);
-        q.push(10, 1, 11);
-        q.push(5, 3, 30);
-        q.push(10, 1, 12);
-        assert_eq!(q.peek_time(), Some(5));
-        let mut popped = Vec::new();
-        while let Some((at, job, _seq, ev)) = q.pop() {
-            popped.push((at, job, ev));
-        }
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(
-            popped,
-            vec![(5, 3, 30), (10, 1, 11), (10, 1, 12), (10, 2, 20)]
-        );
-    }
-
     fn remote(pre: u64, bytes_ns: u64, post: u64) -> Flow {
         Flow {
             io_ns: pre,
@@ -1417,17 +1326,23 @@ mod tests {
     #[test]
     fn queue_pops_by_time_then_sequence() {
         let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
         q.push(50, 1u32);
         q.push(10, 2);
         q.push(10, 3);
         q.push(0, 4);
         assert_eq!(q.len(), 4);
-        let order: Vec<(VNanos, u32)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, _, e)| (t, e))
-            .collect();
+        let mut order: Vec<(VNanos, u32)> = Vec::new();
+        while let Some(at) = q.peek_time() {
+            let (t, _, e) = q.pop().expect("peeked");
+            // The peeked time is the time of the event that pops next.
+            assert_eq!(t, at);
+            order.push((t, e));
+        }
         // Simultaneous events resolve in push order (2 before 3).
         assert_eq!(order, vec![(0, 4), (10, 2), (10, 3), (50, 1)]);
         assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -1450,7 +1365,7 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, vec![1, 3]);
         // Node 0: two slots. Task 0 (attempts 10, 20) then task 1 (5).
-        let p0 = sched.place_map(0, 0, &[10, 20]);
+        let p0 = sched.place_attempts(TaskKind::Map, 0, 0, &[10, 20], 0);
         // Attempt 0 → slot 0 [0,10); attempt 1 → slot 1, start
         // max(free=0, prev_end=10) = 10, end 30.
         assert_eq!(
@@ -1469,7 +1384,7 @@ mod tests {
                 end: 30
             }
         );
-        let p1 = sched.place_map(1, 0, &[5]);
+        let p1 = sched.place_attempts(TaskKind::Map, 1, 0, &[5], 0);
         // Slot 0 frees first (10 < 30).
         assert_eq!(
             p1[0],
@@ -1480,7 +1395,7 @@ mod tests {
             }
         );
         // Node 1 has straggler factor 3.
-        let p2 = sched.place_map(2, 1, &[7]);
+        let p2 = sched.place_attempts(TaskKind::Map, 2, 1, &[7], 0);
         assert_eq!(
             p2[0],
             Placement {
@@ -1491,7 +1406,7 @@ mod tests {
         );
 
         sched.begin_reduce_phase(30);
-        let r0 = sched.place_reduce(0, 0, &[4]);
+        let r0 = sched.place_attempts(TaskKind::Reduce, 0, 0, &[4], 0);
         assert_eq!(
             r0[0],
             Placement {
@@ -1542,7 +1457,7 @@ mod tests {
             fetchers: 1,
         };
         let mut sched = Scheduler::new(shape, Vec::new());
-        sched.place_map(0, 0, &[100]);
+        sched.place_attempts(TaskKind::Map, 0, 0, &[100], 0);
         let origin = AttemptKey {
             kind: TaskKind::Map,
             task: 0,
@@ -1645,7 +1560,7 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(0, one_flow()), (0, one_flow())]);
+        let outs = sched.run_reduce_phase(0, vec![(0, one_flow()), (0, one_flow())]);
         for (r, outs) in outs.iter().enumerate() {
             let sh = outs[0].shuffle.as_ref().unwrap();
             assert_eq!(sh.virtual_ns, 100 + 2000, "co-located reducer {r}");
@@ -1662,7 +1577,7 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(0, one_flow()), (1, one_flow())]);
+        let outs = sched.run_reduce_phase(0, vec![(0, one_flow()), (1, one_flow())]);
         for (r, outs) in outs.iter().enumerate() {
             let sh = outs[0].shuffle.as_ref().unwrap();
             assert_eq!(sh.virtual_ns, isolated, "separated reducer {r}");
@@ -1682,25 +1597,28 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(1000);
-        let outs = sched.run_reduce_phase(vec![
-            (
-                0,
-                vec![ReduceAttempt::Work {
-                    flows: vec![remote(10, 100, 0)],
-                    post_ns: 40,
-                }],
-            ),
-            (
-                0,
-                vec![
-                    ReduceAttempt::Block { dur: 30 },
-                    ReduceAttempt::Work {
-                        flows: vec![local(20, 0)],
-                        post_ns: 5,
-                    },
-                ],
-            ),
-        ]);
+        let outs = sched.run_reduce_phase(
+            0,
+            vec![
+                (
+                    0,
+                    vec![ReduceAttempt::Work {
+                        flows: vec![remote(10, 100, 0)],
+                        post_ns: 40,
+                    }],
+                ),
+                (
+                    0,
+                    vec![
+                        ReduceAttempt::Block { dur: 30 },
+                        ReduceAttempt::Work {
+                            flows: vec![local(20, 0)],
+                            post_ns: 5,
+                        },
+                    ],
+                ),
+            ],
+        );
         // Task 0: starts at 1000, shuffle = 10 + 100 + 100 = 210, plus
         // post 40 → ends 1250.
         assert_eq!(outs[0][0].start, 1000);
@@ -1734,13 +1652,16 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, vec![3]);
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(
+        let outs = sched.run_reduce_phase(
             0,
-            vec![ReduceAttempt::Work {
-                flows: vec![local(100, 0)],
-                post_ns: 50,
-            }],
-        )]);
+            vec![(
+                0,
+                vec![ReduceAttempt::Work {
+                    flows: vec![local(100, 0)],
+                    post_ns: 50,
+                }],
+            )],
+        );
         // Shuffle 100 + post 50, scaled ×3.
         assert_eq!(outs[0][0].end, 450);
         assert_eq!(outs[0][0].shuffle.as_ref().unwrap().virtual_ns, 100);

@@ -1009,10 +1009,7 @@ mod tests {
             }
             for (&(_, task), (node, placed)) in tasks.iter().filter(|(k, _)| k.0 == phase) {
                 let durs: Vec<VNanos> = placed.iter().map(|&(_, s, e)| e - s).collect();
-                let got = match phase {
-                    TaskKind::Map => sched.place_map(task, *node, &durs),
-                    TaskKind::Reduce => sched.place_reduce(task, *node, &durs),
-                };
+                let got = sched.place_attempts(phase, task, *node, &durs, 0);
                 let got: Vec<Placed> = got.iter().map(|p| (p.slot, p.start, p.end)).collect();
                 assert_eq!(&got, placed, "{} {task} replays elsewhere", phase.label());
             }

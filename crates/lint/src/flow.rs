@@ -147,9 +147,8 @@ const ITER_METHODS: [&str; 8] = [
     "retain",
 ];
 const RNG_HINTS: [&str; 4] = ["thread_rng", "random", "entropy", "from_os_rng"];
-const SCHED_SINKS: [&str; 6] = [
-    "place_map",
-    "place_reduce",
+const SCHED_SINKS: [&str; 5] = [
+    "place_attempts",
     "commit_backup",
     "begin_round",
     "begin_reduce_phase",
@@ -637,6 +636,29 @@ fn consume(p: &mut P) { p.total_ns = ping(3); }
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::WallClockFlow);
         assert!(f[0].chain.starts_with(&["ping".to_string()]));
+    }
+
+    /// Every mutating public `Scheduler` method moves virtual time, so each
+    /// must be a sink: sinks match by exact name, and a method the list
+    /// misses is a flow the lint silently stops seeing.
+    #[test]
+    fn every_mutating_scheduler_method_is_a_sink() {
+        let src = include_str!("../../engine/src/event.rs");
+        let start = src.find("\nimpl Scheduler {").expect("impl Scheduler");
+        let body = &src[start..];
+        let body = &body[..body.find("\n}\n").expect("end of impl Scheduler")];
+        let mut mutating = 0;
+        for item in body.split("pub fn ").skip(1) {
+            let (name, params) = item.split_once('(').expect("fn signature");
+            if params.trim_start().starts_with("&mut self") {
+                mutating += 1;
+                assert!(
+                    SCHED_SINKS.contains(&name),
+                    "Scheduler::{name} is not in SCHED_SINKS"
+                );
+            }
+        }
+        assert!(mutating > 0, "no mutating Scheduler method found");
     }
 
     #[test]

@@ -14,5 +14,5 @@ fn pong(depth: u32) -> u64 {
 }
 
 fn schedule(sched: &mut Sched) {
-    sched.place_map(0, ping(3));
+    sched.place_attempts(0, ping(3));
 }

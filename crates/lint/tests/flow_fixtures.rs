@@ -61,7 +61,7 @@ fn recursive_cycle_terminates_and_reports() {
     assert_eq!(f.rule, Rule::WallClockFlow);
     assert_eq!(f.chain.first().map(String::as_str), Some("ping"));
     assert_eq!(f.chain.last().map(String::as_str), Some("schedule"));
-    assert!(f.sink.what.contains("place_map"));
+    assert!(f.sink.what.contains("place_attempts"));
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! * **Weighted fair share** — each admitted job first runs solo through
 //!   the engine with tracing on, fixing its attempt structure and
 //!   measured virtual durations; the [`sched`] multiplexer then re-places
-//!   all jobs' task chains onto shared slot tables, granting each slot to
+//!   all jobs' task chains onto one engine scheduler, granting each slot to
 //!   the tenant with the least weighted service. The interleaving is a
 //!   pure function of the solo traces — replayable, and race-checked as
 //!   one merged multi-job trace whose entries carry their job id.

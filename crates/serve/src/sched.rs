@@ -6,11 +6,10 @@
 //! Each admitted job first runs *solo* through the engine (tracing on),
 //! which fixes its complete attempt structure: every map/reduce attempt's
 //! node, straggler-scaled duration, retry chain, and per-round barriers.
-//! The multiplexer then replays those attempts onto shared slot tables
-//! with the engine's own reservation recurrence (earliest-free slot,
-//! `start = max(slot_free, job_floor, prev_attempt_end)` — see
-//! [`textmr_engine::event::Scheduler::place_map`]), generalized with one
-//! per-job *floor* standing in for the engine's global free-time raises:
+//! The multiplexer then replays those attempts onto one engine
+//! [`Scheduler`], placing each task's attempt ladder with
+//! [`Scheduler::place_attempts`] under one per-job *floor* that stands in
+//! for the engine's global free-time raises:
 //!
 //! * round 0 maps floor at the job's arrival;
 //! * a round's reduces floor at that job's map-phase end (the max end of
@@ -27,22 +26,22 @@
 //!
 //! ## Fairness and determinism
 //!
-//! Tasks become dispatchable in batches driven by a
-//! [`JobEventQueue`], whose
-//! `(virtual_ns, job, seq)` ordering makes the pop sequence a pure
-//! function of the admitted job set. Within a batch, whole task chains
-//! (an attempt ladder) are placed one at a time; each pick goes to the
-//! tenant with the smallest weighted virtual service (`busy / weight`,
-//! compared exactly in integers), ties to the lower tenant id, then the
-//! lower job id, then the job's own engine dispatch order. Placement is
-//! therefore deterministic given the solo traces — replaying the
-//! multiplexer over the same inputs is byte-identical — while run-to-run
-//! variation in *measured* solo durations moves both the solo and the
-//! served schedule together.
+//! Tasks become dispatchable in batches driven by an [`EventQueue`]:
+//! every event at one virtual instant is drained before any dispatch, and
+//! each event changes only its own job's state, so the batch's result
+//! does not depend on the order its events pop in. Within a batch, whole
+//! task chains (an attempt ladder) are placed one at a time; each pick
+//! goes to the tenant with the smallest weighted virtual service (`busy /
+//! weight`, compared exactly in integers), ties to the lower tenant id,
+//! then the lower job id, then the job's own engine dispatch order.
+//! Placement is therefore deterministic given the solo traces —
+//! replaying the multiplexer over the same inputs is byte-identical —
+//! while run-to-run variation in *measured* solo durations moves both the
+//! solo and the served schedule together.
 
 use std::collections::VecDeque;
 
-use textmr_engine::event::JobEventQueue;
+use textmr_engine::event::{ClusterShape, EventQueue, Scheduler};
 use textmr_engine::metrics::VNanos;
 use textmr_engine::trace::{
     EdgeEnd, EdgeKind, EntryDetail, JobTrace, TaskKind, TraceEdge, TraceEntry,
@@ -299,8 +298,14 @@ pub fn multiplex(
         })
         .collect();
 
-    let mut map_free = vec![vec![0 as VNanos; map_slots.max(1)]; nodes];
-    let mut reduce_free = vec![vec![0 as VNanos; reduce_slots.max(1)]; nodes];
+    // Durations in a plan are already straggler-scaled: no node factors.
+    let shape = ClusterShape {
+        nodes,
+        map_slots,
+        reduce_slots,
+        fetchers: 1,
+    };
+    let mut sched = Scheduler::new(shape, Vec::new());
 
     let mut states: Vec<JobState> = plans
         .iter()
@@ -332,9 +337,9 @@ pub fn multiplex(
         })
         .collect();
 
-    let mut q: JobEventQueue<Ev> = JobEventQueue::new();
+    let mut q: EventQueue<(usize, Ev)> = EventQueue::new();
     for p in plans {
-        q.push(p.arrival, p.job, Ev::Arrive);
+        q.push(p.arrival, (p.job, Ev::Arrive));
     }
 
     // Open the current round's map phase (or fall through empty phases).
@@ -342,7 +347,7 @@ pub fn multiplex(
         ji: usize,
         states: &mut [JobState],
         plans: &[JobPlan],
-        q: &mut JobEventQueue<Ev>,
+        q: &mut EventQueue<(usize, Ev)>,
     ) {
         let st = &mut states[ji];
         let round = st.round;
@@ -356,7 +361,7 @@ pub fn multiplex(
         st.mpe = st.floor;
         st.round_end = st.floor;
         if maps.is_empty() {
-            q.push(st.floor, plans[ji].job, Ev::Reduces);
+            q.push(st.floor, (plans[ji].job, Ev::Reduces));
         } else {
             st.queue.extend(maps.iter().copied());
         }
@@ -367,13 +372,13 @@ pub fn multiplex(
         ji: usize,
         states: &mut [JobState],
         plans: &[JobPlan],
-        q: &mut JobEventQueue<Ev>,
+        q: &mut EventQueue<(usize, Ev)>,
     ) {
         let st = &mut states[ji];
         if st.maps_left == 0 && st.reduces_left == 0 && st.queue.is_empty() {
             // Round complete.
             if st.round + 1 < plans[ji].rounds.len() {
-                q.push(st.round_end, plans[ji].job, Ev::NextRound);
+                q.push(st.round_end, (plans[ji].job, Ev::NextRound));
             } else {
                 st.finish = st.round_end;
             }
@@ -385,7 +390,7 @@ pub fn multiplex(
         // whose phases open at the same virtual instant compete under
         // fair share instead of first-pop-wins.
         while q.peek_time() == Some(t) {
-            let (_, job, _, ev) = q.pop().expect("peeked");
+            let (_, _, (job, ev)) = q.pop().expect("peeked");
             let ji = job - 1;
             match ev {
                 Ev::Arrive => open_round(ji, &mut states, plans, &mut q),
@@ -443,55 +448,43 @@ pub fn multiplex(
             let ci = states[ji].queue.pop_front().expect("queue non-empty");
             let chain = &plans[ji].chains[ci];
 
-            // Engine reservation recurrence, floored by the job's phase.
-            let floor = states[ji].floor;
-            let mut prev_end: VNanos = 0;
-            let mut chain_busy: VNanos = 0;
-            for a in &chain.attempts {
-                let free = match chain.kind {
-                    TaskKind::Map => &mut map_free[a.node],
-                    TaskKind::Reduce => &mut reduce_free[a.node],
-                };
-                let mut slot = 0;
-                let mut best_eff = free[0].max(floor);
-                for (s, &f) in free.iter().enumerate().skip(1) {
-                    let eff = f.max(floor);
-                    if eff < best_eff {
-                        best_eff = eff;
-                        slot = s;
-                    }
-                }
-                let start = best_eff.max(prev_end);
-                let end = start.saturating_add(a.dur);
-                free[slot] = end;
+            // A ladder runs on one node: the engine places it whole there.
+            let node = chain.attempts[0].node;
+            debug_assert!(chain.attempts.iter().all(|a| a.node == node));
+            let durs: Vec<VNanos> = chain.attempts.iter().map(|a| a.dur).collect();
+            // The ladder's first index in `placed` is a task id unique across
+            // jobs, so the scheduler's retry edges join the right attempts.
+            let task = placed.len();
+            let got = sched.place_attempts(chain.kind, task, node, &durs, states[ji].floor);
+            for (a, p) in chain.attempts.iter().zip(&got) {
                 by_job_entry[ji][a.entry] = Some(placed.len());
                 placed.push(Placed {
                     job: plans[ji].job,
                     entry: a.entry,
                     kind: chain.kind,
-                    node: a.node,
-                    slot,
-                    start,
-                    end,
+                    node,
+                    slot: p.slot,
+                    start: p.start,
+                    end: p.end,
                 });
-                let st = &mut states[ji];
-                st.started = Some(st.started.map_or(start, |s| s.min(start)));
-                prev_end = end;
-                chain_busy = chain_busy.saturating_add(a.dur);
             }
+            let chain_busy = durs.iter().fold(0, |b: VNanos, &d| b.saturating_add(d));
             busy[ten] += u128::from(chain_busy);
             match chain.kind {
                 TaskKind::Map => shares[ten].map_busy += chain_busy,
                 TaskKind::Reduce => shares[ten].reduce_busy += chain_busy,
             }
+            // A ladder's attempts start in order, each after the last ends.
+            let (first_start, prev_end) = (got[0].start, got[got.len() - 1].end);
             let st = &mut states[ji];
+            st.started = Some(st.started.map_or(first_start, |s| s.min(first_start)));
             match chain.kind {
                 TaskKind::Map => {
                     st.maps_left -= 1;
                     st.mpe = st.mpe.max(prev_end);
                     st.round_end = st.round_end.max(prev_end);
                     if st.maps_left == 0 {
-                        q.push(st.mpe, plans[ji].job, Ev::Reduces);
+                        q.push(st.mpe, (plans[ji].job, Ev::Reduces));
                     }
                 }
                 TaskKind::Reduce => {

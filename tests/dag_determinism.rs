@@ -132,7 +132,7 @@ fn replay_dag_trace(name: &str, trace: &JobTrace, origins: &[VNanos]) {
                 assert_eq!(e.node, node, "{name}: r{round} map task {task} hops nodes");
             }
             let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-            let got = sched.place_map(map_base + task, node, &durs);
+            let got = sched.place_attempts(TaskKind::Map, map_base + task, node, &durs, 0);
             for (p, e) in got.iter().zip(chain) {
                 assert_eq!(
                     (p.slot, p.start, p.end),
@@ -154,7 +154,7 @@ fn replay_dag_trace(name: &str, trace: &JobTrace, origins: &[VNanos]) {
                 );
             }
             let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-            let got = sched.place_reduce(reduce_base + task, node, &durs);
+            let got = sched.place_attempts(TaskKind::Reduce, reduce_base + task, node, &durs, 0);
             for (p, e) in got.iter().zip(chain) {
                 assert_eq!(
                     (p.slot, p.start, p.end),

@@ -3,9 +3,10 @@
 //! legacy behaviour was correct, and visibly different only where the
 //! co-located-reducer ingress bug was fixed.
 //!
-//! 1. Reservation mode (`place_map` / `place_reduce`) reproduces the
-//!    pre-refactor greedy recurrence bit-for-bit, against an independent
-//!    inline oracle, for any durations × factors × cluster shape.
+//! 1. Reservation mode (`place_attempts`) reproduces the pre-refactor
+//!    greedy recurrence bit-for-bit, against an independent inline
+//!    oracle, for any durations × factors × cluster shape × per-task
+//!    floor (the floor `textmr-serve`'s multiplexer places under).
 //! 2. The dynamic reduce phase at one fetcher with no network contention
 //!    lands every attempt at exactly the static reservation's `(start,
 //!    end)` — the event loop is a refactor, not a reschedule.
@@ -39,37 +40,48 @@ use textmr_engine::trace::{JobTrace, TaskKind, TraceEntry};
 // 1. Reservation mode vs the legacy recurrence, written independently
 // ---------------------------------------------------------------------------
 
-/// The legacy tie-break: lowest-indexed slot among the earliest-free.
-fn oracle_argmin(free: &[u64]) -> usize {
-    let mut best = 0;
-    for (i, &f) in free.iter().enumerate() {
-        if f < free[best] {
-            best = i;
-        }
-    }
-    best
+/// The legacy tie-break, floored: lowest-indexed slot among the
+/// earliest-free once every slot's free time is raised to `floor`.
+fn oracle_argmin(free: &[u64], floor: u64) -> usize {
+    let floored: Vec<u64> = free.iter().map(|&f| f.max(floor)).collect();
+    let earliest = *floored.iter().min().expect("a node has slots");
+    floored
+        .iter()
+        .position(|&f| f == earliest)
+        .expect("the minimum is present")
 }
 
-/// One placement step of the pre-refactor recurrence, advancing `free`.
-fn oracle_place(free: &mut [u64], prev_end: u64, scaled_dur: u64) -> Placement {
-    let slot = oracle_argmin(free);
-    let start = free[slot].max(prev_end);
+/// One placement step of the pre-refactor recurrence under `floor`,
+/// advancing `free`.
+fn oracle_place(free: &mut [u64], floor: u64, prev_end: u64, scaled_dur: u64) -> Placement {
+    let slot = oracle_argmin(free, floor);
+    let start = free[slot].max(floor).max(prev_end);
     let end = start + scaled_dur;
     free[slot] = end;
     Placement { slot, start, end }
 }
 
+/// A task's floor: often 0 (the engine's own calls), otherwise anywhere
+/// from before to well past the slots' free times.
+fn floor() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..400_000]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// `place_map` / `place_reduce` equal the inline oracle for every
-    /// attempt of every task: same slot, same start, same end.
+    /// `place_attempts` equals the inline oracle for every attempt of
+    /// every task, under each task's floor: same slot, same start, same
+    /// end.
     #[test]
     fn reservation_mode_matches_the_legacy_recurrence(
         factors in proptest::collection::vec(1u64..5, 1..5),
         map_slots in 1usize..4,
         reduce_slots in 1usize..4,
-        tasks in proptest::collection::vec(proptest::collection::vec(1u64..50_000, 1..4), 1..12),
+        tasks in proptest::collection::vec(
+            (proptest::collection::vec(1u64..50_000, 1..4), floor(), floor()),
+            1..12,
+        ),
     ) {
         let nodes = factors.len();
         let shape = ClusterShape { nodes, map_slots, reduce_slots, fetchers: 1 };
@@ -77,12 +89,13 @@ proptest! {
 
         let mut free = vec![vec![0u64; map_slots]; nodes];
         let mut map_end = 0u64;
-        for (task, durs) in tasks.iter().enumerate() {
+        for (task, (durs, map_floor, _)) in tasks.iter().enumerate() {
             let node = task % nodes;
-            let got = sched.place_map(task, node, durs);
+            let got = sched.place_attempts(TaskKind::Map, task, node, durs, *map_floor);
             let mut prev_end = 0u64;
             for (attempt, &dur) in durs.iter().enumerate() {
-                let want = oracle_place(&mut free[node], prev_end, dur * factors[node]);
+                let want =
+                    oracle_place(&mut free[node], *map_floor, prev_end, dur * factors[node]);
                 prop_assert_eq!(got[attempt], want, "map task {} attempt {}", task, attempt);
                 prev_end = want.end;
                 map_end = map_end.max(want.end);
@@ -91,12 +104,13 @@ proptest! {
 
         sched.begin_reduce_phase(map_end);
         let mut rfree = vec![vec![map_end; reduce_slots]; nodes];
-        for (task, durs) in tasks.iter().enumerate() {
+        for (task, (durs, _, reduce_floor)) in tasks.iter().enumerate() {
             let node = (task + 1) % nodes;
-            let got = sched.place_reduce(task, node, durs);
+            let got = sched.place_attempts(TaskKind::Reduce, task, node, durs, *reduce_floor);
             let mut prev_end = 0u64;
             for (attempt, &dur) in durs.iter().enumerate() {
-                let want = oracle_place(&mut rfree[node], prev_end, dur * factors[node]);
+                let want =
+                    oracle_place(&mut rfree[node], *reduce_floor, prev_end, dur * factors[node]);
                 prop_assert_eq!(got[attempt], want, "reduce task {} attempt {}", task, attempt);
                 prev_end = want.end;
             }
@@ -171,12 +185,18 @@ proptest! {
             .enumerate()
             .map(|(t, a)| (t % nodes, vec![a.clone()]))
             .collect();
-        let outcomes = dynamic.run_reduce_phase(layout);
+        let outcomes = dynamic.run_reduce_phase(0, layout);
 
         let mut fixed = Scheduler::new(shape, factors.clone());
         fixed.begin_reduce_phase(phase_start);
         for (task, attempt) in attempts.iter().enumerate() {
-            let want = fixed.place_reduce(task, task % nodes, &[isolated_dur(attempt)]);
+            let want = fixed.place_attempts(
+                TaskKind::Reduce,
+                task,
+                task % nodes,
+                &[isolated_dur(attempt)],
+                0,
+            );
             prop_assert_eq!(
                 (outcomes[task][0].start, outcomes[task][0].end),
                 (want[0].start, want[0].end),
@@ -274,6 +294,7 @@ fn co_located_reducers_fair_share_node_ingress() {
         let mut sched = Scheduler::new(shape, vec![1, 1]);
         sched.begin_reduce_phase(0);
         sched.run_reduce_phase(
+            0,
             homes
                 .iter()
                 .map(|&n| {
@@ -358,7 +379,7 @@ fn replay_trace(name: &str, trace: &JobTrace) {
             assert_eq!(e.node, node, "{name}: map task {task} hops nodes");
         }
         let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-        let got = sched.place_map(*task, node, &durs);
+        let got = sched.place_attempts(TaskKind::Map, *task, node, &durs, 0);
         for (p, e) in got.iter().zip(chain) {
             assert_eq!(
                 (p.slot, p.start, p.end),
@@ -377,7 +398,7 @@ fn replay_trace(name: &str, trace: &JobTrace) {
             assert_eq!(e.node, node, "{name}: reduce task {task} hops nodes");
         }
         let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-        let got = sched.place_reduce(*task, node, &durs);
+        let got = sched.place_attempts(TaskKind::Reduce, *task, node, &durs, 0);
         for (p, e) in got.iter().zip(chain) {
             assert_eq!(
                 (p.slot, p.start, p.end),

@@ -5,18 +5,22 @@
 //! slot. Virtual *durations* are measured (they legitimately differ
 //! between any two runs), so every comparison here is either against a
 //! solo run of the same process-independent data, or within one process
-//! against the serve call's own solo traces.
+//! against the serve call's own solo traces, or over generated plans with
+//! fixed durations.
 
+use proptest::prelude::*;
 use std::sync::Arc;
 use textmr_apps::{PrefixApply, PrefixLocal, PrefixScan, WordCount};
 use textmr_data::text::CorpusConfig;
 use textmr_engine::cluster::{ClusterConfig, JobConfig};
 use textmr_engine::dag::run_dag;
+use textmr_engine::event::{ClusterShape, Scheduler};
 use textmr_engine::fault::FaultPlan;
 use textmr_engine::io::dfs::SimDfs;
 use textmr_engine::job::{JobDag, StageInput};
 use textmr_engine::trace::race::check_races;
-use textmr_engine::trace::JobTrace;
+use textmr_engine::trace::{JobTrace, TaskKind};
+use textmr_serve::sched::{multiplex, AttemptInfo, JobPlan, TaskChain};
 use textmr_serve::workload::{self, WorkloadConfig};
 use textmr_serve::{serve, JobRequest, ServeCacheConfig, ServeConfig, TenantSpec};
 
@@ -202,6 +206,122 @@ fn single_tenant_multiround_serve_replays_the_legacy_schedule() {
     .expect("serve failed");
     assert!(run.rejected.is_empty());
     assert_single_tenant_replay(&run.trace, &run.jobs[0].solo_trace);
+}
+
+/// One generated task: a node seed and its attempt durations.
+type Ladder = (usize, Vec<u64>);
+
+/// An attempt ladder of 1–3 durations, zero among them often.
+fn ladder() -> impl Strategy<Value = Ladder> {
+    (
+        0usize..4,
+        proptest::collection::vec(prop_oneof![Just(0u64), 1u64..1_000], 1..4),
+    )
+}
+
+/// A one-job plan in engine dispatch order (per round: maps, then
+/// reduces), entries numbered in that order.
+fn generated_plan(nodes: usize, rounds: &[(Vec<Ladder>, Vec<Ladder>)]) -> JobPlan {
+    let mut chains = Vec::new();
+    let mut phases = Vec::new();
+    let mut entry = 0;
+    for (round, (maps, reduces)) in rounds.iter().enumerate() {
+        let (first, split) = (chains.len(), chains.len() + maps.len());
+        phases.push((
+            (first..split).collect(),
+            (split..split + reduces.len()).collect(),
+        ));
+        for (kind, tasks) in [(TaskKind::Map, maps), (TaskKind::Reduce, reduces)] {
+            for (task, (seed, durs)) in tasks.iter().enumerate() {
+                let attempts = durs
+                    .iter()
+                    .map(|&dur| {
+                        let info = AttemptInfo {
+                            entry,
+                            node: seed % nodes,
+                            dur,
+                        };
+                        entry += 1;
+                        info
+                    })
+                    .collect();
+                chains.push(TaskChain {
+                    round,
+                    kind,
+                    task,
+                    attempts,
+                });
+            }
+        }
+    }
+    JobPlan {
+        job: 1,
+        tenant: 0,
+        arrival: 0,
+        chains,
+        rounds: phases,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A lone job at arrival 0 is multiplexed exactly as the engine
+    /// schedules it: its per-job floors coincide with the engine's
+    /// `begin_round` / `begin_reduce_phase` raises, so every attempt lands
+    /// on the engine scheduler's slot, start and end.
+    #[test]
+    fn single_tenant_multiplex_places_where_the_engine_scheduler_does(
+        nodes in 1usize..5,
+        map_slots in 1usize..4,
+        reduce_slots in 1usize..4,
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec(ladder(), 1..5),
+                proptest::collection::vec(ladder(), 1..5),
+            ),
+            1..4,
+        ),
+    ) {
+        let plan = generated_plan(nodes, &rounds);
+
+        // The engine side, driven as the DAG executor drives it: each
+        // round opens at the previous round's wall, the reduce phase at
+        // the map phase's end, and every placement has floor 0.
+        let shape = ClusterShape { nodes, map_slots, reduce_slots, fetchers: 1 };
+        let mut sched = Scheduler::new(shape, Vec::new());
+        let mut want = vec![(0, 0, 0); plan.chains.iter().map(|c| c.attempts.len()).sum()];
+        let mut origin = 0;
+        for (round, (maps, reduces)) in plan.rounds.iter().enumerate() {
+            if round > 0 {
+                sched.begin_round(round, origin);
+            }
+            let mut phase_end = 0;
+            for (kind, ids) in [(TaskKind::Map, maps), (TaskKind::Reduce, reduces)] {
+                if kind == TaskKind::Reduce {
+                    sched.begin_reduce_phase(phase_end);
+                }
+                for &ci in ids {
+                    let chain = &plan.chains[ci];
+                    let durs: Vec<u64> = chain.attempts.iter().map(|a| a.dur).collect();
+                    let got = sched.place_attempts(kind, ci, chain.attempts[0].node, &durs, 0);
+                    for (a, p) in chain.attempts.iter().zip(&got) {
+                        want[a.entry] = (p.slot, p.start, p.end);
+                        phase_end = phase_end.max(p.end);
+                    }
+                }
+            }
+            origin = phase_end;
+        }
+
+        let mux = multiplex(nodes, map_slots, reduce_slots, &one_tenant(), &[plan]);
+        prop_assert_eq!(mux.placed.len(), want.len());
+        for p in &mux.placed {
+            prop_assert_eq!((p.slot, p.start, p.end), want[p.entry], "entry {}", p.entry);
+        }
+        prop_assert_eq!(mux.windows[0].finish, origin);
+        prop_assert_eq!(mux.wall, origin);
+    }
 }
 
 /// Serving the same Zipfian queue twice (fresh caches, regenerated
