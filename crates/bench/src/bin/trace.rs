@@ -7,6 +7,10 @@
 //! * validates the trace against the job profile (per-lane tiling, no
 //!   slot double-booking, op spans summing to the profile's op totals);
 //! * validates the exported JSON against the Chrome trace event schema;
+//! * counts the map attempts of record that spilled exactly once (their
+//!   lone spill is the map output, with no merge) — `--smoke` fails when
+//!   no run has one, so the race audit of the shipped traces covers that
+//!   path;
 //! * writes `results/trace_<config>.json` — open it in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
@@ -115,8 +119,10 @@ fn main() {
         "span_events",
         "nodes",
         "wall_ms",
+        "lone_spill_maps",
         "file",
     ]);
+    let mut lone_spill_maps = 0;
 
     // Multi-fetcher runs (dynamic event-loop shuffle) get their own file
     // names, so the shipped 1-fetcher figures are never clobbered.
@@ -144,7 +150,7 @@ fn main() {
             &workload.inputs,
         )
         .unwrap_or_else(|e| panic!("{name} run failed: {e}"));
-        export(&mut table, &name, &run);
+        lone_spill_maps += export(&mut table, &name, &run);
         kept.push((name, run.trace.expect("trace requested")));
     }
 
@@ -168,7 +174,7 @@ fn main() {
         &workload.inputs,
     )
     .expect("fault run failed");
-    export(&mut table, &format!("faults{fsuffix}"), &faulty);
+    lone_spill_maps += export(&mut table, &format!("faults{fsuffix}"), &faulty);
 
     table.print();
 
@@ -191,13 +197,23 @@ fn main() {
             .render_text(100)
     );
     println!("\nopen any results/trace_*.json in https://ui.perfetto.dev");
+    println!(
+        "\nmap attempts of record with a lone spill (adopted as the output): {lone_spill_maps}"
+    );
     if smoke {
+        if lone_spill_maps == 0 {
+            eprintln!(
+                "smoke FAILED: no map attempt spilled once; the lone-spill path went unaudited"
+            );
+            std::process::exit(1);
+        }
         println!("\nsmoke OK: all traces tiled, matched their profiles, and validated");
     }
 }
 
 /// Cross-check one run's trace, write its Chrome JSON, add a table row.
-fn export(table: &mut Table, name: &str, run: &JobRun) {
+/// Returns how many of the run's map attempts of record spilled once.
+fn export(table: &mut Table, name: &str, run: &JobRun) -> usize {
     let trace = run.trace.as_ref().expect("trace requested");
     trace
         .check()
@@ -214,6 +230,12 @@ fn export(table: &mut Table, name: &str, run: &JobRun) {
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("trace_{name}.json"));
     std::fs::write(&path, &json).expect("write trace json");
+    let lone_spills = run
+        .profile
+        .map_tasks
+        .iter()
+        .filter(|t| t.spills.len() == 1)
+        .count();
     table.row(&[
         name.to_string(),
         trace.entries.len().to_string(),
@@ -221,6 +243,8 @@ fn export(table: &mut Table, name: &str, run: &JobRun) {
         summary.complete_events.to_string(),
         summary.pids.to_string(),
         format!("{:.3}", run.profile.wall as f64 / 1e6),
+        lone_spills.to_string(),
         format!("results/trace_{name}.json"),
     ]);
+    lone_spills
 }

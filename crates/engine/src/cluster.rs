@@ -965,7 +965,10 @@ pub(crate) fn intra_entry_edges(i: usize, e: &TraceEntry) -> (Vec<TraceEdge>, Ve
     match e.kind {
         TaskKind::Map => {
             // Spill hand-ins: each support-lane spill segment is written
-            // before the map lane's end-of-task merge reads it.
+            // before the map lane's end-of-task merge reads it. A task that
+            // adopted its lone spill as its output may have no merge span;
+            // that spill is then ordered before every fetch by the
+            // whole-entry `MapOut` edge, like the rest of the output.
             let map_li = lanes.iter().position(|l| l.role == LaneRole::Map);
             let support_li = lanes.iter().position(|l| l.role == LaneRole::Support);
             if let (Some(mli), Some(sli)) = (map_li, support_li) {

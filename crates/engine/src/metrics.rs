@@ -612,6 +612,18 @@ impl Stopwatch {
         u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    /// Elapsed nanoseconds since start or the previous lap, restarting the
+    /// watch there: one clock read ends one interval and begins the next,
+    /// so back-to-back laps tile the time with nothing left between them.
+    #[inline]
+    pub fn lap_ns(&mut self) -> u64 {
+        // textmr-lint: allow(wall-clock-in-virtual-path, reason = "measured-op stopwatch lap; see Stopwatch docs")
+        let now = std::time::Instant::now();
+        let ns = u64::try_from(now.duration_since(self.0).as_nanos()).unwrap_or(u64::MAX);
+        self.0 = now;
+        ns
+    }
+
     /// Stop and record into `times` under `op`; returns elapsed ns.
     #[inline]
     pub fn stop(self, times: &mut OpTimes, op: Op) -> u64 {
@@ -645,7 +657,13 @@ impl SampledCost {
     /// sampled.
     #[inline]
     pub(crate) fn start(count: u64) -> Option<Stopwatch> {
-        count.is_multiple_of(SAMPLE_EVERY).then(Stopwatch::start)
+        Self::is_sampled(count).then(Stopwatch::start)
+    }
+
+    /// Whether call number `count` (counted from 1) is sampled.
+    #[inline]
+    pub(crate) fn is_sampled(count: u64) -> bool {
+        count.is_multiple_of(SAMPLE_EVERY)
     }
 
     /// Record one sampled call's cost.

@@ -1,5 +1,5 @@
 //! Execution of one map task: read → map → emit → (filter) → spill buffer →
-//! sort/combine/spill → merge.
+//! sort/combine/spill → merge (a lone spill is the output as it stands).
 //!
 //! All user and framework work runs for real and is measured; the
 //! producer/consumer overlap between the map thread and the support thread
@@ -13,10 +13,11 @@ use crate::io::frame::{FrameEncoder, FrameRunCursor, RunStore};
 use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
 use crate::io::StreamingConfig;
-use crate::job::{combine_values, Emit, Job};
+use crate::job::{Emit, Job};
 use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
 use crate::task::merge::{
-    merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, CursorSource,
+    combine_group, merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in,
+    reduce_to_fan_in, CursorSource,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
@@ -79,7 +80,8 @@ pub struct MapTaskConfig {
 /// A finished map task's output, fetchable by partition during shuffle.
 #[derive(Debug)]
 pub struct MapOutput {
-    /// The merged, partition-indexed output file.
+    /// The partition-indexed output file: the merge of the task's spills,
+    /// or its lone spill itself.
     pub file: SpillFile,
     /// Node that produced it (shuffle source).
     pub node: usize,
@@ -241,6 +243,45 @@ impl<'a> Emit for MapEmitter<'a> {
     }
 }
 
+/// The producer loop's clock: one clock read per input record. Each lap
+/// ends one record, with the loop's bookkeeping after the record before
+/// it, and starts the next, so the records' totals tile the producer's
+/// time. Read time is sampled like emit time (see [`SampledCost`]): a
+/// record whose counter is sampled has its read timed from the previous
+/// lap to just after `SplitReader::next`.
+struct RecordClock {
+    lap: Stopwatch,
+    read_cost: SampledCost,
+    /// Input records read so far.
+    records: u64,
+}
+
+impl RecordClock {
+    fn start() -> Self {
+        RecordClock {
+            lap: Stopwatch::start(),
+            read_cost: SampledCost::default(),
+            records: 0,
+        }
+    }
+
+    /// A record was just read: count it, and time its read if sampled.
+    #[inline]
+    fn on_read(&mut self) {
+        self.records += 1;
+        if SampledCost::is_sampled(self.records) {
+            self.read_cost.record(self.lap.elapsed_ns());
+        }
+    }
+
+    /// End the current record: its measured total since the previous lap,
+    /// and the estimated cost of one read.
+    #[inline]
+    fn lap(&mut self) -> (u64, u64) {
+        (self.lap.lap_ns(), self.read_cost.estimate(1))
+    }
+}
+
 #[inline]
 fn is_cancelled(cancel: &Option<Arc<AtomicBool>>) -> bool {
     cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
@@ -283,7 +324,6 @@ pub fn run_map_task(
 
     // ---- producer loop: read → map → emit ---------------------------------
     let mut reader = SplitReader::with_chunk(split, cfg.streaming.input_chunk_bytes);
-    let mut input_records = 0u64;
     // High-water mark of tracked buffer residency: spill-buffer bytes plus
     // the input chunk window plus (during the merge) cursor windows. This
     // is the quantity a RAM budget bounds; see `TaskProfile`.
@@ -291,21 +331,21 @@ pub fn run_map_task(
     // Producer-wait watermark for the trace: the delta per record is the
     // blocked-on-full-buffer time that preceded the record's busy time.
     let mut last_pw = 0u64;
+    let mut clock = RecordClock::start();
     loop {
-        let sw_rec = Stopwatch::start();
         let emitted_before = emitter.emitted;
         let Some(rec) = reader.next() else { break };
-        let read_ns = sw_rec.elapsed_ns();
+        clock.on_read();
         if let Some(f) = &mut emitter.filter {
             f.on_input_record();
         }
         job.map(&rec, &mut emitter);
-        let total_ns = sw_rec.elapsed_ns();
-        input_records += 1;
+        let (total_ns, read_ns) = clock.lap();
 
-        // Emit time is estimated (this record's emits × the running mean
-        // of the sampled ones); the record's total is measured, so the
-        // estimate only moves time between `emit` and `map`.
+        // Read and emit times are estimated (the running means of the
+        // sampled ones, times one read and this record's emits); the
+        // record's total is measured, so the estimates only move time
+        // between `read`, `emit` and `map`.
         let emit_ns = emitter.emit_cost.estimate(emitter.emitted - emitted_before);
         let handover_ns = std::mem::take(&mut emitter.handover_ns);
         // Combine work performed inside the filter is user code: report it
@@ -317,9 +357,7 @@ pub fn run_map_task(
             .min(emit_ns);
         // Decompose the record's producer time as a clamped cascade so the
         // components sum to `produce_ns` *exactly* (the trace's map-lane
-        // spans must tile the producer's busy time). In the normal case
-        // (read + emit + handover ≤ total, the measured invariant) every
-        // component equals the plain subtraction used before.
+        // spans must tile the producer's busy time).
         let produce_ns = total_ns.saturating_sub(handover_ns);
         let read_c = read_ns.min(produce_ns);
         let emit_c = emit_ns.min(produce_ns - read_c);
@@ -350,7 +388,7 @@ pub fn run_map_task(
             }
             return Err(e.into());
         }
-        if cfg.fail_after_records == Some(input_records) {
+        if cfg.fail_after_records == Some(clock.records) {
             return Err(TaskError::Injected {
                 virtual_elapsed: emitter.path.pipeline.pipeline_end(),
             });
@@ -358,6 +396,15 @@ pub fn run_map_task(
         if is_cancelled(&cfg.cancel) {
             return Err(TaskError::Cancelled);
         }
+    }
+    // The last lap: the final record's bookkeeping and the `next()` that
+    // found the split's end, charged as reading.
+    let (tail_ns, _) = clock.lap();
+    let input_records = clock.records;
+    emitter.path.ops.add_nanos(Op::Read, tail_ns);
+    emitter.path.pipeline.produce(tail_ns);
+    if let Some(tr) = &mut emitter.path.trace {
+        tr.on_record(0, tail_ns, 0, 0, 0);
     }
 
     // ---- drain the filter ---------------------------------------------------
@@ -403,248 +450,44 @@ pub fn run_map_task(
     }
     let pipeline_end = path.pipeline.pipeline_end();
 
-    // ---- merge spills into the map output -----------------------------------
+    // ---- spills → the map output ----------------------------------------------
     if is_cancelled(&cfg.cancel) {
         return Err(TaskError::Cancelled);
     }
     let sw_merge = Stopwatch::start();
     let mut combine_in_merge_ns = 0u64;
+    let framed = cfg.streaming.framed;
+    // Framed output supersedes whole-blob compression.
+    let compressed = cfg.compress_output && !framed;
     let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
-    let mut writer = SpillFile::create(out_path)?;
-    let has_combiner = job.has_combiner();
-    let scratch = cfg
-        .spill_dir
-        .join(format!("t{}_mergescratch.bin", cfg.task_id));
-    if cfg.streaming.framed {
-        // Framed merge. Streamed and materialized reads produce identical
-        // output bytes: multi-pass batching, combiner application, and the
-        // merged record stream are the same (pinned by the merge-module
-        // tests); only how much of each run is resident differs.
-        let frame_bytes = cfg.streaming.frame_bytes;
-        let mut run_store: Option<RunStore> = None;
-        for part in 0..cfg.num_partitions {
-            let mut enc = FrameEncoder::new(frame_bytes);
-            let mut records = 0u64;
-            if cfg.streaming.materialize_reads {
-                // Decode every frame of every run up front — whole-run
-                // residency, the byte-identical reference point.
-                let mut runs: Vec<Vec<u8>> = Vec::with_capacity(path.spills.len());
-                for s in &path.spills {
-                    let stored = s.read_partition(part)?;
-                    let mut raw = Vec::new();
-                    if !stored.is_empty() {
-                        let metas = s
-                            .frames(part)
-                            .expect("framed spill has a frame index for non-empty partitions");
-                        for m in metas {
-                            raw.extend(
-                                crate::io::frame::decode_frame(&stored, m)
-                                    .map_err(io::Error::from)?,
-                            );
-                        }
-                    }
-                    runs.push(raw);
-                }
-                if runs.iter().all(|r| r.is_empty()) {
-                    continue;
-                }
-                let resident: usize = runs.iter().map(Vec::len).sum();
-                peak_buffer_bytes = peak_buffer_bytes.max((resident + frame_bytes) as u64);
-                let multi = crate::task::merge::reduce_to_fan_in(
-                    runs,
-                    job.as_ref(),
-                    has_combiner,
-                    cfg.merge_fan_in,
-                    &scratch,
-                )?;
-                combine_in_merge_ns = combine_in_merge_ns.saturating_add(multi.combine_ns);
-                merge_grouped(
-                    &multi.runs,
-                    &|a, b| job.compare_keys(a, b),
-                    |key, values| {
-                        if has_combiner && values.len() > 1 {
-                            let sw_c = Stopwatch::start();
-                            let combined = combine_values(job.as_ref(), key, values);
-                            combine_in_merge_ns =
-                                combine_in_merge_ns.saturating_add(sw_c.elapsed_ns());
-                            for v in &combined {
-                                enc.push_record(key, v);
-                                records += 1;
-                            }
-                        } else {
-                            for v in values {
-                                enc.push_record(key, v);
-                                records += 1;
-                            }
-                        }
-                    },
-                );
-            } else {
-                // Streamed: sources open lazily (batch by batch), so at
-                // most fan_in + 1 frame windows are live at once.
-                if path.spills.iter().all(|s| s.frames(part).is_none()) {
-                    continue;
-                }
-                let sources: Vec<CursorSource<'_>> = path
-                    .spills
-                    .iter()
-                    .map(|s| CursorSource::Spill { file: s, part })
-                    .collect();
-                let store = match &mut run_store {
-                    Some(s) => s,
-                    None => run_store.insert(RunStore::create(
-                        cfg.spill_dir
-                            .join(format!("t{}_mergescratch.frames", cfg.task_id)),
-                    )?),
-                };
-                let multi = reduce_sources_to_fan_in(
-                    sources,
-                    job.as_ref(),
-                    has_combiner,
-                    cfg.merge_fan_in,
-                    frame_bytes,
-                    store,
-                )?;
-                combine_in_merge_ns = combine_in_merge_ns.saturating_add(multi.combine_ns);
-                let mut cursors = multi.cursors;
-                let resident: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
-                peak_buffer_bytes = peak_buffer_bytes.max((resident + frame_bytes) as u64);
-                merge_grouped_cursors(
-                    &mut cursors,
-                    &|a, b| job.compare_keys(a, b),
-                    |key, values| {
-                        if has_combiner && values.len() > 1 {
-                            let sw_c = Stopwatch::start();
-                            let combined = combine_values(job.as_ref(), key, values);
-                            combine_in_merge_ns =
-                                combine_in_merge_ns.saturating_add(sw_c.elapsed_ns());
-                            for v in &combined {
-                                enc.push_record(key, v);
-                                records += 1;
-                            }
-                        } else {
-                            for v in values {
-                                enc.push_record(key, v);
-                                records += 1;
-                            }
-                        }
-                    },
-                )?;
-            }
-            let (stored, metas, _) = enc.finish();
-            writer.write_framed_partition(part, &stored, metas, records)?;
-        }
-        let file = writer.finish()?;
-        let merge_total_ns = sw_merge.elapsed_ns();
-        let cim = combine_in_merge_ns.min(merge_total_ns);
-        path.ops.add_nanos(Op::Merge, merge_total_ns - cim);
-        path.ops.add_nanos(Op::Combine, cim);
-        let trace = path
-            .trace
-            .take()
-            .map(|tr| Box::new(tr.finish(pipeline_end, merge_total_ns - cim, cim)));
-        let profile = TaskProfile {
-            ops: path.ops,
-            virtual_duration: pipeline_end + merge_total_ns,
-            produce_busy: path.pipeline.produce_busy,
-            consume_busy: path.pipeline.consume_busy,
-            producer_wait: path.pipeline.producer_wait,
-            consumer_wait: path.pipeline.consumer_wait,
-            spills: path.stats,
-            input_records,
-            emitted_records: emitter.emitted,
-            freq_absorbed_records: freq_absorbed,
-            output_bytes: file.total_bytes(),
-            peak_buffer_bytes,
-            trace,
-        };
-        return Ok((
-            MapOutput {
-                file,
-                node: cfg.node,
-                compressed: false,
-                framed: true,
-            },
-            profile,
-        ));
-    }
-    for part in 0..cfg.num_partitions {
-        let runs: Vec<Vec<u8>> = path
-            .spills
-            .iter()
-            .map(|s| s.read_partition(part))
-            .collect::<io::Result<_>>()?;
-        if runs.iter().all(|r| r.is_empty()) {
-            continue;
-        }
-        let resident: usize = runs.iter().map(Vec::len).sum();
-        peak_buffer_bytes = peak_buffer_bytes.max(resident as u64);
-        // Bound the final pass's fan-in, merging through scratch disk as
-        // Hadoop does when spills exceed io.sort.factor.
-        let multi = crate::task::merge::reduce_to_fan_in(
-            runs,
-            job.as_ref(),
-            has_combiner,
-            cfg.merge_fan_in,
-            &scratch,
-        )?;
-        combine_in_merge_ns = combine_in_merge_ns.saturating_add(multi.combine_ns);
-        let runs = multi.runs;
-        if cfg.compress_output {
-            // Merge into an in-memory run, compress it, store as one blob;
-            // reducers decompress after fetching (trading CPU for shuffle
-            // bytes — the paper's future-work item).
-            let mut merged = Vec::new();
-            let mut records = 0u64;
-            merge_grouped(&runs, &|a, b| job.compare_keys(a, b), |key, values| {
-                if has_combiner && values.len() > 1 {
-                    let sw_c = Stopwatch::start();
-                    let combined = combine_values(job.as_ref(), key, values);
-                    combine_in_merge_ns = combine_in_merge_ns.saturating_add(sw_c.elapsed_ns());
-                    for v in &combined {
-                        crate::codec::write_record(&mut merged, key, v);
-                        records += 1;
-                    }
-                } else {
-                    for v in values {
-                        crate::codec::write_record(&mut merged, key, v);
-                        records += 1;
-                    }
-                }
-            });
-            let blob = crate::io::compress::compress(&merged);
-            writer.write_raw_partition(part, &blob, records)?;
+    let file = if path.spills.len() == 1 {
+        // A lone spill already is the map output: sorted, combined,
+        // indexed by partition, and (when framed) encoded at the output's
+        // frame size. Hadoop's `MapTask.mergeParts` renames it when
+        // `numSpills == 1`; re-merging it would rewrite the same bytes.
+        let spill = path.spills.remove(0);
+        if compressed {
+            compress_map_output(&spill, out_path, &mut peak_buffer_bytes)?
         } else {
-            writer.start_partition(part)?;
-            let mut write_err: Option<io::Error> = None;
-            merge_grouped(&runs, &|a, b| job.compare_keys(a, b), |key, values| {
-                if write_err.is_some() {
-                    return;
-                }
-                let mut write = |k: &[u8], v: &[u8]| {
-                    if let Err(e) = writer.write_record(k, v) {
-                        write_err = Some(e);
-                    }
-                };
-                if has_combiner && values.len() > 1 {
-                    let sw_c = Stopwatch::start();
-                    let combined = combine_values(job.as_ref(), key, values);
-                    combine_in_merge_ns = combine_in_merge_ns.saturating_add(sw_c.elapsed_ns());
-                    for v in &combined {
-                        write(key, v);
-                    }
-                } else {
-                    for v in values {
-                        write(key, v);
-                    }
-                }
-            });
-            if let Some(e) = write_err {
-                return Err(e.into());
-            }
+            spill
         }
-    }
-    let file = writer.finish()?;
+    } else {
+        let merge = SpillMerge {
+            job: job.as_ref(),
+            spills: &path.spills,
+            num_partitions: cfg.num_partitions,
+            fan_in: cfg.merge_fan_in,
+            spill_dir: &cfg.spill_dir,
+            task_id: cfg.task_id,
+            combine_ns: &mut combine_in_merge_ns,
+            peak_buffer_bytes: &mut peak_buffer_bytes,
+        };
+        if framed {
+            merge.framed(out_path, cfg.streaming)?
+        } else {
+            merge.records(out_path, compressed)?
+        }
+    };
     let merge_total_ns = sw_merge.elapsed_ns();
     // Clamp so Merge + Combine == merge_total_ns exactly (combine time is
     // measured inside the merge stopwatch, so the clamp never bites in
@@ -677,11 +520,186 @@ pub fn run_map_task(
         MapOutput {
             file,
             node: cfg.node,
-            compressed: cfg.compress_output,
-            framed: false,
+            compressed,
+            framed,
         },
         profile,
     ))
+}
+
+/// Compress each partition of a lone record/blob spill straight into the
+/// map output, one blob per partition; reducers decompress after fetching
+/// (trading CPU for shuffle bytes — the paper's future-work item). The
+/// spill's partition is resident while it is compressed.
+fn compress_map_output(spill: &SpillFile, out: PathBuf, peak: &mut u64) -> io::Result<SpillFile> {
+    let mut writer = SpillFile::create(out)?;
+    for e in spill.index() {
+        let run = spill.read_partition(e.part)?;
+        *peak = (*peak).max(run.len() as u64);
+        writer.write_raw_partition(e.part, &crate::io::compress::compress(&run), e.records)?;
+    }
+    writer.finish()
+}
+
+/// The merge of two or more spills (or none) into the map output, with the
+/// combiner applied again to each merged group.
+struct SpillMerge<'a> {
+    job: &'a dyn Job,
+    spills: &'a [SpillFile],
+    num_partitions: usize,
+    fan_in: usize,
+    spill_dir: &'a Path,
+    task_id: usize,
+    /// Combiner time spent inside the merge.
+    combine_ns: &'a mut u64,
+    /// The task's residency high-water mark, raised by the merge's runs.
+    peak_buffer_bytes: &'a mut u64,
+}
+
+impl SpillMerge<'_> {
+    fn scratch(&self, ext: &str) -> PathBuf {
+        self.spill_dir
+            .join(format!("t{}_mergescratch.{ext}", self.task_id))
+    }
+
+    /// Record/blob spills into record/blob partitions, or into one
+    /// compressed blob per partition when `compress`.
+    fn records(self, out: PathBuf, compress: bool) -> io::Result<SpillFile> {
+        let job = self.job;
+        let has_combiner = job.has_combiner();
+        let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
+        let mut writer = SpillFile::create(out)?;
+        for part in 0..self.num_partitions {
+            let runs: Vec<Vec<u8>> = self
+                .spills
+                .iter()
+                .map(|s| s.read_partition(part))
+                .collect::<io::Result<_>>()?;
+            if runs.iter().all(|r| r.is_empty()) {
+                continue;
+            }
+            let resident: usize = runs.iter().map(Vec::len).sum();
+            *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident as u64);
+            // Bound the final pass's fan-in, merging through scratch disk as
+            // Hadoop does when spills exceed io.sort.factor.
+            let multi =
+                reduce_to_fan_in(runs, job, has_combiner, self.fan_in, &self.scratch("bin"))?;
+            *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
+            if compress {
+                let mut merged = Vec::new();
+                let mut records = 0u64;
+                merge_grouped(&multi.runs, &cmp, |key, values| {
+                    combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
+                        crate::codec::write_record(&mut merged, key, v);
+                        records += 1;
+                    });
+                })?;
+                let blob = crate::io::compress::compress(&merged);
+                writer.write_raw_partition(part, &blob, records)?;
+            } else {
+                writer.start_partition(part)?;
+                let mut written = Ok(());
+                merge_grouped(&multi.runs, &cmp, |key, values| {
+                    combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
+                        if written.is_ok() {
+                            written = writer.write_record(key, v);
+                        }
+                    });
+                })?;
+                written?;
+            }
+        }
+        writer.finish()
+    }
+
+    /// Framed spills into framed partitions. Streamed and materialized
+    /// reads produce identical output bytes: multi-pass batching, combiner
+    /// application, and the merged record stream are the same (pinned by
+    /// the merge-module tests); only how much of each run is resident
+    /// differs.
+    fn framed(self, out: PathBuf, streaming: StreamingConfig) -> io::Result<SpillFile> {
+        let job = self.job;
+        let has_combiner = job.has_combiner();
+        let frame_bytes = streaming.frame_bytes;
+        let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
+        let mut writer = SpillFile::create(out)?;
+        let mut run_store: Option<RunStore> = None;
+        let mut group_combine_ns = 0u64;
+        for part in 0..self.num_partitions {
+            let mut enc = FrameEncoder::new(frame_bytes);
+            let mut records = 0u64;
+            let mut push = |key: &[u8], values: &[&[u8]]| {
+                combine_group(job, has_combiner, key, values, &mut group_combine_ns, |v| {
+                    enc.push_record(key, v);
+                    records += 1;
+                });
+            };
+            if streaming.materialize_reads {
+                // Decode every frame of every run up front — whole-run
+                // residency, the byte-identical reference point.
+                let mut runs: Vec<Vec<u8>> = Vec::with_capacity(self.spills.len());
+                for s in self.spills {
+                    let stored = s.read_partition(part)?;
+                    let mut raw = Vec::new();
+                    if !stored.is_empty() {
+                        let metas = s
+                            .frames(part)
+                            .expect("framed spill has a frame index for non-empty partitions");
+                        for m in metas {
+                            raw.extend(
+                                crate::io::frame::decode_frame(&stored, m)
+                                    .map_err(io::Error::from)?,
+                            );
+                        }
+                    }
+                    runs.push(raw);
+                }
+                if runs.iter().all(|r| r.is_empty()) {
+                    continue;
+                }
+                let resident: usize = runs.iter().map(Vec::len).sum();
+                *self.peak_buffer_bytes =
+                    (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
+                let multi =
+                    reduce_to_fan_in(runs, job, has_combiner, self.fan_in, &self.scratch("bin"))?;
+                *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
+                merge_grouped(&multi.runs, &cmp, |key, values| push(key, values))?;
+            } else {
+                // Streamed: sources open lazily (batch by batch), so at
+                // most fan_in + 1 frame windows are live at once.
+                if self.spills.iter().all(|s| s.frames(part).is_none()) {
+                    continue;
+                }
+                let sources: Vec<CursorSource<'_>> = self
+                    .spills
+                    .iter()
+                    .map(|s| CursorSource::Spill { file: s, part })
+                    .collect();
+                let store = match &mut run_store {
+                    Some(s) => s,
+                    None => run_store.insert(RunStore::create(self.scratch("frames"))?),
+                };
+                let multi = reduce_sources_to_fan_in(
+                    sources,
+                    job,
+                    has_combiner,
+                    self.fan_in,
+                    frame_bytes,
+                    store,
+                )?;
+                *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
+                let mut cursors = multi.cursors;
+                let resident: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
+                *self.peak_buffer_bytes =
+                    (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
+                merge_grouped_cursors(&mut cursors, &cmp, |key, values| push(key, values))?;
+            }
+            let (stored, metas, _) = enc.finish();
+            writer.write_framed_partition(part, &stored, metas, records)?;
+        }
+        *self.combine_ns = self.combine_ns.saturating_add(group_combine_ns);
+        writer.finish()
+    }
 }
 
 #[cfg(test)]
@@ -1034,6 +1052,32 @@ mod tests {
             })
             .collect();
         assert_eq!(samples, vec![1200 / 16; 2]);
+    }
+
+    #[test]
+    fn repeated_runs_sample_the_same_reads() {
+        let text: String = (0..300).map(|i| format!("w{} b c d\n", i % 31)).collect();
+        let split = one_split(&text);
+        // The clock times the reads whose record counter is a multiple of
+        // the sampling period, whatever the clock reads.
+        let samples: Vec<u64> = (0..2)
+            .map(|_| {
+                let mut clock = RecordClock::start();
+                let mut reader = SplitReader::new(&split);
+                while reader.next().is_some() {
+                    clock.on_read();
+                    clock.lap();
+                }
+                assert_eq!(clock.records, 300);
+                clock.read_cost.samples()
+            })
+            .collect();
+        assert_eq!(samples, vec![300 / 16; 2]);
+        let mut c = cfg(2048);
+        c.task_id = 25;
+        let (_, prof) = run_map_task(&(Arc::new(WordList) as Arc<dyn Job>), &split, c).unwrap();
+        assert_eq!(prof.input_records, 300);
+        assert!(prof.ops.get(Op::Read) > 0, "sampled reads must report time");
     }
 
     #[test]

@@ -8,10 +8,41 @@
 //! visitor without copying record bytes.
 
 use crate::codec::read_record;
+use crate::job::{combine_values, Job};
+use crate::metrics::Stopwatch;
 use std::cmp::Ordering;
+use std::io;
+
+/// Hand one merged group's values to `out`: through the job's combiner when
+/// `use_combiner` and the group holds more than one value, as they are
+/// otherwise (a combiner runs zero or more times, so skipping it on a
+/// singleton is sound). Combiner time is added to `combine_ns`.
+pub(crate) fn combine_group(
+    job: &dyn Job,
+    use_combiner: bool,
+    key: &[u8],
+    values: &[&[u8]],
+    combine_ns: &mut u64,
+    mut out: impl FnMut(&[u8]),
+) {
+    if use_combiner && values.len() > 1 {
+        let sw = Stopwatch::start();
+        let combined = combine_values(job, key, values);
+        *combine_ns = combine_ns.saturating_add(sw.elapsed_ns());
+        for v in &combined {
+            out(v);
+        }
+    } else {
+        for v in values {
+            out(v);
+        }
+    }
+}
 
 /// One sorted run positioned at its current record.
 struct Cursor<'a> {
+    /// Index of the run in the merge (for error messages).
+    run: usize,
     data: &'a [u8],
     key: &'a [u8],
     val: &'a [u8],
@@ -20,16 +51,17 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
+    fn new(run: usize, data: &'a [u8]) -> io::Result<Self> {
         let mut c = Cursor {
+            run,
             data,
             key: b"",
             val: b"",
             next_pos: 0,
             exhausted: false,
         };
-        c.advance();
-        c
+        c.advance()?;
+        Ok(c)
     }
 
     /// The head key, or `None` once exhausted.
@@ -37,7 +69,10 @@ impl<'a> Cursor<'a> {
         (!self.exhausted).then_some(self.key)
     }
 
-    fn advance(&mut self) {
+    /// Step to the next record. A run is exhausted only at its last byte:
+    /// bytes that stop decoding before then are a truncated or corrupt
+    /// run, an `InvalidData` error rather than a silently shortened one.
+    fn advance(&mut self) -> io::Result<()> {
         let mut pos = self.next_pos;
         match read_record(self.data, &mut pos) {
             Some((k, v)) => {
@@ -45,10 +80,21 @@ impl<'a> Cursor<'a> {
                 self.val = v;
                 self.next_pos = pos;
             }
+            None if self.next_pos == self.data.len() => self.exhausted = true,
             None => {
-                self.exhausted = true;
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "merge run {}: no record decodes at byte {} of {} \
+                         (truncated or corrupt run)",
+                        self.run,
+                        self.next_pos,
+                        self.data.len()
+                    ),
+                ))
             }
         }
+        Ok(())
     }
 }
 
@@ -150,15 +196,22 @@ fn head_before(cmp: &dyn Fn(&[u8], &[u8]) -> Ordering, a: Option<&[u8]>, b: Opti
 /// matching Hadoop's unstated but deterministic grouping.
 ///
 /// Records inside each run must already be sorted by `cmp`; this is
-/// guaranteed for spill files and map outputs produced by this engine.
+/// guaranteed for spill files and map outputs produced by this engine. A
+/// run whose bytes stop decoding before its end fails the merge with an
+/// `InvalidData` error naming the run and the byte offset.
 pub fn merge_grouped<'a, F>(
     runs: &'a [Vec<u8>],
     cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
     mut on_group: F,
-) where
+) -> io::Result<()>
+where
     F: FnMut(&'a [u8], &[&'a [u8]]),
 {
-    let mut cursors: Vec<Cursor<'a>> = runs.iter().map(|r| Cursor::new(r)).collect();
+    let mut cursors: Vec<Cursor<'a>> = runs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Cursor::new(i, r))
+        .collect::<io::Result<_>>()?;
     let before = |c: &[Cursor<'a>], a: usize, b: usize| head_before(cmp, c[a].head(), c[b].head());
     let mut heap = RunHeap::new(cursors.len(), |a, b| before(&cursors, a, b));
     let mut values: Vec<&'a [u8]> = Vec::new();
@@ -174,7 +227,7 @@ pub fn merge_grouped<'a, F>(
             let c = &mut cursors[r];
             loop {
                 values.push(c.val);
-                c.advance();
+                c.advance()?;
                 if c.exhausted || cmp(c.key, group_key) != Ordering::Equal {
                     break;
                 }
@@ -183,6 +236,7 @@ pub fn merge_grouped<'a, F>(
         heap.restore(|a, b| before(&cursors, a, b));
         on_group(group_key, &values);
     }
+    Ok(())
 }
 
 /// Outcome of reducing a run set to a bounded fan-in (multi-pass merge).
@@ -207,14 +261,12 @@ pub struct MultiPassOutcome {
 /// write+read cost is real and measured into `io_ns`.
 pub fn reduce_to_fan_in(
     mut runs: Vec<Vec<u8>>,
-    job: &dyn crate::job::Job,
+    job: &dyn Job,
     use_combiner: bool,
     fan_in: usize,
     scratch: &std::path::Path,
-) -> std::io::Result<MultiPassOutcome> {
+) -> io::Result<MultiPassOutcome> {
     use crate::codec::write_record;
-    use crate::job::combine_values;
-    use crate::metrics::Stopwatch;
 
     let fan_in = fan_in.max(2);
     let mut combine_ns = 0u64;
@@ -225,19 +277,10 @@ pub fn reduce_to_fan_in(
         let batch: Vec<Vec<u8>> = runs.drain(..fan_in).collect();
         let mut merged = Vec::with_capacity(batch.iter().map(|r| r.len()).sum());
         merge_grouped(&batch, &|a, b| job.compare_keys(a, b), |key, values| {
-            if use_combiner && values.len() > 1 {
-                let sw = Stopwatch::start();
-                let combined = combine_values(job, key, values);
-                combine_ns = combine_ns.saturating_add(sw.elapsed_ns());
-                for v in &combined {
-                    write_record(&mut merged, key, v);
-                }
-            } else {
-                for v in values {
-                    write_record(&mut merged, key, v);
-                }
-            }
-        });
+            combine_group(job, use_combiner, key, values, &mut combine_ns, |v| {
+                write_record(&mut merged, key, v)
+            });
+        })?;
         // Round-trip through scratch disk, as Hadoop's intermediate merge
         // outputs do; the cost is real.
         let sw = Stopwatch::start();
@@ -403,15 +446,13 @@ pub struct CursorMultiPassOutcome {
 /// many runs go in.
 pub fn reduce_sources_to_fan_in(
     sources: Vec<CursorSource<'_>>,
-    job: &dyn crate::job::Job,
+    job: &dyn Job,
     use_combiner: bool,
     fan_in: usize,
     frame_bytes: usize,
     store: &mut crate::io::frame::RunStore,
-) -> std::io::Result<CursorMultiPassOutcome> {
+) -> io::Result<CursorMultiPassOutcome> {
     use crate::io::frame::FrameEncoder;
-    use crate::job::combine_values;
-    use crate::metrics::Stopwatch;
 
     let fan_in = fan_in.max(2);
     let mut combine_ns = 0u64;
@@ -426,18 +467,9 @@ pub fn reduce_sources_to_fan_in(
         }
         let mut enc = FrameEncoder::new(frame_bytes);
         merge_grouped_cursors(&mut batch, &|a, b| job.compare_keys(a, b), |key, values| {
-            if use_combiner && values.len() > 1 {
-                let sw = Stopwatch::start();
-                let combined = combine_values(job, key, values);
-                combine_ns = combine_ns.saturating_add(sw.elapsed_ns());
-                for v in &combined {
-                    enc.push_record(key, v);
-                }
-            } else {
-                for v in values {
-                    enc.push_record(key, v);
-                }
-            }
+            combine_group(job, use_combiner, key, values, &mut combine_ns, |v| {
+                enc.push_record(key, v)
+            });
         })?;
         drop(batch);
         let sw = Stopwatch::start();
@@ -490,7 +522,8 @@ mod tests {
                     .map(|v| String::from_utf8(v.to_vec()).unwrap())
                     .collect(),
             ));
-        });
+        })
+        .unwrap();
         out
     }
 
@@ -540,8 +573,37 @@ mod tests {
         let mut keys = Vec::new();
         merge_grouped(&runs, &|a, b| b.cmp(a), |k, _| {
             keys.push(String::from_utf8(k.to_vec()).unwrap());
-        });
+        })
+        .unwrap();
         assert_eq!(keys, vec!["c", "b", "a"]);
+    }
+
+    #[test]
+    fn truncated_or_corrupt_run_is_an_error_not_a_short_merge() {
+        let good = run_of(&[("a", "1"), ("b", "2"), ("c", "3")]);
+        let cut = good[..good.len() - 2].to_vec(); // mid-record
+        let mut flipped = good.clone();
+        flipped[4] |= 0x40; // second record's key length: 1 → 65 bytes
+        let cases = [
+            (
+                "truncated",
+                cut,
+                "merge run 1: no record decodes at byte 8 of 10",
+            ),
+            (
+                "bit-flipped length",
+                flipped,
+                "merge run 1: no record decodes at byte 4 of 12",
+            ),
+        ];
+        for (what, bad, expected) in cases {
+            let runs = vec![run_of(&[("a", "0")]), bad];
+            let err = merge_grouped(&runs, &|a, b| a.cmp(b), |_, _| {}).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().starts_with(expected), "{what}: {err}");
+        }
+        let runs = vec![good];
+        assert_eq!(collect(&runs).len(), 3, "an intact run still merges whole");
     }
 
     #[test]
@@ -618,7 +680,8 @@ mod tests {
                     k.to_vec(),
                     vs.iter().map(|v| v.to_vec()).collect::<Vec<_>>(),
                 ));
-            });
+            })
+            .unwrap();
 
             let mut store = RunStore::create(scratch.join("store.bin")).unwrap();
             let sources = runs
@@ -702,7 +765,8 @@ mod tests {
             merge_grouped(&out.runs, &|a, b| a.cmp(b), |k, vs| {
                 keys.push(k.to_vec());
                 assert_eq!(vs.len(), 1);
-            });
+            })
+            .unwrap();
             assert_eq!(keys.len(), 25);
             assert!(keys.windows(2).all(|w| w[0] < w[1]));
         }
@@ -757,7 +821,8 @@ mod tests {
                 for v in vs {
                     total += decode_u64(v).unwrap();
                 }
-            });
+            })
+            .unwrap();
             assert_eq!(total, 8);
             assert!(out.combine_ns > 0);
         }

@@ -272,7 +272,7 @@ pub fn run_reduce_task(
                 } else if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
                     aborted = Some(Abort::Cancelled);
                 }
-            });
+            })?;
         }
         Grouping::Hash => {
             // ---- hash grouping: no sort, no merge passes ----------------------

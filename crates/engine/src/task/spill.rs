@@ -9,8 +9,9 @@
 //! spill I/O (framework).
 
 use crate::io::spill_file::SpillFile;
-use crate::job::{combine_values, Job};
+use crate::job::Job;
 use crate::metrics::Stopwatch;
+use crate::task::merge::combine_group;
 use crate::task::segment::Segment;
 use std::cmp::Ordering;
 use std::io;
@@ -171,23 +172,14 @@ pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<
             values.push(seg.value(r2));
             j += 1;
         }
-        if use_combiner && values.len() > 1 {
-            // A correct MapReduce combiner is run zero-or-more times, so
-            // skipping it for singleton groups is semantics-preserving and
-            // matches Hadoop's practical behaviour.
-            let sw_c = Stopwatch::start();
-            let combined = combine_values(job, key, &values);
-            combine_ns = combine_ns.saturating_add(sw_c.elapsed_ns());
-            for v in &combined {
-                writer.write_record(key, v)?;
+        let mut written = Ok(());
+        combine_group(job, use_combiner, key, &values, &mut combine_ns, |v| {
+            if written.is_ok() {
+                written = writer.write_record(key, v);
                 records_out += 1;
             }
-        } else {
-            for v in &values {
-                writer.write_record(key, v)?;
-                records_out += 1;
-            }
-        }
+        });
+        written?;
         i = j;
     }
     let file = writer.finish()?;
@@ -266,22 +258,11 @@ pub fn spill_segment_framed(
             j += 1;
         }
         let e = enc.as_mut().expect("encoder open for current partition");
-        if use_combiner && values.len() > 1 {
-            let sw_c = Stopwatch::start();
-            let combined = combine_values(job, key, &values);
-            combine_ns = combine_ns.saturating_add(sw_c.elapsed_ns());
-            for v in &combined {
-                e.push_record(key, v);
-                records_out += 1;
-                part_records += 1;
-            }
-        } else {
-            for v in &values {
-                e.push_record(key, v);
-                records_out += 1;
-                part_records += 1;
-            }
-        }
+        combine_group(job, use_combiner, key, &values, &mut combine_ns, |v| {
+            e.push_record(key, v);
+            part_records += 1;
+            records_out += 1;
+        });
         i = j;
     }
     flush(&mut writer, enc.take(), cur_part, part_records)?;

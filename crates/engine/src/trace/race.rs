@@ -638,7 +638,8 @@ impl<'t> Checker<'t> {
     }
 
     /// Map attempts of record: spill-file accesses + hand-off structure on
-    /// the support lane, merge reads, and the map-output write envelope.
+    /// the support lane, merge reads, and the map-output write envelope
+    /// (from a lone spill's write, since that spill *is* the output).
     fn map_entry_accesses(&mut self, of_record: &OfRecord) {
         for (&(job, kind, round, task), &ei) in of_record {
             if kind != TaskKind::Map {
@@ -657,6 +658,7 @@ impl<'t> Checker<'t> {
                     .position(|s| s.kind == SpanKind::Op(Op::Merge))?;
                 Some((t, idx))
             });
+            let mut spill_writes: Vec<EvRef> = Vec::new();
             if let (Some(sli), Some(st)) = (
                 support_lane,
                 support_lane.and_then(|li| self.tix.get(&(ei, li)).copied()),
@@ -689,6 +691,7 @@ impl<'t> Checker<'t> {
                     if s.kind == SpanKind::Op(Op::SpillWrite) {
                         let resource = format!("spill:{rq}{task}/{spill}");
                         spill += 1;
+                        spill_writes.push((st, i));
                         self.accesses.push(Access {
                             resource: resource.clone(),
                             res_kind: "spill",
@@ -710,12 +713,18 @@ impl<'t> Checker<'t> {
                     }
                 }
             }
-            // The map output is written during the merge (fallback: the map
-            // lane's whole tail) and published at the map lane's last event.
+            // The map output is written from a lone spill's write (the
+            // task adopts that spill as its output, whether or not the
+            // adoption lasted long enough to leave a merge span), else
+            // during the merge (fallback: the map lane's whole tail), and
+            // published at the map lane's last event.
             if let Some(li) = map_lane {
                 if let Some(&t) = self.tix.get(&(ei, li)) {
                     let last = self.threads[t].events.len() - 1;
-                    let first = merge.map_or((t, last), |m| m);
+                    let first = match spill_writes[..] {
+                        [lone] => lone,
+                        _ => merge.unwrap_or((t, last)),
+                    };
                     self.accesses.push(Access {
                         resource: format!("mapout:{rq}{task}"),
                         res_kind: "mapout",
@@ -1027,12 +1036,19 @@ mod tests {
     /// A small but complete one-map, one-reduce job trace whose cross-lane
     /// edges are all recorded and timing-consistent.
     fn micro_trace() -> JobTrace {
+        micro_trace_merging(7, 1) // map ends at 62
+    }
+
+    /// [`micro_trace`] with the map task's one spill written at [31, 34]
+    /// and a merge of `merge` + `combine` ns after its pipeline ends at 54.
+    fn micro_trace_merging(merge: u64, combine: u64) -> JobTrace {
         let mut rec = MapTraceRecorder::new();
         rec.on_record(0, 5, 10, 3, 2);
         rec.on_record(4, 5, 10, 3, 2);
         rec.on_spill(24, 6, 1, 3);
         rec.on_barrier(0);
-        let map = rec.finish(54, 7, 1); // map ends at 62
+        let map = rec.finish(54, merge, combine);
+        let map_end = 54 + merge + combine;
         let flows = vec![FlowTrace {
             map_task: 0,
             src_node: 1,
@@ -1066,7 +1082,7 @@ mod tests {
                     slot: 0,
                     factor: 1,
                     start: 0,
-                    end: 62,
+                    end: map_end,
                     detail: EntryDetail::Lanes(map.into_absolute(0, 1)),
                 },
                 TraceEntry {
@@ -1127,13 +1143,9 @@ mod tests {
         assert!(check_races(&JobTrace::default()).is_clean());
     }
 
-    #[test]
-    fn fetch_before_map_output_is_a_race() {
-        let mut trace = micro_trace();
-        // Shift the whole reduce attempt to start before the map sealed
-        // its output: tiling still holds, but the fetch now overlaps the
-        // producing map attempt — the recorded MapOut edge is
-        // timing-inconsistent, so it is dropped and the conflict surfaces.
+    /// Shift the micro trace's reduce attempt to start at 10, before its
+    /// map attempt sealed the output.
+    fn fetch_early(trace: &mut JobTrace) {
         let e = &mut trace.entries[1];
         let shift = 90u64;
         e.start -= shift;
@@ -1144,6 +1156,37 @@ mod tests {
                 s.end -= shift;
             }
         }
+    }
+
+    #[test]
+    fn adopted_lone_spill_is_the_map_output() {
+        // The map task adopted its one spill in 0 ns: no merge span, so
+        // no spill→merge edge either. The output is written from the
+        // spill's write [31, 34] and published at the map lane's end, 54.
+        let mut trace = micro_trace_merging(0, 0);
+        trace.check().unwrap();
+        let report = check_races(&trace);
+        assert!(report.is_clean(), "{}", report.render());
+        assert!(report.accesses["mapout"] >= 2);
+        fetch_early(&mut trace);
+        let report = check_races(&trace);
+        assert!(
+            report.diagnostics.iter().any(|d| d.kind == RaceKind::Race
+                && d.resource == "mapout:0"
+                && d.message.contains("[31..54]")),
+            "expected a mapout race over the spill-to-publish write:\n{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn fetch_before_map_output_is_a_race() {
+        let mut trace = micro_trace();
+        // Shift the whole reduce attempt to start before the map sealed
+        // its output: tiling still holds, but the fetch now overlaps the
+        // producing map attempt — the recorded MapOut edge is
+        // timing-inconsistent, so it is dropped and the conflict surfaces.
+        fetch_early(&mut trace);
         trace.check().unwrap(); // per-lane checks cannot see it
         let report = check_races(&trace);
         assert!(

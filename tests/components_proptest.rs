@@ -185,7 +185,7 @@ proptest! {
         let cmp = |a: &[u8], b: &[u8]| a.cmp(b);
 
         let mut buffered = Vec::new();
-        merge_grouped(&encoded, &cmp, |k, vs| to_groups(k, vs, &mut buffered));
+        merge_grouped(&encoded, &cmp, |k, vs| to_groups(k, vs, &mut buffered)).unwrap();
         prop_assert_eq!(&buffered, &expected);
 
         let mut store = RunStore::create(scratch_dir().join("tie-store.bin")).unwrap();
@@ -205,7 +205,7 @@ proptest! {
             encoded.clone(), &Bytewise, false, fan_in, &scratch_dir().join("tie.bin"),
         ).unwrap();
         let mut buffered = Vec::new();
-        merge_grouped(&multi.runs, &cmp, |k, vs| to_groups(k, vs, &mut buffered));
+        merge_grouped(&multi.runs, &cmp, |k, vs| to_groups(k, vs, &mut buffered)).unwrap();
         prop_assert_eq!(&buffered, &expected_multi);
 
         let sources = encoded.iter().map(|r| framed_source(r)).collect();
@@ -329,7 +329,8 @@ proptest! {
         merge_grouped(&runs, &|a, b| a.cmp(b), |k, vs| {
             merged.push((k.to_vec(), vs.len()));
             merged_records += vs.len();
-        });
+        })
+        .unwrap();
         // Group keys are strictly increasing.
         for w in merged.windows(2) {
             prop_assert!(w[0].0 < w[1].0);

@@ -23,6 +23,7 @@ use textmr_apps::WordCount;
 use textmr_data::text::CorpusConfig;
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::io::dfs::SimDfs;
+use textmr_engine::metrics::Op;
 use textmr_engine::trace::race::{check_races, RaceKind};
 use textmr_engine::trace::{
     validate_chrome_trace, EntryDetail, IdleKind, JobTrace, LaneRole, Span, SpanKind, TaskKind,
@@ -53,26 +54,30 @@ fn temp_root(tag: &str) -> PathBuf {
 /// One real traced run, computed once and cloned per mutation.
 fn real_trace() -> &'static JobTrace {
     static TRACE: OnceLock<JobTrace> = OnceLock::new();
-    TRACE.get_or_init(|| {
-        let root = temp_root("baseline");
-        let mut cluster = ClusterConfig::local()
-            .with_worker_threads(2)
-            .with_shuffle_fetchers(2);
-        cluster.spill_buffer_bytes = 64 << 10;
-        cluster.temp_dir = Some(root.clone());
-        let run = run_job(
-            &cluster,
-            &JobConfig::default().with_trace(),
-            Arc::new(WordCount),
-            &corpus_dfs(),
-            &[("corpus", 0)],
-        )
-        .unwrap();
-        let _ = std::fs::remove_dir_all(&root);
-        let trace = run.trace.expect("trace requested");
-        trace.check().unwrap();
-        trace
-    })
+    TRACE.get_or_init(|| traced_run("baseline", 64 << 10))
+}
+
+/// A traced WordCount run over 8 KiB splits with `spill_buffer` bytes of
+/// spill buffer.
+fn traced_run(tag: &str, spill_buffer: usize) -> JobTrace {
+    let root = temp_root(tag);
+    let mut cluster = ClusterConfig::local()
+        .with_worker_threads(2)
+        .with_shuffle_fetchers(2);
+    cluster.spill_buffer_bytes = spill_buffer;
+    cluster.temp_dir = Some(root.clone());
+    let run = run_job(
+        &cluster,
+        &JobConfig::default().with_trace(),
+        Arc::new(WordCount),
+        &corpus_dfs(),
+        &[("corpus", 0)],
+    )
+    .unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+    let trace = run.trace.expect("trace requested");
+    trace.check().unwrap();
+    trace
 }
 
 fn lanes_mut(e: &mut TraceEntry) -> &mut Vec<textmr_engine::trace::TaskLane> {
@@ -226,6 +231,32 @@ fn real_traced_job_is_race_free() {
     let json = real_trace().to_chrome_json();
     validate_chrome_trace(&json).unwrap();
     assert_eq!(&JobTrace::from_chrome_json(&json).unwrap(), real_trace());
+}
+
+/// With a buffer that holds a whole split, every map task spills once and
+/// adopts that spill as its output, most with no merge span at all.
+#[test]
+fn lone_spill_map_outputs_audit_clean() {
+    let trace = &traced_run("lone", 1 << 20);
+    let maps: Vec<&TraceEntry> = trace
+        .entries
+        .iter()
+        .filter(|e| e.kind == TaskKind::Map)
+        .collect();
+    assert!(maps.len() > 1);
+    for e in &maps {
+        let spill_writes = lanes_of(e)
+            .iter()
+            .filter(|l| l.role == LaneRole::Support)
+            .flat_map(|l| &l.spans)
+            .filter(|s| s.kind == SpanKind::Op(Op::SpillWrite))
+            .count();
+        assert_eq!(spill_writes, 1, "map task {} must spill once", e.task);
+    }
+    validate_chrome_trace(&trace.to_chrome_json()).unwrap();
+    let report = check_races(trace);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.accesses["mapout"] >= maps.len());
 }
 
 #[test]
