@@ -37,14 +37,14 @@ use crate::metrics::{Op, TaskProfile, VNanos};
 use crate::task::map_task::MapOutput;
 use crate::trace::{IdleKind, LaneBuilder, LaneRole, SpanKind, TaskTrace};
 
-/// One partition of a cached map output: the raw (possibly compressed)
-/// bytes exactly as the spill file stored them, plus the record count the
-/// partition index carried.
+/// One partition of a cached map output: the raw bytes exactly as the
+/// spill file stored them, plus the record count the partition index
+/// carried.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedPartition {
     /// Partition (reducer) index.
     pub part: usize,
-    /// Raw partition bytes (compressed iff the output was compressed).
+    /// Raw partition bytes (framed iff the output was framed).
     pub bytes: Vec<u8>,
     /// Records in the partition.
     pub records: u64,
@@ -56,8 +56,6 @@ pub struct CachedPartition {
 pub struct CachedMapOutput {
     /// Partition blobs in ascending partition order.
     pub partitions: Vec<CachedPartition>,
-    /// Whether the partition bytes are block-compressed.
-    pub compressed: bool,
     /// Whether the original output's partitions were framed runs.
     pub framed: bool,
     /// Input records the original run consumed.
@@ -84,7 +82,6 @@ impl CachedMapOutput {
         }
         Ok(CachedMapOutput {
             partitions,
-            compressed: out.compressed,
             framed: out.framed,
             input_records: prof.input_records,
             emitted_records: prof.emitted_records,
@@ -138,7 +135,6 @@ impl CachedMapOutput {
             MapOutput {
                 file,
                 node,
-                compressed: self.compressed,
                 framed: self.framed,
             },
             prof,
@@ -249,7 +245,6 @@ mod tests {
                     records: 1,
                 },
             ],
-            compressed: false,
             framed: false,
             input_records: 10,
             emitted_records: 12,

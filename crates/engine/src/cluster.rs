@@ -37,7 +37,7 @@ use crate::net::NetworkConfig;
 use crate::pool::run_indexed;
 use crate::shuffle::MAX_FETCHERS;
 use crate::task::map_task::{run_map_task, MapOutput, MapTaskConfig};
-use crate::task::reduce_task::{run_reduce_task, Grouping, ReduceResult, ReduceTaskConfig};
+use crate::task::reduce_task::{run_reduce_task, ReduceResult, ReduceTaskConfig};
 use crate::task::TaskError;
 use crate::trace::{
     build_reduce_trace, AttemptKind, EdgeEnd, EdgeKind, EntryDetail, JobTrace, LaneRole, SpanKind,
@@ -70,10 +70,6 @@ pub struct ClusterConfig {
     /// Maximum merge fan-in (Hadoop's `io.sort.factor`): more runs than
     /// this trigger multi-pass merging through scratch disk.
     pub merge_fan_in: usize,
-    /// Compress map-output partitions (the paper's future-work item:
-    /// trade map CPU for shuffle bytes). Off by default, like Hadoop's
-    /// `mapred.compress.map.output`.
-    pub compress_map_output: bool,
     /// Worker threads for *real* task execution. `1` (the default) runs
     /// every task inline on the caller's thread, exactly as before; larger
     /// values run map attempts and reduce tasks on a bounded pool of scoped
@@ -130,7 +126,6 @@ impl ClusterConfig {
             spill_buffer_bytes: 4 << 20,
             temp_dir: None,
             merge_fan_in: 10,
-            compress_map_output: false,
             worker_threads: 1,
             shuffle_fetchers: 1,
             streaming: StreamingConfig::default(),
@@ -148,7 +143,6 @@ impl ClusterConfig {
             spill_buffer_bytes: 4 << 20,
             temp_dir: None,
             merge_fan_in: 10,
-            compress_map_output: false,
             worker_threads: 1,
             shuffle_fetchers: 1,
             streaming: StreamingConfig::default(),
@@ -166,7 +160,6 @@ impl ClusterConfig {
             spill_buffer_bytes: 1 << 20,
             temp_dir: None,
             merge_fan_in: 10,
-            compress_map_output: false,
             worker_threads: 1,
             shuffle_fetchers: 1,
             streaming: StreamingConfig::default(),
@@ -275,9 +268,6 @@ pub struct JobConfig {
     /// Maximum attempts per map task, per reduce task, and per shuffle
     /// fetch before the job aborts.
     pub max_attempts: usize,
-    /// Reduce-side grouping strategy (sort-merge by default; hash grouping
-    /// skips the sort for order-insensitive jobs — Sec. II-A).
-    pub grouping: Grouping,
     /// Speculative-execution policy. `None` (the default) disables backup
     /// attempts. When set, a task whose virtual span exceeds the policy's
     /// threshold of the median span gets a backup on the fastest other
@@ -314,7 +304,6 @@ impl Default for JobConfig {
             filter_budget_fraction: 0.3,
             fault_plan: FaultPlan::new(),
             max_attempts: 4,
-            grouping: Grouping::Sort,
             speculation: None,
             trace: false,
             map_cache: None,
@@ -1213,7 +1202,6 @@ pub(crate) fn run_round(
             controller: (cfg.spill_controller)(ctx),
             filter,
             merge_fan_in: cluster.merge_fan_in,
-            compress_output: cluster.compress_map_output,
             spill_dir: dir.to_path_buf(),
             fail_after_records,
             fail_spill,
@@ -1378,7 +1366,6 @@ pub(crate) fn run_round(
                     node,
                     merge_fan_in: cluster.merge_fan_in,
                     scratch_dir: dir.to_path_buf(),
-                    grouping: cfg.grouping,
                     fetchers: cluster.shuffle_fetchers.max(1),
                     fail_after_groups,
                     faults,
@@ -1834,39 +1821,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_grouping_matches_sort_grouping_output() {
-        let mut cluster = ClusterConfig::local();
-        cluster.spill_buffer_bytes = 64 << 10;
-        let mut dfs = SimDfs::new(cluster.nodes, 4096);
-        dfs.put("c", corpus(400));
-        let sorted = run_job(
-            &cluster,
-            &JobConfig::default(),
-            Arc::new(WordSum),
-            &dfs,
-            &[("c", 0)],
-        )
-        .unwrap();
-        let cfg = JobConfig {
-            grouping: Grouping::Hash,
-            ..JobConfig::default()
-        };
-        let hashed = run_job(&cluster, &cfg, Arc::new(WordSum), &dfs, &[("c", 0)]).unwrap();
-        // Same multiset of results (hash grouping does not sort output).
-        assert_eq!(sorted.sorted_pairs(), hashed.sorted_pairs());
-        // Hash grouping spends no time in the reduce-side merge sort...
-        use crate::metrics::Op;
-        let merge_sorted = sorted.profile.total_ops().get(Op::ReduceMerge);
-        let merge_hashed = hashed.profile.total_ops().get(Op::ReduceMerge);
-        // ... well, it still spends *some* time grouping (hash table
-        // build), but cannot exceed the sort-merge path wildly; the real
-        // assertion is output equality above and the dedicated ablation
-        // bench measures the cost difference.
-        assert!(merge_sorted > 0 && merge_hashed > 0);
-    }
-
-    #[test]
-    fn compression_preserves_output_and_shrinks_shuffle() {
+    fn framed_output_preserves_output_and_shrinks_shuffle() {
         let mut cluster = ClusterConfig::local();
         cluster.spill_buffer_bytes = 64 << 10;
         let mut dfs = SimDfs::new(cluster.nodes, 4096);
@@ -1879,7 +1834,7 @@ mod tests {
             &[("c", 0)],
         )
         .unwrap();
-        cluster.compress_map_output = true;
+        cluster.streaming = StreamingConfig::streamed();
         let packed = run_job(
             &cluster,
             &JobConfig::default(),
@@ -1891,7 +1846,7 @@ mod tests {
         assert_eq!(plain.sorted_pairs(), packed.sorted_pairs());
         assert!(
             packed.profile.shuffled_bytes < plain.profile.shuffled_bytes,
-            "compressed shuffle {} !< plain {}",
+            "framed shuffle {} !< plain {}",
             packed.profile.shuffled_bytes,
             plain.profile.shuffled_bytes
         );

@@ -260,7 +260,7 @@ pub struct SchedEdge {
 
 /// One shuffle fetch as the NIC model sees it: fixed pre work (disk read,
 /// then retry backoff), an optional network flow (latency, then bytes at
-/// the shared rate), fixed post work (decompress).
+/// the shared rate), fixed post work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
     /// Measured disk-read nanoseconds (fixed pre work).
@@ -275,7 +275,8 @@ pub struct Flow {
     pub latency_ns: u64,
     /// Transfer time at full NIC bandwidth (remote flows only).
     pub rate_ns: u64,
-    /// Measured decompress nanoseconds (fixed post work).
+    /// Fixed post work after the transfer, in nanoseconds. The engine's
+    /// shuffle ships stored bytes as they stand and passes 0.
     pub post_ns: u64,
 }
 
@@ -313,7 +314,7 @@ pub struct FlowSched {
     pub latency_end: VNanos,
     /// Transfer drained. Equals `pre_end` for local flows.
     pub transfer_end: VNanos,
-    /// Post work (decompress) ended; the sub-slot freed.
+    /// Post work ended; the sub-slot freed.
     pub finish: VNanos,
 }
 
@@ -812,7 +813,7 @@ pub fn simulate_attempt_flows(flows: &[Flow], fetchers: usize) -> AttemptShuffle
 /// Internal events driving the dynamic reduce phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SimEv {
-    /// A fixed-duration phase (pre / latency / decompress) of `task`'s
+    /// A fixed-duration phase (pre / latency / post) of `task`'s
     /// fetcher sub-slot `sub` completes.
     FixedDone { task: usize, sub: usize },
     /// Estimated earliest transfer completion on `node`; stale (ignored)
@@ -1504,7 +1505,7 @@ mod tests {
         // A local fetch overlaps a remote flow without slowing it.
         let sh = simulate_attempt_flows(&[remote(0, 1000, 0), local(500, 0)], 2);
         assert_eq!(sh.virtual_ns, 100 + 1000);
-        // Local decompress occupies the fetcher sub-slot.
+        // Local post work occupies the fetcher sub-slot.
         let sh = simulate_attempt_flows(&[local(100, 50), local(100, 50)], 1);
         assert_eq!(sh.virtual_ns, 300);
         let sh = simulate_attempt_flows(&[local(100, 50), local(100, 50)], 2);

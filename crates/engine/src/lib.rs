@@ -101,6 +101,5 @@ pub mod prelude {
     pub use crate::metrics::{DagProfile, DagSignature, JobProfile, Op, Phase, TaskProfile};
     pub use crate::net::NetworkConfig;
     pub use crate::shuffle::{FetchHistogram, ShuffleStats};
-    pub use crate::task::reduce_task::Grouping;
     pub use crate::trace::{stream::TraceStreamWriter, validate_chrome_trace, JobTrace, TaskTrace};
 }

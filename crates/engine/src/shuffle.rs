@@ -2,8 +2,7 @@
 //! contention-aware per-node NIC model for shuffle virtual time.
 //!
 //! A reduce task fetches its partition from every map output. Two things
-//! happen per fetch: *real* work (disk read of the stored partition, plus
-//! decompression when the map side whole-partition-compressed it), which
+//! happen per fetch: *real* work (disk read of the stored partition), which
 //! is measured, and *virtual* network time for remote sources.
 //! Historically both lived in a sequential `for` loop inside the reduce
 //! task; this module lifts them into a first-class subsystem with two
@@ -11,8 +10,7 @@
 //!
 //! * **Fetcher pool**
 //!   ([`ClusterConfig::shuffle_fetchers`](crate::cluster::ClusterConfig::shuffle_fetchers)):
-//!   the real disk
-//!   reads + decompression run on a bounded pool of scoped threads, like
+//!   the real disk reads run on a bounded pool of scoped threads, like
 //!   Hadoop's small pool of parallel copiers. Results are collected in
 //!   **map-task-id order** (the same recipe the job driver uses for task
 //!   results), so the merged reduce input is byte-identical at any fetcher
@@ -27,7 +25,8 @@
 //!   single flow. One fetcher is the degenerate case: flows run back to
 //!   back on one slot, each with the NIC to itself, so virtual time is the
 //!   plain sum of every flow's isolated cost (disk read, `latency +
-//!   bytes/bandwidth`, decompress).
+//!   bytes/bandwidth`). Engine flows carry no post work: the stored bytes
+//!   are the reduce input.
 //!
 //! The event loop also measures the **straggler tail**: the span during
 //! which every other fetcher has drained and the reducer is stalled on its
@@ -54,7 +53,6 @@
 
 use crate::event::{simulate_attempt_flows, Flow, FlowSched};
 use crate::fault::{shuffle_backoff_ns, FaultPlan};
-use crate::io::compress::decompress;
 use crate::metrics::{Stopwatch, VNanos};
 use crate::net::NetworkConfig;
 use crate::pool::run_indexed;
@@ -126,7 +124,7 @@ impl FetchHistogram {
 ///
 /// Byte totals and the histogram are timing-free (deterministic across
 /// worker/fetcher counts); the `*_ns` fields are virtual times driven by
-/// measured disk/decompress costs and carry the usual measurement noise.
+/// measured disk costs and carry the usual measurement noise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShuffleStats {
     /// Number of map outputs fetched (one per map task).
@@ -146,8 +144,8 @@ pub struct ShuffleStats {
     /// isolated cost — computed from the same measured inputs for
     /// comparison.
     pub sequential_ns: VNanos,
-    /// Largest single fetch (disk + latency + full-bandwidth transfer +
-    /// decompress): a lower bound on any schedule's makespan.
+    /// Largest single fetch (disk + latency + full-bandwidth transfer): a
+    /// lower bound on any schedule's makespan.
     pub max_flow_ns: VNanos,
     /// Straggler tail: time the reducer was stalled on its single slowest
     /// source while every other fetcher was idle. Zero when `fetchers == 1`
@@ -220,18 +218,16 @@ pub struct ShuffleOutcome {
     pub flows: Option<Vec<FlowTrace>>,
 }
 
-/// One fetched partition with its measured costs.
+/// One fetched partition (its stored bytes) with its measured costs.
 struct FetchedRun {
     data: Vec<u8>,
     src_node: usize,
-    stored_bytes: u64,
     io_ns: u64,
-    decompress_ns: u64,
     retries: u64,
     backoff_ns: u64,
 }
 
-/// Read (and decompress) one map output's partition, measuring both costs.
+/// Read one map output's stored partition, measuring the read.
 ///
 /// When the fault plan marks a fetch attempt of `map_task` as transiently
 /// failed, the (real, measured) read is discarded and retried after a
@@ -250,7 +246,7 @@ fn fetch_one(
     loop {
         let attempt = retries as usize;
         let sw = Stopwatch::start();
-        let raw = mo.file.read_partition(partition)?;
+        let data = mo.file.read_partition(partition)?;
         io_ns = io_ns.saturating_add(sw.elapsed_ns());
         if faults.is_some_and(|f| f.shuffle_fault(map_task, attempt)) {
             retries += 1;
@@ -263,22 +259,10 @@ fn fetch_one(
             backoff_ns = backoff_ns.saturating_add(shuffle_backoff_ns(attempt));
             continue;
         }
-        let stored_bytes = raw.len() as u64;
-        let (data, decompress_ns) = if mo.compressed && !raw.is_empty() {
-            let sw_d = Stopwatch::start();
-            let data = decompress(&raw).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "corrupt compressed map output")
-            })?;
-            (data, sw_d.elapsed_ns())
-        } else {
-            (raw, 0)
-        };
         return Ok(FetchedRun {
             data,
             src_node: mo.node,
-            stored_bytes,
             io_ns,
-            decompress_ns,
             retries,
             backoff_ns,
         });
@@ -287,10 +271,9 @@ fn fetch_one(
 
 /// Fetch a reduce task's partition from every map output.
 ///
-/// Real disk reads and decompression run on up to `fetchers` scoped
-/// threads (1 = inline); the virtual-time schedule is computed by the
-/// NIC-sharing model. Runs come back in map-task-id order
-/// regardless of fetcher count.
+/// Real disk reads run on up to `fetchers` scoped threads (1 = inline);
+/// the virtual-time schedule is computed by the NIC-sharing model. Runs
+/// come back in map-task-id order regardless of fetcher count.
 ///
 /// `faults` injects transient fetch failures (keyed by map-task id and
 /// fetch attempt); each failure costs a virtual backoff that is charged to
@@ -328,17 +311,18 @@ pub fn run_shuffle(
     // a sequential fetch loop would have reported.
     for fr in fetched {
         let fr = fr?;
+        let stored_bytes = fr.data.len() as u64;
         let remote = fr.src_node != dst_node;
         stats.fetches += 1;
-        stats.fetched_bytes += fr.stored_bytes;
+        stats.fetched_bytes += stored_bytes;
         if remote {
             stats.remote_fetches += 1;
-            stats.remote_bytes += fr.stored_bytes;
+            stats.remote_bytes += stored_bytes;
         }
-        stats.size_hist.record(fr.stored_bytes);
+        stats.size_hist.record(stored_bytes);
         stats.retries += fr.retries;
         stats.backoff_ns = stats.backoff_ns.saturating_add(fr.backoff_ns);
-        fetch_work_ns = fetch_work_ns.saturating_add(fr.io_ns + fr.decompress_ns);
+        fetch_work_ns = fetch_work_ns.saturating_add(fr.io_ns);
         // Backoff is virtual pre-flow time: the fetcher holds its slot
         // while backing off, so retries delay this flow (and, under the
         // NIC model, anything queued behind it) but burn no real work.
@@ -347,8 +331,8 @@ pub fn run_shuffle(
             backoff_ns: fr.backoff_ns,
             remote,
             latency_ns: net.latency_ns,
-            rate_ns: net.full_rate_ns(fr.stored_bytes),
-            post_ns: fr.decompress_ns,
+            rate_ns: net.full_rate_ns(stored_bytes),
+            post_ns: 0,
         };
         stats.sequential_ns = stats.sequential_ns.saturating_add(flow.isolated_ns());
         stats.max_flow_ns = stats.max_flow_ns.max(flow.isolated_ns());
@@ -517,7 +501,7 @@ mod tests {
 
     #[test]
     fn local_decompress_occupies_the_fetcher_slot() {
-        // Compressed local fetches: decompress is a scheduled phase, so a
+        // Local flows with post work: the post phase is scheduled, so a
         // lone slot serializes pre + post per flow, while two slots overlap
         // the flows completely (local flows never contend for the NIC).
         let jobs = vec![local(100, 50), local(100, 50)];
@@ -530,7 +514,7 @@ mod tests {
     #[test]
     fn local_flow_phase_marks_split_pre_and_post() {
         // A local flow's latency/transfer marks collapse onto the end of
-        // its disk read; the decompress phase runs after them, giving the
+        // its disk read; the post phase runs after them, giving the
         // trace the same phase granularity as a remote flow.
         let jobs = vec![local(100, 50), remote(100, 200, 50)];
         let sim = simulate_attempt_flows(&jobs, 2);
@@ -662,7 +646,6 @@ mod tests {
         MapOutput {
             file: w.finish().unwrap(),
             node,
-            compressed: false,
             framed: false,
         }
     }

@@ -50,8 +50,6 @@ pub struct MapTaskConfig {
     pub filter: Option<Box<dyn EmitFilter>>,
     /// Maximum merge fan-in (Hadoop's `io.sort.factor`).
     pub merge_fan_in: usize,
-    /// Compress the final map-output partitions.
-    pub compress_output: bool,
     /// Directory for spill and output files.
     pub spill_dir: PathBuf,
     /// Fault injection: abort (as a task failure) after this many input
@@ -85,13 +83,8 @@ pub struct MapOutput {
     pub file: SpillFile,
     /// Node that produced it (shuffle source).
     pub node: usize,
-    /// Whether partitions are stored compressed (reducers must
-    /// decompress after fetching).
-    pub compressed: bool,
     /// Whether partitions are framed runs (per-frame compression with a
-    /// frame index; see [`crate::io::frame`]). Framed output supersedes
-    /// whole-blob compression, so `compressed` and `framed` are mutually
-    /// exclusive.
+    /// frame index; see [`crate::io::frame`]).
     pub framed: bool,
 }
 
@@ -457,21 +450,14 @@ pub fn run_map_task(
     let sw_merge = Stopwatch::start();
     let mut combine_in_merge_ns = 0u64;
     let framed = cfg.streaming.framed;
-    // Framed output supersedes whole-blob compression.
-    let compressed = cfg.compress_output && !framed;
-    let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
     let file = if path.spills.len() == 1 {
         // A lone spill already is the map output: sorted, combined,
         // indexed by partition, and (when framed) encoded at the output's
         // frame size. Hadoop's `MapTask.mergeParts` renames it when
         // `numSpills == 1`; re-merging it would rewrite the same bytes.
-        let spill = path.spills.remove(0);
-        if compressed {
-            compress_map_output(&spill, out_path, &mut peak_buffer_bytes)?
-        } else {
-            spill
-        }
+        path.spills.remove(0)
     } else {
+        let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
         let merge = SpillMerge {
             job: job.as_ref(),
             spills: &path.spills,
@@ -485,7 +471,7 @@ pub fn run_map_task(
         if framed {
             merge.framed(out_path, cfg.streaming)?
         } else {
-            merge.records(out_path, compressed)?
+            merge.records(out_path)?
         }
     };
     let merge_total_ns = sw_merge.elapsed_ns();
@@ -520,25 +506,10 @@ pub fn run_map_task(
         MapOutput {
             file,
             node: cfg.node,
-            compressed,
             framed,
         },
         profile,
     ))
-}
-
-/// Compress each partition of a lone record/blob spill straight into the
-/// map output, one blob per partition; reducers decompress after fetching
-/// (trading CPU for shuffle bytes — the paper's future-work item). The
-/// spill's partition is resident while it is compressed.
-fn compress_map_output(spill: &SpillFile, out: PathBuf, peak: &mut u64) -> io::Result<SpillFile> {
-    let mut writer = SpillFile::create(out)?;
-    for e in spill.index() {
-        let run = spill.read_partition(e.part)?;
-        *peak = (*peak).max(run.len() as u64);
-        writer.write_raw_partition(e.part, &crate::io::compress::compress(&run), e.records)?;
-    }
-    writer.finish()
 }
 
 /// The merge of two or more spills (or none) into the map output, with the
@@ -562,9 +533,8 @@ impl SpillMerge<'_> {
             .join(format!("t{}_mergescratch.{ext}", self.task_id))
     }
 
-    /// Record/blob spills into record/blob partitions, or into one
-    /// compressed blob per partition when `compress`.
-    fn records(self, out: PathBuf, compress: bool) -> io::Result<SpillFile> {
+    /// Record/blob spills into record/blob partitions.
+    fn records(self, out: PathBuf) -> io::Result<SpillFile> {
         let job = self.job;
         let has_combiner = job.has_combiner();
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
@@ -585,29 +555,16 @@ impl SpillMerge<'_> {
             let multi =
                 reduce_to_fan_in(runs, job, has_combiner, self.fan_in, &self.scratch("bin"))?;
             *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-            if compress {
-                let mut merged = Vec::new();
-                let mut records = 0u64;
-                merge_grouped(&multi.runs, &cmp, |key, values| {
-                    combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
-                        crate::codec::write_record(&mut merged, key, v);
-                        records += 1;
-                    });
-                })?;
-                let blob = crate::io::compress::compress(&merged);
-                writer.write_raw_partition(part, &blob, records)?;
-            } else {
-                writer.start_partition(part)?;
-                let mut written = Ok(());
-                merge_grouped(&multi.runs, &cmp, |key, values| {
-                    combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
-                        if written.is_ok() {
-                            written = writer.write_record(key, v);
-                        }
-                    });
-                })?;
-                written?;
-            }
+            writer.start_partition(part)?;
+            let mut written = Ok(());
+            merge_grouped(&multi.runs, &cmp, |key, values| {
+                combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
+                    if written.is_ok() {
+                        written = writer.write_record(key, v);
+                    }
+                });
+            })?;
+            written?;
         }
         writer.finish()
     }
@@ -760,7 +717,6 @@ mod tests {
             controller: Box::new(FixedSpill(0.8)),
             filter: None,
             merge_fan_in: 10,
-            compress_output: false,
             spill_dir: tmpdir(),
             fail_after_records: None,
             fail_spill: None,

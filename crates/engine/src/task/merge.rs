@@ -490,20 +490,20 @@ pub fn reduce_sources_to_fan_in(
     })
 }
 
-/// Count records in a framed run (diagnostics/tests).
-pub fn count_records(run: &[u8]) -> usize {
-    let mut pos = 0;
-    let mut n = 0;
-    while read_record(run, &mut pos).is_some() {
-        n += 1;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::write_record;
+
+    /// Records in a record/blob run, up to the first undecodable byte.
+    fn count_records(run: &[u8]) -> usize {
+        let mut pos = 0;
+        let mut n = 0;
+        while read_record(run, &mut pos).is_some() {
+            n += 1;
+        }
+        n
+    }
 
     fn run_of(pairs: &[(&str, &str)]) -> Vec<u8> {
         let mut buf = Vec::new();

@@ -10,8 +10,6 @@
 //! which is where the EC2 configuration's shuffle penalty enters (Table IV).
 
 use crate::fault::FaultPlan;
-// textmr-lint: allow(unordered-iteration, reason = "hash-grouping accumulator; groups are collected and sorted by key bytes before any reduce call")
-use crate::hash::FnvHashMap;
 use crate::io::frame::{decode_run, scan_frames, RunStore};
 use crate::io::StreamingConfig;
 use crate::job::{Emit, Job, SliceValues};
@@ -26,20 +24,6 @@ use crate::task::TaskError;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How a reduce task groups values by key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Grouping {
-    /// Hadoop's sort-merge grouping: reduce input (and hence output, when
-    /// reduce emits its grouping key) arrives in key order. Required by
-    /// order-dependent consumers such as inverted indexes (Sec. II-A).
-    #[default]
-    Sort,
-    /// Hash-based grouping (the paper's Sec. II-A/VII alternative, after
-    /// Lin et al.): skips the reduce-side merge sort entirely; output
-    /// order is unspecified. Only valid for order-insensitive jobs.
-    Hash,
-}
 
 /// A finished reduce task.
 #[derive(Debug)]
@@ -89,12 +73,10 @@ pub struct ReduceTaskConfig {
     pub partition: usize,
     /// Node the reducer runs on.
     pub node: usize,
-    /// Maximum merge fan-in (sort grouping only).
+    /// Maximum merge fan-in.
     pub merge_fan_in: usize,
     /// Scratch directory for intermediate merge passes.
     pub scratch_dir: std::path::PathBuf,
-    /// Grouping strategy.
-    pub grouping: Grouping,
     /// Parallel shuffle fetchers (1 = sequential; clamped to
     /// [`crate::shuffle::MAX_FETCHERS`]).
     pub fetchers: usize,
@@ -117,9 +99,7 @@ pub struct ReduceTaskConfig {
     /// are framed: with `materialize_reads` off, fetched runs spool to a
     /// scratch [`RunStore`] and merge through
     /// one-frame windows; with it on, every frame is decoded up front.
-    /// Same bytes, same output — different residency. Hash grouping
-    /// always materializes (it needs every record in its accumulator
-    /// anyway).
+    /// Same bytes, same output — different residency.
     pub streaming: StreamingConfig,
 }
 
@@ -148,8 +128,8 @@ pub fn run_reduce_task(
     }
 
     // ---- shuffle fetch (see crate::shuffle) ----------------------------------
-    // Network virtual time pays for the bytes as stored (compressed when
-    // the map side compressed them).
+    // Network virtual time pays for the bytes as stored (framed runs stay
+    // compressed until the merge decodes them).
     let fetched = run_shuffle(
         map_outputs,
         partition,
@@ -175,155 +155,82 @@ pub fn run_reduce_task(
     let mut sink = ReduceSink::default();
     let mut reduce_ns = 0u64;
     let mut input_records = 0u64;
-    let mut intermediate_combine_ns = 0u64;
-    // Group-fault / cancellation bookkeeping: the group loops cannot early-
-    // return (merge_grouped drives a callback), so they record the abort and
-    // skip the remaining groups' user work instead.
+    let intermediate_combine_ns;
+    // Group-fault / cancellation bookkeeping: the merge drives a callback
+    // and cannot early-return, so the callback records the abort and skips
+    // the remaining groups' user work instead.
     let mut groups_done = 0u64;
     let mut aborted: Option<Abort> = None;
-    let reduce_group =
-        |key: &[u8], values: &[&[u8]], sink: &mut ReduceSink, reduce_ns: &mut u64| {
-            let sw_r = Stopwatch::start();
-            let mut cursor = SliceValues::new(values);
-            job.reduce(key, &mut cursor, sink);
-            *reduce_ns = reduce_ns.saturating_add(sw_r.elapsed_ns());
+    let mut on_group = |key: &[u8], values: &[&[u8]]| {
+        if aborted.is_some() {
+            return;
+        }
+        input_records += values.len() as u64;
+        let sw_r = Stopwatch::start();
+        job.reduce(key, &mut SliceValues::new(values), &mut sink);
+        reduce_ns = reduce_ns.saturating_add(sw_r.elapsed_ns());
+        groups_done += 1;
+        if cfg.fail_after_groups == Some(groups_done) {
+            aborted = Some(Abort::Injected);
+        } else if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
+            aborted = Some(Abort::Cancelled);
+        }
+    };
+    if framed && !cfg.streaming.materialize_reads {
+        // ---- streamed framed merge --------------------------------------
+        // Spool each fetched (stored, compressed) run into a scratch
+        // store and drop the in-memory copies; every later pass reads
+        // one-frame windows, so at most `fan_in + 1` windows are
+        // resident. The record stream — and hence the output — is
+        // identical to the materialized path below.
+        let mut store = RunStore::create(
+            cfg.scratch_dir
+                .join(format!("r{partition}_mergescratch.frames")),
+        )?;
+        let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
+        for run in &runs {
+            let metas = scan_frames(run).map_err(io::Error::from)?;
+            sources.push(CursorSource::Stored(store.append(run, metas, 0)?));
+        }
+        drop(runs);
+        let multi = reduce_sources_to_fan_in(
+            sources,
+            job.as_ref(),
+            job.has_combiner(),
+            cfg.merge_fan_in,
+            cfg.streaming.frame_bytes,
+            &mut store,
+        )?;
+        intermediate_combine_ns = multi.combine_ns;
+        let mut cursors = multi.cursors;
+        peak_buffer_bytes = cursors.iter().map(|c| c.window_bytes() as u64).sum();
+        merge_grouped_cursors(&mut cursors, &|a, b| job.compare_keys(a, b), &mut on_group)?;
+    } else {
+        // ---- multi-pass merge down to the fan-in limit ------------------
+        let runs = if framed {
+            // Materialized framed reads: decode every frame up front.
+            runs.iter()
+                .map(|r| decode_run(r).map_err(io::Error::from))
+                .collect::<io::Result<Vec<_>>>()?
+        } else {
+            runs
         };
-    match cfg.grouping {
-        Grouping::Sort if framed && !cfg.streaming.materialize_reads => {
-            // ---- streamed framed merge --------------------------------------
-            // Spool each fetched (stored, compressed) run into a scratch
-            // store and drop the in-memory copies; every later pass reads
-            // one-frame windows, so at most `fan_in + 1` windows are
-            // resident. The record stream — and hence the output — is
-            // identical to the materialized path below.
-            let mut store = RunStore::create(
-                cfg.scratch_dir
-                    .join(format!("r{partition}_mergescratch.frames")),
-            )?;
-            let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
-            for run in &runs {
-                let metas = scan_frames(run).map_err(io::Error::from)?;
-                sources.push(CursorSource::Stored(store.append(run, metas, 0)?));
-            }
-            drop(runs);
-            let multi = reduce_sources_to_fan_in(
-                sources,
-                job.as_ref(),
-                job.has_combiner(),
-                cfg.merge_fan_in,
-                cfg.streaming.frame_bytes,
-                &mut store,
-            )?;
-            intermediate_combine_ns = multi.combine_ns;
-            let mut cursors = multi.cursors;
-            peak_buffer_bytes = cursors.iter().map(|c| c.window_bytes() as u64).sum();
-            merge_grouped_cursors(
-                &mut cursors,
-                &|a, b| job.compare_keys(a, b),
-                |key, values| {
-                    if aborted.is_some() {
-                        return;
-                    }
-                    input_records += values.len() as u64;
-                    reduce_group(key, values, &mut sink, &mut reduce_ns);
-                    groups_done += 1;
-                    if cfg.fail_after_groups == Some(groups_done) {
-                        aborted = Some(Abort::Injected);
-                    } else if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
-                        aborted = Some(Abort::Cancelled);
-                    }
-                },
-            )?;
-        }
-        Grouping::Sort => {
-            // ---- multi-pass merge down to the fan-in limit ------------------
-            let runs = if framed {
-                // Materialized framed reads: decode every frame up front.
-                runs.iter()
-                    .map(|r| decode_run(r).map_err(io::Error::from))
-                    .collect::<io::Result<Vec<_>>>()?
-            } else {
-                runs
-            };
-            peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
-            let scratch = cfg
-                .scratch_dir
-                .join(format!("r{partition}_mergescratch.bin"));
-            let multi = crate::task::merge::reduce_to_fan_in(
-                runs,
-                job.as_ref(),
-                job.has_combiner(),
-                cfg.merge_fan_in,
-                &scratch,
-            )?;
-            let runs = multi.runs;
-            intermediate_combine_ns = multi.combine_ns;
+        peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
+        let scratch = cfg
+            .scratch_dir
+            .join(format!("r{partition}_mergescratch.bin"));
+        let multi = crate::task::merge::reduce_to_fan_in(
+            runs,
+            job.as_ref(),
+            job.has_combiner(),
+            cfg.merge_fan_in,
+            &scratch,
+        )?;
+        let runs = multi.runs;
+        intermediate_combine_ns = multi.combine_ns;
 
-            // ---- final merge + reduce + write --------------------------------
-            merge_grouped(&runs, &|a, b| job.compare_keys(a, b), |key, values| {
-                if aborted.is_some() {
-                    return;
-                }
-                input_records += values.len() as u64;
-                reduce_group(key, values, &mut sink, &mut reduce_ns);
-                groups_done += 1;
-                if cfg.fail_after_groups == Some(groups_done) {
-                    aborted = Some(Abort::Injected);
-                } else if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
-                    aborted = Some(Abort::Cancelled);
-                }
-            })?;
-        }
-        Grouping::Hash => {
-            // ---- hash grouping: no sort, no merge passes ----------------------
-            // Hash grouping always materializes framed runs: its
-            // accumulator holds every record regardless, so windowed
-            // reads would bound nothing.
-            let runs = if framed {
-                runs.iter()
-                    .map(|r| decode_run(r).map_err(io::Error::from))
-                    .collect::<io::Result<Vec<_>>>()?
-            } else {
-                runs
-            };
-            peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
-            // Values per key accumulate as framed bytes in one buffer.
-            // textmr-lint: allow(unordered-iteration, reason = "iteration below goes through sorted_groups, sorted by key bytes")
-            let mut groups: FnvHashMap<Vec<u8>, Vec<u8>> = FnvHashMap::default();
-            for run in &runs {
-                let mut pos = 0usize;
-                while let Some((k, v)) = crate::codec::read_record(run, &mut pos) {
-                    input_records += 1;
-                    let buf = groups.entry(k.to_vec()).or_default();
-                    crate::codec::write_bytes(buf, v);
-                }
-            }
-            // FnvHashMap iteration order is seed/layout-dependent; sort
-            // groups by key bytes so output (and hence signatures) are
-            // deterministic. This is NOT the sort-merge key order the Sort
-            // grouping guarantees — just a stable iteration order.
-            let mut sorted_groups: Vec<(&Vec<u8>, &Vec<u8>)> = groups.iter().collect();
-            // textmr-lint: allow(sort-unstable-key-runs, reason = "group keys are unique, so no equal-key runs exist")
-            sorted_groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            let mut values: Vec<&[u8]> = Vec::new();
-            for (key, buf) in sorted_groups {
-                values.clear();
-                let mut pos = 0usize;
-                while let Some(v) = crate::codec::read_bytes(buf, &mut pos) {
-                    values.push(v);
-                }
-                reduce_group(key, &values, &mut sink, &mut reduce_ns);
-                groups_done += 1;
-                if cfg.fail_after_groups == Some(groups_done) {
-                    aborted = Some(Abort::Injected);
-                    break;
-                }
-                if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
-                    aborted = Some(Abort::Cancelled);
-                    break;
-                }
-            }
-        }
+        // ---- final merge + reduce + write --------------------------------
+        merge_grouped(&runs, &|a, b| job.compare_keys(a, b), &mut on_group)?;
     }
     match aborted {
         Some(Abort::Injected) => {
@@ -440,7 +347,6 @@ mod tests {
             node,
             merge_fan_in: 10,
             scratch_dir: tmpdir(),
-            grouping: Grouping::Sort,
             fetchers,
             fail_after_groups: None,
             faults: None,
@@ -468,7 +374,6 @@ mod tests {
                     controller: Box::new(FixedSpill(0.8)),
                     filter: None,
                     merge_fan_in: 10,
-                    compress_output: false,
                     spill_dir: tmpdir(),
                     fail_after_records: None,
                     fail_spill: None,
@@ -624,18 +529,6 @@ mod tests {
         cfg.fail_after_groups = Some(1000);
         let ok = run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap();
         assert_eq!(ok.pairs.len(), 8);
-    }
-
-    #[test]
-    fn group_fault_fires_under_hash_grouping_too() {
-        let outputs = map_all(&["a b c d\n"], 1);
-        let job: Arc<dyn Job> = Arc::new(WordSum);
-        let mut cfg = rcfg(0, 0, 1);
-        cfg.grouping = Grouping::Hash;
-        cfg.fail_after_groups = Some(2);
-        let err =
-            run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
-        assert!(matches!(err, TaskError::Injected { .. }), "got {err:?}");
     }
 
     /// Emits each word's key repeated `count²` times with a value of

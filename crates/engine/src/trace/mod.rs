@@ -491,7 +491,7 @@ pub struct FlowTrace {
     pub latency_end: VNanos,
     /// End of the shared-rate transfer phase (= `pre_end` for local flows).
     pub transfer_end: VNanos,
-    /// Flow completion (after decompress, when any).
+    /// Flow completion (after post work, when any).
     pub finish: VNanos,
 }
 

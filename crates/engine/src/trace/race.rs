@@ -827,7 +827,7 @@ impl<'t> Checker<'t> {
                     });
                     // The merge reads the run; the recorded shuffle barrier
                     // (from the group's *last* event — transfer or
-                    // decompress completion, not the fetch op that merely
+                    // post-work completion, not the fetch op that merely
                     // issued the request) is what orders it after the write.
                     if let Some(rf) = reduce_first_op {
                         self.accesses.push(Access {

@@ -312,7 +312,6 @@ mod tests {
                 bytes: vec![0xabu8; n],
                 records: 1,
             }],
-            compressed: false,
             framed: false,
             input_records: 1,
             emitted_records: 1,

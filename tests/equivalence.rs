@@ -10,6 +10,7 @@ use textmr_core::{optimized, FreqBufferConfig, OptimizationConfig, SpillMatcherC
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::codec::{decode_u64, encode_u64};
 use textmr_engine::io::dfs::SimDfs;
+use textmr_engine::io::StreamingConfig;
 use textmr_engine::job::{Emit, Job, Record, ValueCursor, ValueSink};
 use textmr_engine::reference::{flatten_sorted, reference_run};
 
@@ -71,8 +72,9 @@ fn build_dfs(lines: &[String], nodes: usize, block: usize) -> SimDfs {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// For ANY input, cluster shape, buffer size, spill fraction and
-    /// optimization configuration, the engine's output equals the naive
+    /// For ANY input, cluster shape, buffer size, spill fraction,
+    /// optimization configuration and intermediate format (record/blob or
+    /// compressed framed runs), the engine's output equals the naive
     /// reference execution.
     #[test]
     fn engine_equals_reference_under_any_config(
@@ -83,14 +85,15 @@ proptest! {
         reducers in 1usize..5,
         opt_kind in 0u8..4,
         fraction in 0.05f64..1.0,
-        compress in any::<bool>(),
-        hash_grouping in any::<bool>(),
+        framed in any::<bool>(),
     ) {
         let dfs = build_dfs(&lines, nodes, block);
         let mut cluster = ClusterConfig::local();
         cluster.nodes = nodes;
         cluster.spill_buffer_bytes = buffer;
-        cluster.compress_map_output = compress;
+        if framed {
+            cluster.streaming = StreamingConfig::streamed();
+        }
         let freq = FreqBufferConfig { k: 50, sampling_fraction: Some(0.1), ..Default::default() };
         let opt = match opt_kind {
             0 => OptimizationConfig::baseline(),
@@ -105,9 +108,6 @@ proptest! {
         let mut cfg = optimized(JobConfig::default().with_reducers(reducers), opt);
         if opt_kind == 0 {
             cfg.spill_controller = textmr_engine::controller::fixed_spill_factory(fraction);
-        }
-        if hash_grouping {
-            cfg.grouping = textmr_engine::task::reduce_task::Grouping::Hash;
         }
         let job: Arc<dyn Job> = Arc::new(TokenSum);
         let engine = run_job(&cluster, &cfg, job, &dfs, &[("in", 0)]).unwrap();
@@ -197,9 +197,9 @@ proptest! {
 
 /// Pinned regression (originally found by proptest, seed `ff93ba88…`):
 /// FreqOpt over a tiny 1 KiB spill buffer, 1 KiB blocks, two
-/// nodes and four reducers. The saved shrink predates the `compress` /
-/// `hash_grouping` parameters, so this explicit case covers all four
-/// combinations — and both sequential and pooled execution.
+/// nodes and four reducers. The saved shrink predates the `framed`
+/// parameter, so this explicit case covers both intermediate formats —
+/// and both sequential and pooled execution.
 #[test]
 fn equivalence_regression_freqopt_tiny_buffer() {
     let lines: Vec<String> = [
@@ -246,34 +246,31 @@ fn equivalence_regression_freqopt_tiny_buffer() {
     let dfs = build_dfs(&lines, nodes, block);
     let reference = reference_run(&TokenSum, &dfs, &[("in", 0)], reducers).unwrap();
     let expected = flatten_sorted(&reference);
-    for compress in [false, true] {
-        for hash_grouping in [false, true] {
-            for workers in [1, 4] {
-                let mut cluster = ClusterConfig::local();
-                cluster.nodes = nodes;
-                cluster.spill_buffer_bytes = buffer;
-                cluster.compress_map_output = compress;
-                cluster.worker_threads = workers;
-                let freq = FreqBufferConfig {
-                    k: 50,
-                    sampling_fraction: Some(0.1),
-                    ..Default::default()
-                };
-                let mut cfg = optimized(
-                    JobConfig::default().with_reducers(reducers),
-                    OptimizationConfig::freq_only(freq),
-                );
-                if hash_grouping {
-                    cfg.grouping = textmr_engine::task::reduce_task::Grouping::Hash;
-                }
-                let job: Arc<dyn Job> = Arc::new(TokenSum);
-                let engine = run_job(&cluster, &cfg, job, &dfs, &[("in", 0)]).unwrap();
-                assert_eq!(
-                    engine.sorted_pairs(),
-                    expected,
-                    "compress={compress} hash_grouping={hash_grouping} workers={workers}"
-                );
+    for framed in [false, true] {
+        for workers in [1, 4] {
+            let mut cluster = ClusterConfig::local();
+            cluster.nodes = nodes;
+            cluster.spill_buffer_bytes = buffer;
+            cluster.worker_threads = workers;
+            if framed {
+                cluster.streaming = StreamingConfig::streamed();
             }
+            let freq = FreqBufferConfig {
+                k: 50,
+                sampling_fraction: Some(0.1),
+                ..Default::default()
+            };
+            let cfg = optimized(
+                JobConfig::default().with_reducers(reducers),
+                OptimizationConfig::freq_only(freq),
+            );
+            let job: Arc<dyn Job> = Arc::new(TokenSum);
+            let engine = run_job(&cluster, &cfg, job, &dfs, &[("in", 0)]).unwrap();
+            assert_eq!(
+                engine.sorted_pairs(),
+                expected,
+                "framed={framed} workers={workers}"
+            );
         }
     }
 }

@@ -124,7 +124,6 @@ fn map_once(job: &Arc<dyn Job>, split: &InputSplit, streaming: StreamingConfig) 
         controller: Box::new(FixedSpill(0.8)),
         filter: None,
         merge_fan_in: 10,
-        compress_output: false,
         spill_dir: temp_dir(&format!("{}-{}", job.name(), streaming.framed)),
         fail_after_records: None,
         fail_spill: None,
@@ -223,7 +222,6 @@ fn run_once_spilled(
     dfs: &SimDfs,
     inputs: &[(&str, u8)],
     workers: usize,
-    compress: bool,
     streaming: StreamingConfig,
 ) -> JobRun {
     let root = temp_dir(&format!("job-{}-{workers}", job.name()));
@@ -231,7 +229,6 @@ fn run_once_spilled(
         .with_worker_threads(workers)
         .with_streaming(streaming);
     cluster.spill_buffer_bytes = 8 << 20;
-    cluster.compress_map_output = compress;
     cluster.temp_dir = Some(root.clone());
     let run = run_job(
         &cluster,
@@ -261,22 +258,17 @@ fn jobs_whose_map_tasks_spill_once_match_the_reference() {
         ),
     ];
     let formats = [
-        ("record/blob", false, StreamingConfig::default()),
-        ("compressed", true, StreamingConfig::default()),
-        ("framed streamed", false, StreamingConfig::streamed()),
-        (
-            "framed materialized",
-            false,
-            StreamingConfig::materialized(),
-        ),
+        ("record/blob", StreamingConfig::default()),
+        ("framed streamed", StreamingConfig::streamed()),
+        ("framed materialized", StreamingConfig::materialized()),
     ];
     for (job, inputs) in &jobs {
         let reference =
             flatten_sorted(&reference_run(job.as_ref(), &dfs, inputs, PARTITIONS).unwrap());
-        for (format, compress, streaming) in formats {
+        for (format, streaming) in formats {
             let what = format!("{} {format}", job.name());
-            let one = run_once_spilled(job, &dfs, inputs, 1, compress, streaming);
-            let two = run_once_spilled(job, &dfs, inputs, 2, compress, streaming);
+            let one = run_once_spilled(job, &dfs, inputs, 1, streaming);
+            let two = run_once_spilled(job, &dfs, inputs, 2, streaming);
             assert_eq!(one.sorted_pairs(), reference, "{what}: output");
             assert_eq!(one.outputs, two.outputs, "{what}: outputs at 2 workers");
             assert_eq!(

@@ -19,7 +19,6 @@ fn payload(n: usize) -> Arc<CachedMapOutput> {
             bytes: vec![0x5au8; n],
             records: 1,
         }],
-        compressed: false,
         framed: false,
         input_records: 1,
         emitted_records: 1,
