@@ -28,9 +28,9 @@
 
 use crate::codec::{read_varint, write_record, write_varint};
 use crate::io::compress::{compress, decompress_into};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use crate::io::store::Store;
+use std::io;
+use std::sync::Arc;
 
 /// Frame `flags` value: payload is raw record bytes.
 pub const FRAME_RAW: u8 = 0;
@@ -163,13 +163,16 @@ impl FrameEncoder {
 }
 
 /// Decode one frame's payload from `run[meta.offset..]` into raw record
-/// bytes, validating the header against the index entry.
+/// bytes, validating the header against the index entry: a header whose
+/// `raw_len` is not the entry's is [`FrameError::Corrupt`], so a damaged
+/// header never makes the decoder allocate past what the index promises.
 pub fn decode_frame(stored: &[u8], meta: &FrameMeta) -> Result<Vec<u8>, FrameError> {
     let start = usize::try_from(meta.offset).map_err(|_| FrameError::Truncated)?;
     let end = start
         .checked_add(meta.stored_len as usize)
         .ok_or(FrameError::Truncated)?;
-    decode_frame_bytes(stored.get(start..end).ok_or(FrameError::Truncated)?)
+    let frame = stored.get(start..end).ok_or(FrameError::Truncated)?;
+    decode_frame_with(frame, Some(meta.raw_len))
 }
 
 /// Low 32 bits of FNV-1a over the raw record bytes — the frame header's
@@ -181,11 +184,21 @@ fn raw_check(raw: &[u8]) -> u32 {
 /// Decode one complete frame (`header + payload`) into raw record bytes,
 /// verifying length and checksum.
 pub fn decode_frame_bytes(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
+    decode_frame_with(frame, None)
+}
+
+/// [`decode_frame_bytes`], and when `indexed_raw_len` is given, a header
+/// `raw_len` other than it is [`FrameError::Corrupt`].
+fn decode_frame_with(frame: &[u8], indexed_raw_len: Option<u32>) -> Result<Vec<u8>, FrameError> {
     let Some((&flags, rest)) = frame.split_first() else {
         return Err(FrameError::Truncated);
     };
     let mut pos = 0usize;
-    let raw_len = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as usize;
+    let raw_len = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)?;
+    if indexed_raw_len.is_some_and(|n| u64::from(n) != raw_len) {
+        return Err(FrameError::Corrupt);
+    }
+    let raw_len = usize::try_from(raw_len).map_err(|_| FrameError::Corrupt)?;
     let stored_len = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as usize;
     let check = read_varint(rest, &mut pos).ok_or(FrameError::Truncated)? as u32;
     let end = pos.checked_add(stored_len).ok_or(FrameError::Truncated)?;
@@ -259,8 +272,15 @@ pub fn scan_frames(stored: &[u8]) -> Result<Vec<FrameMeta>, FrameError> {
 enum RunBytes {
     /// Whole stored run resident in memory (e.g. a fetched shuffle run).
     Mem(Vec<u8>),
-    /// A window of a file: the run occupies `[base, base + len)`.
-    File { path: PathBuf, base: u64, len: u64 },
+    /// A range of a store: the run occupies `[base, base + len)`. `frame`
+    /// holds the stored bytes of the frame last read, reused across
+    /// frames.
+    Store {
+        store: Arc<Store>,
+        base: u64,
+        len: u64,
+        frame: Vec<u8>,
+    },
 }
 
 /// A record cursor over one framed run, decoding one frame window at a
@@ -295,16 +315,22 @@ impl FrameRunCursor {
         Ok(c)
     }
 
-    /// Cursor over a run stored in `[base, base + len)` of the file at
-    /// `path` (the spill-file partition case).
-    pub fn from_file(
-        path: PathBuf,
+    /// Cursor over a run stored in `[base, base + len)` of `store` (a
+    /// spill-file partition, a spooled or intermediate run). Each frame is
+    /// one positioned read on the store's open handle.
+    pub fn from_store(
+        store: Arc<Store>,
         base: u64,
         len: u64,
         metas: Vec<FrameMeta>,
     ) -> io::Result<Self> {
         let mut c = FrameRunCursor {
-            bytes: RunBytes::File { path, base, len },
+            bytes: RunBytes::Store {
+                store,
+                base,
+                len,
+                frame: Vec::new(),
+            },
             metas,
             next_frame: 0,
             window: Vec::new(),
@@ -317,9 +343,14 @@ impl FrameRunCursor {
 
     fn load_frame(&mut self, idx: usize) -> io::Result<Vec<u8>> {
         let meta = self.metas[idx];
-        match &self.bytes {
+        match &mut self.bytes {
             RunBytes::Mem(stored) => Ok(decode_frame(stored, &meta)?),
-            RunBytes::File { path, base, len } => {
+            RunBytes::Store {
+                store,
+                base,
+                len,
+                frame,
+            } => {
                 let end = meta.offset.checked_add(u64::from(meta.stored_len));
                 let start = base.checked_add(meta.offset);
                 let (Some(start), Some(end)) = (start, end) else {
@@ -328,11 +359,9 @@ impl FrameRunCursor {
                 if end > *len {
                     return Err(FrameError::Truncated.into());
                 }
-                let mut f = File::open(path)?;
-                f.seek(SeekFrom::Start(start))?;
-                let mut buf = vec![0u8; meta.stored_len as usize];
-                f.read_exact(&mut buf)?;
-                Ok(decode_frame_bytes(&buf)?)
+                frame.resize(meta.stored_len as usize, 0);
+                store.read_at(start, frame)?;
+                Ok(decode_frame_with(frame, Some(meta.raw_len))?)
             }
         }
     }
@@ -386,21 +415,11 @@ impl FrameRunCursor {
     }
 }
 
-/// An on-disk store of framed runs, used for shuffle-fetched runs and
-/// intermediate merge passes in streamed mode. Runs append to one file;
-/// each is addressed by the [`RunHandle`] returned at append time. The
-/// backing file is deleted when the store drops.
-#[derive(Debug)]
-pub struct RunStore {
-    path: PathBuf,
-    file: File,
-    offset: u64,
-}
-
-/// Address of one run inside a [`RunStore`].
+/// Address of one framed run appended to a [`Store`] (a spooled shuffle
+/// run or an intermediate merge pass).
 #[derive(Debug, Clone)]
 pub struct RunHandle {
-    /// Offset of the run's first frame in the store file.
+    /// Offset of the run's first frame in the store.
     pub base: u64,
     /// Stored length of the run.
     pub len: u64,
@@ -410,45 +429,26 @@ pub struct RunHandle {
     pub records: u64,
 }
 
-impl RunStore {
-    /// Create (truncating) a store at `path`.
-    pub fn create(path: PathBuf) -> io::Result<Self> {
-        let file = File::create(&path)?;
-        Ok(RunStore {
-            path,
-            file,
-            offset: 0,
-        })
-    }
-
-    /// Append one stored run (frames + index from a [`FrameEncoder`]).
+impl RunHandle {
+    /// Append one stored run (frames + index from a [`FrameEncoder`]) to
+    /// `store`.
     pub fn append(
-        &mut self,
+        store: &Store,
         stored: &[u8],
         metas: Vec<FrameMeta>,
         records: u64,
     ) -> io::Result<RunHandle> {
-        self.file.write_all(stored)?;
-        let handle = RunHandle {
-            base: self.offset,
+        Ok(RunHandle {
+            base: store.append(stored)?,
             len: stored.len() as u64,
             metas,
             records,
-        };
-        self.offset += stored.len() as u64;
-        Ok(handle)
+        })
     }
 
-    /// Open a windowed cursor over a stored run.
-    pub fn cursor(&mut self, h: &RunHandle) -> io::Result<FrameRunCursor> {
-        self.file.flush()?;
-        FrameRunCursor::from_file(self.path.clone(), h.base, h.len, h.metas.clone())
-    }
-}
-
-impl Drop for RunStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+    /// Open a windowed cursor over the run in `store`.
+    pub fn cursor(self, store: &Arc<Store>) -> io::Result<FrameRunCursor> {
+        FrameRunCursor::from_store(Arc::clone(store), self.base, self.len, self.metas)
     }
 }
 
@@ -561,18 +561,19 @@ mod tests {
         let err = FrameRunCursor::from_mem(stored.clone(), vec![bad]).unwrap_err();
         assert_eq!(err.to_string(), truncated);
 
-        let path =
-            std::env::temp_dir().join(format!("textmr-frame-offset-{}.bin", std::process::id()));
-        std::fs::write(&path, &stored).unwrap();
+        let store = Store::create(
+            std::env::temp_dir().join(format!("textmr-frame-offset-{}.bin", std::process::id())),
+        );
+        store.append(&stored).unwrap();
         // `offset + stored_len` overflows; then `base + offset` does, under
         // a run length that would let it through.
         let cases = [(0, u64::MAX, stored.len() as u64), (u64::MAX, 1, u64::MAX)];
         for (base, offset, len) in cases {
             let meta = FrameMeta { offset, ..metas[0] };
-            let err = FrameRunCursor::from_file(path.clone(), base, len, vec![meta]).unwrap_err();
+            let err =
+                FrameRunCursor::from_store(Arc::clone(&store), base, len, vec![meta]).unwrap_err();
             assert_eq!(err.to_string(), truncated);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -608,7 +609,7 @@ mod tests {
     fn run_store_round_trips_runs() {
         let dir = std::env::temp_dir().join(format!("textmr-frames-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut store = RunStore::create(dir.join("runs.bin")).unwrap();
+        let store = Store::create(dir.join("runs.bin"));
         let a: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
             .map(|i| (format!("a{i:03}").into_bytes(), b"1".to_vec()))
             .collect();
@@ -622,10 +623,10 @@ mod tests {
                 enc.push_record(k, v);
             }
             let (stored, metas, records) = enc.finish();
-            handles.push(store.append(&stored, metas, records).unwrap());
+            handles.push(RunHandle::append(&store, &stored, metas, records).unwrap());
         }
-        let got_a = drain(store.cursor(&handles[0]).unwrap());
-        let got_b = drain(store.cursor(&handles[1]).unwrap());
+        let got_a = drain(handles[0].clone().cursor(&store).unwrap());
+        let got_b = drain(handles[1].clone().cursor(&store).unwrap());
         assert_eq!(got_a, a);
         assert_eq!(got_b, b);
     }

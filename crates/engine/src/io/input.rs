@@ -23,8 +23,8 @@ use crate::codec::{encode_u64, read_record, write_record};
 use crate::io::dfs::{DfsFile, FileBytes};
 use crate::job::Record;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::PathBuf;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Default chunk-window size for disk-backed split readers (256 KiB).
@@ -178,6 +178,7 @@ impl InputSplit {
 /// as a straddling line requires.
 #[derive(Debug)]
 struct DiskWindow {
+    path: Arc<PathBuf>,
     file: File,
     file_len: usize,
     chunk: usize,
@@ -187,55 +188,59 @@ struct DiskWindow {
 }
 
 impl DiskWindow {
-    fn open(path: &PathBuf, len: usize, chunk: usize) -> Self {
-        DiskWindow {
-            file: File::open(path).expect("open split backing file"),
+    fn open(path: &Arc<PathBuf>, len: usize, chunk: usize) -> io::Result<Self> {
+        Ok(DiskWindow {
+            path: Arc::clone(path),
+            file: File::open(path.as_path())?,
             file_len: len,
             chunk: chunk.max(1 << 10),
             buf: Vec::new(),
             base: 0,
-        }
+        })
     }
 
     /// Read the next chunk after the current window end into the buffer.
-    fn fill(&mut self) {
+    /// On error the window is left as it was.
+    fn fill(&mut self) -> io::Result<()> {
         let from = self.base + self.buf.len();
         let want = self.chunk.min(self.file_len - from);
         let old = self.buf.len();
         self.buf.resize(old + want, 0);
-        self.file
+        let read = self
+            .file
             .seek(SeekFrom::Start(from as u64))
-            .expect("seek split backing file");
-        self.file
-            .read_exact(&mut self.buf[old..])
-            .expect("read split chunk");
+            .and_then(|_| self.file.read_exact(&mut self.buf[old..]));
+        if read.is_err() {
+            self.buf.truncate(old);
+        }
+        read
     }
 
     /// Ensure the window contains the line starting at absolute offset
     /// `start` up to (excluding) its terminating newline or EOF. Returns
     /// `(rel_start, rel_end, next_abs)`: the line's range within the
     /// buffer and the absolute offset of the next line.
-    fn load_line(&mut self, start: usize) -> (usize, usize, usize) {
+    fn load_line(&mut self, start: usize) -> io::Result<(usize, usize, usize)> {
         if start < self.base || start >= self.base + self.buf.len() {
             self.base = start;
             self.buf.clear();
-            self.fill();
+            self.fill()?;
         }
         loop {
             let rel = start - self.base;
             if let Some(i) = self.buf[rel..].iter().position(|&b| b == b'\n') {
-                return (rel, rel + i, start + i + 1);
+                return Ok((rel, rel + i, start + i + 1));
             }
             if self.base + self.buf.len() >= self.file_len {
                 // Last line of the file, no trailing newline.
-                return (rel, self.buf.len(), self.file_len);
+                return Ok((rel, self.buf.len(), self.file_len));
             }
             // The line straddles the window: drop bytes before it, read on.
             if rel > 0 {
                 self.buf.drain(..rel);
                 self.base = start;
             }
-            self.fill();
+            self.fill()?;
         }
     }
 }
@@ -253,10 +258,14 @@ enum Source<'a> {
 /// the line without its trailing newline; for framed splits key and value
 /// are the framed pair's own bytes. Disk-backed splits are streamed
 /// through a bounded chunk window (see [`SplitReader::with_chunk`]);
-/// resident splits are sliced zero-copy. I/O errors on the backing file
-/// panic — the simulated DFS treats its local files as infallible media.
+/// resident splits are sliced zero-copy. The first I/O error on the
+/// backing file (say, it was truncated after `SimDfs::put_path`) ends the
+/// split there and is kept for [`SplitReader::take_error`]; a reader that
+/// returns `None` has either read its whole split or failed.
 pub struct SplitReader<'a> {
     src: Source<'a>,
+    /// The I/O error that ended a disk-backed split early, naming the file.
+    error: Option<io::Error>,
     /// Absolute position of the next record.
     pos: usize,
     end: usize,
@@ -278,6 +287,7 @@ impl<'a> SplitReader<'a> {
     pub fn with_chunk(split: &'a InputSplit, chunk: usize) -> Self {
         let file_len = split.data.len();
         let mut pos = split.start;
+        let mut error = None;
         let src = match &split.data {
             SplitBytes::Mem(data) => {
                 let data: &'a [u8] = data;
@@ -296,17 +306,27 @@ impl<'a> SplitReader<'a> {
                     "framed splits are in-memory hand-offs; disk-backed framed \
                      splits are not supported"
                 );
-                let mut win = DiskWindow::open(path, *len, chunk);
-                if pos > 0 && pos < *len {
-                    // Find the newline ending the previous split's line.
-                    let (_, _, next) = win.load_line(pos - 1);
-                    pos = next;
+                let opened = DiskWindow::open(path, *len, chunk).and_then(|mut win| {
+                    if pos > 0 && pos < *len {
+                        // Find the newline ending the previous split's line.
+                        let (_, _, next) = win.load_line(pos - 1)?;
+                        pos = next;
+                    }
+                    Ok(win)
+                });
+                match opened {
+                    Ok(win) => Source::Disk(win),
+                    Err(e) => {
+                        error = Some(split_error(path, e));
+                        pos = split.end;
+                        Source::Mem(&[])
+                    }
                 }
-                Source::Disk(win)
             }
         };
         SplitReader {
             src,
+            error,
             pos,
             end: split.end,
             file_len,
@@ -324,6 +344,12 @@ impl<'a> SplitReader<'a> {
             Source::Mem(_) => 0,
             Source::Disk(w) => w.buf.len(),
         }
+    }
+
+    /// The I/O error that ended the split early, if one did (taken: a
+    /// second call returns `None`). The error's message names the file.
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 
     /// Next record, or `None` at the end of the split.
@@ -360,7 +386,14 @@ impl<'a> SplitReader<'a> {
             }
             Source::Disk(win) => {
                 let line_start = self.pos;
-                let (rel_start, rel_end, next) = win.load_line(line_start);
+                let (rel_start, rel_end, next) = match win.load_line(line_start) {
+                    Ok(line) => line,
+                    Err(e) => {
+                        self.error = Some(split_error(&win.path, e));
+                        self.pos = self.end;
+                        return None;
+                    }
+                };
                 self.pos = next;
                 self.key_buf = encode_u64(line_start as u64);
                 Some(Record {
@@ -371,6 +404,14 @@ impl<'a> SplitReader<'a> {
             }
         }
     }
+}
+
+/// `e`, with its message naming the split's backing file.
+fn split_error(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(
+        e.kind(),
+        format!("reading input split of {}: {e}", path.display()),
+    )
 }
 
 #[cfg(test)]
@@ -549,5 +590,46 @@ mod tests {
         for (m, d) in mem.iter().zip(&disk) {
             assert_eq!(m.digest_content(1234), d.digest_content(1234));
         }
+    }
+
+    #[test]
+    fn a_truncated_backing_file_ends_the_split_with_an_error_naming_it() {
+        let text: String = (0..400).map(|i| format!("line {i}\n")).collect();
+        let splits = disk_splits_of(&text, 1 << 10, 1);
+        let SplitBytes::Disk { path, .. } = &splits[0].data else {
+            panic!("disk-backed splits expected");
+        };
+        let cut = text.len() / 2;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path.as_path())
+            .unwrap()
+            .set_len(cut as u64)
+            .unwrap();
+        let mut failed = 0;
+        for split in &splits {
+            let mut r = SplitReader::with_chunk(split, 1 << 10);
+            while r.next().is_some() {}
+            match r.take_error() {
+                Some(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                    assert!(e.to_string().contains(&path.display().to_string()), "{e}");
+                    assert!(r.take_error().is_none(), "taken once");
+                    failed += 1;
+                }
+                None => assert!(
+                    split.end <= cut,
+                    "split {}..{} read past the cut",
+                    split.start,
+                    split.end
+                ),
+            }
+        }
+        assert!(failed > 0);
+        // Missing altogether: the reader fails at open.
+        std::fs::remove_file(path.as_path()).unwrap();
+        let mut r = SplitReader::new(&splits[0]);
+        assert!(r.next().is_none());
+        assert_eq!(r.take_error().unwrap().kind(), io::ErrorKind::NotFound);
     }
 }

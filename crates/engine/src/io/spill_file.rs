@@ -1,11 +1,19 @@
-//! On-disk spill files and map-output files.
+//! Spill files and map-output files: partition-indexed ranges of a
+//! [`Store`].
 //!
 //! A spill file stores varint-framed `(key, value)` records grouped by
 //! partition, each partition's records sorted by key, with an in-memory
 //! partition index `(offset, length, record count)`. The same container
 //! backs both intermediate spills and the final merged map output (whose
-//! partitions reducers fetch during shuffle). Files are deleted when the
-//! handle drops, like Hadoop's task-attempt directories.
+//! partitions reducers fetch during shuffle).
+//!
+//! A spill file is a range of an append-only [`Store`], not a file of its
+//! own: every spill of one map attempt appends to the attempt's store, and
+//! partitions are read back with one positioned read on the store's open
+//! handle. Each `SpillFile` holds an `Arc` of its store; the store's file
+//! is deleted when the last handle into it drops, like Hadoop's
+//! task-attempt directories. [`SpillFile::create`] starts a new store
+//! holding one spill file (the map output, a cached output).
 //!
 //! Under [`StreamingConfig::framed`](crate::io::StreamingConfig) a
 //! partition holds a *framed run* (see [`crate::io::frame`]) instead of
@@ -16,16 +24,17 @@
 
 use crate::codec::write_record;
 use crate::io::frame::{FrameMeta, FrameRunCursor};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use crate::io::store::{Appender, Store};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Index entry for one partition inside a spill file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartIndex {
     /// Partition id.
     pub part: usize,
-    /// Byte offset of the partition's records.
+    /// Byte offset of the partition's records in the store.
     pub offset: u64,
     /// Byte length of the partition's records.
     pub len: u64,
@@ -36,7 +45,7 @@ pub struct PartIndex {
 /// A completed, immutable spill file.
 #[derive(Debug)]
 pub struct SpillFile {
-    path: PathBuf,
+    store: Arc<Store>,
     index: Vec<PartIndex>,
     /// Frame indexes for framed partitions, parallel to `index` lookups:
     /// `(part, frame index)`. Empty for legacy (record/blob) files.
@@ -46,22 +55,23 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Open a writer creating `path` (truncates any existing file).
+    /// Open a writer for the one spill file of a new store at `path`
+    /// (truncating any existing file there once bytes arrive).
     pub fn create(path: PathBuf) -> io::Result<SpillFileWriter> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(SpillFileWriter {
-            w: BufWriter::new(file),
-            path,
+        Ok(Self::append_to(&Store::create(path)))
+    }
+
+    /// Open a writer appending a spill file to `store`.
+    ///
+    /// # Panics
+    /// Panics if another append to `store` is in progress.
+    pub fn append_to(store: &Arc<Store>) -> SpillFileWriter {
+        SpillFileWriter {
+            w: store.appender(),
             index: Vec::new(),
             frames: Vec::new(),
-            offset: 0,
             cur: None,
-            buf: Vec::with_capacity(64 * 1024),
-        })
+        }
     }
 
     /// The partition index (ascending partition order, only non-empty
@@ -85,17 +95,15 @@ impl SpillFile {
         self.index.iter().find(|e| e.part == part)
     }
 
-    /// Read one partition's framed records into memory. Returns an empty
-    /// buffer for partitions with no records.
+    /// Read one partition's stored bytes into memory with one positioned
+    /// read (safe from several threads at once). Returns an empty buffer
+    /// for partitions with no records; bytes missing from the store's file
+    /// are an `UnexpectedEof` error.
     pub fn read_partition(&self, part: usize) -> io::Result<Vec<u8>> {
         let Some(entry) = self.part_index(part) else {
             return Ok(Vec::new());
         };
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(entry.offset))?;
-        let mut buf = vec![0u8; entry.len as usize];
-        f.read_exact(&mut buf)?;
-        Ok(buf)
+        self.store.read_vec(entry.offset, entry.len)
     }
 
     /// Frame index for a framed partition, or `None` for empty or
@@ -108,7 +116,7 @@ impl SpillFile {
     }
 
     /// Open a windowed record cursor over a framed partition (reads one
-    /// frame at a time from disk). Yields an exhausted cursor for empty
+    /// frame at a time from the store). Yields an exhausted cursor for empty
     /// partitions; errors for partitions written without frames.
     pub fn framed_cursor(&self, part: usize) -> io::Result<FrameRunCursor> {
         let Some(entry) = self.part_index(part) else {
@@ -120,18 +128,22 @@ impl SpillFile {
                 format!("partition {part} was not written framed"),
             ));
         };
-        FrameRunCursor::from_file(self.path.clone(), entry.offset, entry.len, metas.to_vec())
+        FrameRunCursor::from_store(
+            Arc::clone(&self.store),
+            entry.offset,
+            entry.len,
+            metas.to_vec(),
+        )
     }
 
-    /// Filesystem path (for diagnostics).
+    /// The store holding the file's bytes.
+    pub fn store(&self) -> &Arc<Store> {
+        &self.store
+    }
+
+    /// Filesystem path of the store (for diagnostics).
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        self.store.path()
     }
 }
 
@@ -139,13 +151,10 @@ impl Drop for SpillFile {
 /// ascending order; records within a partition must already be sorted.
 #[derive(Debug)]
 pub struct SpillFileWriter {
-    w: BufWriter<File>,
-    path: PathBuf,
+    w: Appender,
     index: Vec<PartIndex>,
     frames: Vec<(usize, Vec<FrameMeta>)>,
-    offset: u64,
     cur: Option<PartIndex>,
-    buf: Vec<u8>,
 }
 
 impl SpillFileWriter {
@@ -161,7 +170,7 @@ impl SpillFileWriter {
         }
         self.cur = Some(PartIndex {
             part,
-            offset: self.offset,
+            offset: self.w.position(),
             len: 0,
             records: 0,
         });
@@ -177,12 +186,8 @@ impl SpillFileWriter {
             .cur
             .as_mut()
             .expect("write_record before start_partition");
-        self.buf.clear();
-        write_record(&mut self.buf, key, value);
-        self.w.write_all(&self.buf)?;
-        cur.len += self.buf.len() as u64;
+        cur.len += self.w.write_with(|buf| write_record(buf, key, value))?;
         cur.records += 1;
-        self.offset += self.buf.len() as u64;
         Ok(())
     }
 
@@ -196,10 +201,9 @@ impl SpillFileWriter {
     ) -> io::Result<()> {
         self.start_partition(part)?;
         let cur = self.cur.as_mut().expect("partition just started");
-        self.w.write_all(data)?;
+        self.w.write(data)?;
         cur.len += data.len() as u64;
         cur.records += records;
-        self.offset += data.len() as u64;
         Ok(())
     }
 
@@ -232,14 +236,13 @@ impl SpillFileWriter {
         Ok(())
     }
 
-    /// Flush and seal the file.
+    /// Flush and seal the file, committing its bytes to the store.
     pub fn finish(mut self) -> io::Result<SpillFile> {
         self.finish_partition()?;
-        self.w.flush()?;
         let total_bytes = self.index.iter().map(|e| e.len).sum();
         let total_records = self.index.iter().map(|e| e.records).sum();
         Ok(SpillFile {
-            path: self.path,
+            store: self.w.finish()?,
             index: self.index,
             frames: self.frames,
             total_bytes,
@@ -351,5 +354,122 @@ mod tests {
         assert!(path.exists());
         drop(f);
         assert!(!path.exists());
+    }
+
+    /// Spill files of `(key, value)` records, one per entry of `spills`,
+    /// appended to `store` one after another (partition 0 only).
+    fn append_spills(store: &Arc<Store>, spills: &[&[(&str, &str)]]) -> Vec<SpillFile> {
+        spills
+            .iter()
+            .map(|records| {
+                let mut w = SpillFile::append_to(store);
+                w.start_partition(0).unwrap();
+                for (k, v) in *records {
+                    w.write_record(k.as_bytes(), v.as_bytes()).unwrap();
+                }
+                w.finish().unwrap()
+            })
+            .collect()
+    }
+
+    fn run_of(records: &[(&str, &str)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (k, v) in records {
+            write_record(&mut buf, k.as_bytes(), v.as_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn spills_of_one_store_share_its_path_and_keep_their_own_bytes() {
+        use crate::io::frame::FrameEncoder;
+        let path = tmp("shared.store");
+        let store = Store::create(path.clone());
+        let a: &[(&str, &str)] = &[("a", "1"), ("b", "2")];
+        let b: &[(&str, &str)] = &[("c", "3")];
+        let mut files = append_spills(&store, &[a, b]);
+        // A framed spill appends to the same store.
+        let mut enc = FrameEncoder::new(1 << 10);
+        enc.push_record(b"d", b"4");
+        let (stored, metas, records) = enc.finish();
+        let mut w = SpillFile::append_to(&store);
+        w.write_framed_partition(1, &stored, metas, records)
+            .unwrap();
+        files.push(w.finish().unwrap());
+        files.extend(append_spills(&store, &[&[("e", "5")]]));
+
+        assert!(files.iter().all(|f| f.path() == path));
+        assert_eq!(files[0].read_partition(0).unwrap(), run_of(a));
+        assert_eq!(files[1].read_partition(0).unwrap(), run_of(b));
+        assert_eq!(files[2].read_partition(1).unwrap(), stored);
+        assert_eq!(files[3].read_partition(0).unwrap(), run_of(&[("e", "5")]));
+        let mut c = files[2].framed_cursor(1).unwrap();
+        assert_eq!(c.peek(), Some((&b"d"[..], &b"4"[..])));
+        c.advance().unwrap();
+        assert_eq!(c.peek(), None);
+        assert_eq!(
+            store.len(),
+            files.iter().map(SpillFile::total_bytes).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn the_store_file_lives_until_its_last_spill_file_drops() {
+        let path = tmp("lifetime.store");
+        let store = Store::create(path.clone());
+        let mut files = append_spills(&store, &[&[("a", "1")], &[("b", "2")]]);
+        drop(store);
+        let last = files.pop().unwrap();
+        drop(files);
+        assert!(path.exists(), "a spill file still points into the store");
+        assert_eq!(last.read_partition(0).unwrap(), run_of(&[("b", "2")]));
+        // A cursor holds the store too.
+        let mut enc = crate::io::frame::FrameEncoder::new(1 << 10);
+        enc.push_record(b"k", b"v");
+        let (stored, metas, records) = enc.finish();
+        let mut w = SpillFile::append_to(last.store());
+        w.write_framed_partition(0, &stored, metas, records)
+            .unwrap();
+        let framed = w.finish().unwrap();
+        let cursor = framed.framed_cursor(0).unwrap();
+        drop((last, framed));
+        assert!(path.exists(), "an open cursor still reads the store");
+        drop(cursor);
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn two_threads_read_one_output_at_once() {
+        let records: Vec<(String, String)> = (0..2000)
+            .map(|i| (format!("key{i:05}"), format!("{i}")))
+            .collect();
+        let mut w = SpillFile::create(tmp("concurrent.bin")).unwrap();
+        for part in 0..4 {
+            w.start_partition(part).unwrap();
+            for (k, v) in records.iter().skip(part).step_by(4) {
+                w.write_record(k.as_bytes(), v.as_bytes()).unwrap();
+            }
+        }
+        let f = w.finish().unwrap();
+        let expected: Vec<Vec<u8>> = (0..4)
+            .map(|part| {
+                let mut buf = Vec::new();
+                for (k, v) in records.iter().skip(part).step_by(4) {
+                    write_record(&mut buf, k.as_bytes(), v.as_bytes());
+                }
+                buf
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (f, expected) = (&f, &expected);
+                s.spawn(move || {
+                    for round in 0..50 {
+                        let part = (round + t) % 4;
+                        assert_eq!(f.read_partition(part).unwrap(), expected[part]);
+                    }
+                });
+            }
+        });
     }
 }

@@ -9,9 +9,10 @@
 //! (spill-matcher) picks the spill fraction after every spill.
 
 use crate::controller::{EmitFilter, SpillController, SpillObservation};
-use crate::io::frame::{FrameEncoder, FrameRunCursor, RunStore};
+use crate::io::frame::{FrameEncoder, FrameRunCursor};
 use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
+use crate::io::store::Store;
 use crate::io::StreamingConfig;
 use crate::job::{Emit, Job};
 use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
@@ -21,7 +22,7 @@ use crate::task::merge::{
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
-use crate::task::spill::{spill_segment, spill_segment_framed};
+use crate::task::spill::{spill_segment_framed_into, spill_segment_into};
 use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
@@ -50,7 +51,7 @@ pub struct MapTaskConfig {
     pub filter: Option<Box<dyn EmitFilter>>,
     /// Maximum merge fan-in (Hadoop's `io.sort.factor`).
     pub merge_fan_in: usize,
-    /// Directory for spill and output files.
+    /// Directory for the attempt's spill store and output file.
     pub spill_dir: PathBuf,
     /// Fault injection: abort (as a task failure) after this many input
     /// records.
@@ -88,7 +89,8 @@ pub struct MapOutput {
     pub framed: bool,
 }
 
-/// The spill path: active segment + virtual pipeline + spill files.
+/// The spill path: active segment + virtual pipeline + spill files, all
+/// appended to one store (`t{task}.spills`) that the first spill creates.
 /// Implements [`Emit`] so it can serve directly as the filter's flush sink.
 struct SpillPath<'a> {
     job: &'a dyn Job,
@@ -148,13 +150,14 @@ impl<'a> SpillPath<'a> {
             )));
             return;
         }
-        let path = self
-            .spill_dir
-            .join(format!("t{}_s{}.spill", self.task_id, self.spills.len()));
+        let store = match self.spills.first() {
+            Some(first) => Arc::clone(first.store()),
+            None => Store::create(self.spill_dir.join(format!("t{}.spills", self.task_id))),
+        };
         let spilled = if self.framed {
-            spill_segment_framed(&self.seg, self.job, path, self.frame_bytes)
+            spill_segment_framed_into(&self.seg, self.job, &store, self.frame_bytes)
         } else {
-            spill_segment(&self.seg, self.job, path)
+            spill_segment_into(&self.seg, self.job, &store)
         };
         match spilled {
             Ok(out) => {
@@ -390,6 +393,11 @@ pub fn run_map_task(
             return Err(TaskError::Cancelled);
         }
     }
+    // A disk-backed split that failed to read ended early: the attempt
+    // fails with the error, which names the file.
+    if let Some(e) = reader.take_error() {
+        return Err(e.into());
+    }
     // The last lap: the final record's bookkeeping and the `next()` that
     // found the split's end, charged as reading.
     let (tail_ns, _) = clock.lap();
@@ -463,8 +471,6 @@ pub fn run_map_task(
             spills: &path.spills,
             num_partitions: cfg.num_partitions,
             fan_in: cfg.merge_fan_in,
-            spill_dir: &cfg.spill_dir,
-            task_id: cfg.task_id,
             combine_ns: &mut combine_in_merge_ns,
             peak_buffer_bytes: &mut peak_buffer_bytes,
         };
@@ -513,14 +519,13 @@ pub fn run_map_task(
 }
 
 /// The merge of two or more spills (or none) into the map output, with the
-/// combiner applied again to each merged group.
+/// combiner applied again to each merged group. Intermediate passes append
+/// to the spills' store.
 struct SpillMerge<'a> {
     job: &'a dyn Job,
     spills: &'a [SpillFile],
     num_partitions: usize,
     fan_in: usize,
-    spill_dir: &'a Path,
-    task_id: usize,
     /// Combiner time spent inside the merge.
     combine_ns: &'a mut u64,
     /// The task's residency high-water mark, raised by the merge's runs.
@@ -528,17 +533,16 @@ struct SpillMerge<'a> {
 }
 
 impl SpillMerge<'_> {
-    fn scratch(&self, ext: &str) -> PathBuf {
-        self.spill_dir
-            .join(format!("t{}_mergescratch.{ext}", self.task_id))
-    }
-
     /// Record/blob spills into record/blob partitions.
     fn records(self, out: PathBuf) -> io::Result<SpillFile> {
         let job = self.job;
         let has_combiner = job.has_combiner();
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
         let mut writer = SpillFile::create(out)?;
+        // No spills (empty input): an empty output.
+        let Some(store) = self.spills.first().map(SpillFile::store) else {
+            return writer.finish();
+        };
         for part in 0..self.num_partitions {
             let runs: Vec<Vec<u8>> = self
                 .spills
@@ -550,10 +554,9 @@ impl SpillMerge<'_> {
             }
             let resident: usize = runs.iter().map(Vec::len).sum();
             *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident as u64);
-            // Bound the final pass's fan-in, merging through scratch disk as
+            // Bound the final pass's fan-in, merging through the spill store as
             // Hadoop does when spills exceed io.sort.factor.
-            let multi =
-                reduce_to_fan_in(runs, job, has_combiner, self.fan_in, &self.scratch("bin"))?;
+            let multi = reduce_to_fan_in(runs, job, has_combiner, self.fan_in, store)?;
             *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
             writer.start_partition(part)?;
             let mut written = Ok(());
@@ -580,7 +583,10 @@ impl SpillMerge<'_> {
         let frame_bytes = streaming.frame_bytes;
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
         let mut writer = SpillFile::create(out)?;
-        let mut run_store: Option<RunStore> = None;
+        // No spills (empty input): an empty output.
+        let Some(store) = self.spills.first().map(SpillFile::store) else {
+            return writer.finish();
+        };
         let mut group_combine_ns = 0u64;
         for part in 0..self.num_partitions {
             let mut enc = FrameEncoder::new(frame_bytes);
@@ -617,8 +623,7 @@ impl SpillMerge<'_> {
                 let resident: usize = runs.iter().map(Vec::len).sum();
                 *self.peak_buffer_bytes =
                     (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
-                let multi =
-                    reduce_to_fan_in(runs, job, has_combiner, self.fan_in, &self.scratch("bin"))?;
+                let multi = reduce_to_fan_in(runs, job, has_combiner, self.fan_in, store)?;
                 *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
                 merge_grouped(&multi.runs, &cmp, |key, values| push(key, values))?;
             } else {
@@ -632,10 +637,6 @@ impl SpillMerge<'_> {
                     .iter()
                     .map(|s| CursorSource::Spill { file: s, part })
                     .collect();
-                let store = match &mut run_store {
-                    Some(s) => s,
-                    None => run_store.insert(RunStore::create(self.scratch("frames"))?),
-                };
                 let multi = reduce_sources_to_fan_in(
                     sources,
                     job,
@@ -1034,6 +1035,61 @@ mod tests {
         let (_, prof) = run_map_task(&(Arc::new(WordList) as Arc<dyn Job>), &split, c).unwrap();
         assert_eq!(prof.input_records, 300);
         assert!(prof.ops.get(Op::Read) > 0, "sampled reads must report time");
+    }
+
+    /// File names in `dir`, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn many_spills_leave_only_the_output_file() {
+        let text: String = (0..600)
+            .map(|i| format!("w{} common x{}\n", i % 41, i % 13))
+            .collect();
+        let split = one_split(&text);
+        let job: Arc<dyn Job> = Arc::new(WordSum);
+        for (task_id, streaming) in [
+            (30, StreamingConfig::default()),
+            (31, StreamingConfig::streamed()),
+            (32, StreamingConfig::materialized()),
+        ] {
+            let dir = tmpdir().join(format!("store-files-{task_id}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut c = cfg(512);
+            c.task_id = task_id;
+            c.merge_fan_in = 3;
+            c.spill_dir = dir.clone();
+            c.streaming = streaming;
+            let (out, prof) = run_map_task(&job, &split, c).unwrap();
+            assert!(prof.spills.len() >= 10, "got {} spills", prof.spills.len());
+            assert_eq!(files_in(&dir), vec![format!("t{task_id}_out.bin")]);
+            drop(out);
+            assert!(files_in(&dir).is_empty(), "{streaming:?}");
+        }
+    }
+
+    #[test]
+    fn a_lone_spill_output_keeps_the_store_alive() {
+        let dir = tmpdir().join("store-files-lone");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut c = cfg(1 << 20);
+        c.task_id = 33;
+        c.spill_dir = dir.clone();
+        let split = one_split("a b a\nb c\n");
+        let (out, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap();
+        assert_eq!(prof.spills.len(), 1);
+        assert_eq!(files_in(&dir), vec!["t33.spills".to_string()]);
+        assert_eq!(output_counts(&out, 2)["a"], 2);
+        drop(out);
+        assert!(files_in(&dir).is_empty());
     }
 
     #[test]

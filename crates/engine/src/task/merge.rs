@@ -8,10 +8,14 @@
 //! visitor without copying record bytes.
 
 use crate::codec::read_record;
+use crate::io::frame::{FrameMeta, FrameRunCursor, RunHandle};
+use crate::io::spill_file::SpillFile;
+use crate::io::store::Store;
 use crate::job::{combine_values, Job};
 use crate::metrics::Stopwatch;
 use std::cmp::Ordering;
 use std::io;
+use std::sync::Arc;
 
 /// Hand one merged group's values to `out`: through the job's combiner when
 /// `use_combiner` and the group holds more than one value, as they are
@@ -246,7 +250,8 @@ pub struct MultiPassOutcome {
     pub runs: Vec<Vec<u8>>,
     /// Time spent in the user's combiner during intermediate passes (ns).
     pub combine_ns: u64,
-    /// Time spent writing/reading intermediate runs to scratch disk (ns).
+    /// Time spent appending intermediate runs to the store and reading
+    /// them back (ns).
     pub io_ns: u64,
     /// Number of intermediate merge passes performed.
     pub passes: usize,
@@ -257,14 +262,15 @@ pub struct MultiPassOutcome {
 /// combiner when available, as Hadoop does on intermediate passes), until
 /// at most `fan_in` runs remain for the caller's final streaming pass.
 ///
-/// `scratch` is a file path reused for the intermediate round-trips; the
-/// write+read cost is real and measured into `io_ns`.
+/// Each intermediate run is appended to `store` (the task attempt's one
+/// store) and read back by offset; the write+read cost is real and
+/// measured into `io_ns`.
 pub fn reduce_to_fan_in(
     mut runs: Vec<Vec<u8>>,
     job: &dyn Job,
     use_combiner: bool,
     fan_in: usize,
-    scratch: &std::path::Path,
+    store: &Store,
 ) -> io::Result<MultiPassOutcome> {
     use crate::codec::write_record;
 
@@ -281,15 +287,14 @@ pub fn reduce_to_fan_in(
                 write_record(&mut merged, key, v)
             });
         })?;
-        // Round-trip through scratch disk, as Hadoop's intermediate merge
-        // outputs do; the cost is real.
+        // Round-trip through the store, as Hadoop's intermediate merge
+        // outputs go through disk; the cost is real.
         let sw = Stopwatch::start();
-        std::fs::write(scratch, &merged)?;
-        let merged = std::fs::read(scratch)?;
+        let at = store.append(&merged)?;
+        store.read_at(at, &mut merged)?;
         io_ns = io_ns.saturating_add(sw.elapsed_ns());
         runs.push(merged);
     }
-    let _ = std::fs::remove_file(scratch);
     Ok(MultiPassOutcome {
         runs,
         combine_ns,
@@ -309,12 +314,12 @@ pub trait RunCursor {
     fn advance(&mut self) -> std::io::Result<()>;
 }
 
-impl RunCursor for crate::io::frame::FrameRunCursor {
+impl RunCursor for FrameRunCursor {
     fn peek(&self) -> Option<(&[u8], &[u8])> {
-        crate::io::frame::FrameRunCursor::peek(self)
+        FrameRunCursor::peek(self)
     }
     fn advance(&mut self) -> std::io::Result<()> {
-        crate::io::frame::FrameRunCursor::advance(self)
+        FrameRunCursor::advance(self)
     }
 }
 
@@ -378,8 +383,7 @@ fn recycle<'b>(mut v: Vec<&[u8]>) -> Vec<&'b [u8]> {
     v.into_iter().map(|_| &[][..]).collect()
 }
 
-/// A framed run that can be opened as a
-/// [`FrameRunCursor`](crate::io::frame::FrameRunCursor) *on demand*.
+/// A framed run that can be opened as a [`FrameRunCursor`] *on demand*.
 ///
 /// Multi-pass merging over cursors must not open every run up front: a
 /// cursor holds one decoded frame window from construction, so opening N
@@ -392,32 +396,26 @@ pub enum CursorSource<'a> {
         /// Stored (framed) bytes of the run.
         stored: Vec<u8>,
         /// Its frame index.
-        metas: Vec<crate::io::frame::FrameMeta>,
+        metas: Vec<FrameMeta>,
     },
     /// A framed partition of an existing spill file.
     Spill {
         /// The spill file holding the run.
-        file: &'a crate::io::spill_file::SpillFile,
+        file: &'a SpillFile,
         /// Partition index within it.
         part: usize,
     },
-    /// A run previously appended to the scratch
-    /// [`RunStore`](crate::io::frame::RunStore).
-    Stored(crate::io::frame::RunHandle),
+    /// A run previously appended to the task attempt's [`Store`].
+    Stored(RunHandle),
 }
 
 impl CursorSource<'_> {
     /// Open the source as a cursor positioned on its first record.
-    pub fn open(
-        self,
-        store: &mut crate::io::frame::RunStore,
-    ) -> std::io::Result<crate::io::frame::FrameRunCursor> {
+    pub fn open(self, store: &Arc<Store>) -> std::io::Result<FrameRunCursor> {
         match self {
-            CursorSource::Mem { stored, metas } => {
-                crate::io::frame::FrameRunCursor::from_mem(stored, metas)
-            }
+            CursorSource::Mem { stored, metas } => FrameRunCursor::from_mem(stored, metas),
             CursorSource::Spill { file, part } => file.framed_cursor(part),
-            CursorSource::Stored(h) => store.cursor(&h),
+            CursorSource::Stored(h) => h.cursor(store),
         }
     }
 }
@@ -426,7 +424,7 @@ impl CursorSource<'_> {
 #[derive(Debug)]
 pub struct CursorMultiPassOutcome {
     /// The surviving cursors (≤ fan_in of them), each sorted.
-    pub cursors: Vec<crate::io::frame::FrameRunCursor>,
+    pub cursors: Vec<FrameRunCursor>,
     /// Time spent in the user's combiner during intermediate passes (ns).
     pub combine_ns: u64,
     /// Time spent encoding/writing intermediate framed runs (ns).
@@ -450,7 +448,7 @@ pub fn reduce_sources_to_fan_in(
     use_combiner: bool,
     fan_in: usize,
     frame_bytes: usize,
-    store: &mut crate::io::frame::RunStore,
+    store: &Arc<Store>,
 ) -> io::Result<CursorMultiPassOutcome> {
     use crate::io::frame::FrameEncoder;
 
@@ -461,7 +459,7 @@ pub fn reduce_sources_to_fan_in(
     let mut sources = sources;
     while sources.len() > fan_in {
         passes += 1;
-        let mut batch: Vec<crate::io::frame::FrameRunCursor> = Vec::with_capacity(fan_in);
+        let mut batch: Vec<FrameRunCursor> = Vec::with_capacity(fan_in);
         for src in sources.drain(..fan_in) {
             batch.push(src.open(store)?);
         }
@@ -474,7 +472,7 @@ pub fn reduce_sources_to_fan_in(
         drop(batch);
         let sw = Stopwatch::start();
         let (stored, metas, records) = enc.finish();
-        let handle = store.append(&stored, metas, records)?;
+        let handle = RunHandle::append(store, &stored, metas, records)?;
         io_ns = io_ns.saturating_add(sw.elapsed_ns());
         sources.push(CursorSource::Stored(handle));
     }
@@ -615,7 +613,7 @@ mod tests {
 
     mod cursors {
         use super::*;
-        use crate::io::frame::{FrameEncoder, FrameRunCursor, RunStore};
+        use crate::io::frame::FrameEncoder;
 
         fn framed(run: &[u8]) -> FrameRunCursor {
             let mut enc = FrameEncoder::new(1 << 10);
@@ -671,7 +669,7 @@ mod tests {
                 &multi_pass::Plain,
                 false,
                 4,
-                &scratch.join("legacy.bin"),
+                &Store::create(scratch.join("legacy.bin")),
             )
             .unwrap();
             let mut legacy_stream = Vec::new();
@@ -683,7 +681,7 @@ mod tests {
             })
             .unwrap();
 
-            let mut store = RunStore::create(scratch.join("store.bin")).unwrap();
+            let store = Store::create(scratch.join("store.bin"));
             let sources = runs
                 .iter()
                 .map(|r| {
@@ -696,15 +694,9 @@ mod tests {
                     CursorSource::Mem { stored, metas }
                 })
                 .collect();
-            let out = reduce_sources_to_fan_in(
-                sources,
-                &multi_pass::Plain,
-                false,
-                4,
-                1 << 10,
-                &mut store,
-            )
-            .unwrap();
+            let out =
+                reduce_sources_to_fan_in(sources, &multi_pass::Plain, false, 4, 1 << 10, &store)
+                    .unwrap();
             assert!(out.cursors.len() <= 4);
             assert!(out.passes >= 1);
             let mut cursors = out.cursors;
@@ -723,7 +715,6 @@ mod tests {
     mod multi_pass {
         use super::*;
         use crate::job::{Emit, Job, Record, ValueCursor};
-        use std::path::PathBuf;
 
         pub(super) struct Plain;
         impl Job for Plain {
@@ -734,10 +725,10 @@ mod tests {
             fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
         }
 
-        fn scratch(name: &str) -> PathBuf {
+        fn scratch(name: &str) -> Arc<Store> {
             let d = std::env::temp_dir().join(format!("textmr-mp-{}", std::process::id()));
             std::fs::create_dir_all(&d).unwrap();
-            d.join(name)
+            Store::create(d.join(name))
         }
 
         /// 25 single-record runs with distinct sorted keys.

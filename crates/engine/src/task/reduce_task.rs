@@ -10,7 +10,8 @@
 //! which is where the EC2 configuration's shuffle penalty enters (Table IV).
 
 use crate::fault::FaultPlan;
-use crate::io::frame::{decode_run, scan_frames, RunStore};
+use crate::io::frame::{decode_run, scan_frames, RunHandle};
+use crate::io::store::Store;
 use crate::io::StreamingConfig;
 use crate::job::{Emit, Job, SliceValues};
 use crate::metrics::{Op, OpTimes, SampledCost, Stopwatch, TaskProfile};
@@ -75,7 +76,8 @@ pub struct ReduceTaskConfig {
     pub node: usize,
     /// Maximum merge fan-in.
     pub merge_fan_in: usize,
-    /// Scratch directory for intermediate merge passes.
+    /// Directory of the attempt's store (`r{partition}.store`), which
+    /// spooled runs and intermediate merge passes append to.
     pub scratch_dir: std::path::PathBuf,
     /// Parallel shuffle fetchers (1 = sequential; clamped to
     /// [`crate::shuffle::MAX_FETCHERS`]).
@@ -96,9 +98,8 @@ pub struct ReduceTaskConfig {
     /// into `TaskProfile::trace`. Off by default.
     pub trace: bool,
     /// Out-of-core streaming knobs. Relevant only when the map outputs
-    /// are framed: with `materialize_reads` off, fetched runs spool to a
-    /// scratch [`RunStore`] and merge through
-    /// one-frame windows; with it on, every frame is decoded up front.
+    /// are framed: with `materialize_reads` off, fetched runs spool to the
+    /// attempt's [`Store`] and merge through one-frame windows; with it on, every frame is decoded up front.
     /// Same bytes, same output — different residency.
     pub streaming: StreamingConfig,
 }
@@ -161,6 +162,9 @@ pub fn run_reduce_task(
     // the remaining groups' user work instead.
     let mut groups_done = 0u64;
     let mut aborted: Option<Abort> = None;
+    // Created on its first append: a merge with no intermediate pass and
+    // nothing to spool touches no file.
+    let store = Store::create(cfg.scratch_dir.join(format!("r{partition}.store")));
     let mut on_group = |key: &[u8], values: &[&[u8]]| {
         if aborted.is_some() {
             return;
@@ -178,19 +182,17 @@ pub fn run_reduce_task(
     };
     if framed && !cfg.streaming.materialize_reads {
         // ---- streamed framed merge --------------------------------------
-        // Spool each fetched (stored, compressed) run into a scratch
-        // store and drop the in-memory copies; every later pass reads
+        // Spool each fetched (stored, compressed) run into the store and
+        // drop the in-memory copies; every later pass reads
         // one-frame windows, so at most `fan_in + 1` windows are
         // resident. The record stream — and hence the output — is
         // identical to the materialized path below.
-        let mut store = RunStore::create(
-            cfg.scratch_dir
-                .join(format!("r{partition}_mergescratch.frames")),
-        )?;
         let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
         for run in &runs {
             let metas = scan_frames(run).map_err(io::Error::from)?;
-            sources.push(CursorSource::Stored(store.append(run, metas, 0)?));
+            sources.push(CursorSource::Stored(RunHandle::append(
+                &store, run, metas, 0,
+            )?));
         }
         drop(runs);
         let multi = reduce_sources_to_fan_in(
@@ -199,7 +201,7 @@ pub fn run_reduce_task(
             job.has_combiner(),
             cfg.merge_fan_in,
             cfg.streaming.frame_bytes,
-            &mut store,
+            &store,
         )?;
         intermediate_combine_ns = multi.combine_ns;
         let mut cursors = multi.cursors;
@@ -216,15 +218,12 @@ pub fn run_reduce_task(
             runs
         };
         peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
-        let scratch = cfg
-            .scratch_dir
-            .join(format!("r{partition}_mergescratch.bin"));
         let multi = crate::task::merge::reduce_to_fan_in(
             runs,
             job.as_ref(),
             job.has_combiner(),
             cfg.merge_fan_in,
-            &scratch,
+            &store,
         )?;
         let runs = multi.runs;
         intermediate_combine_ns = multi.combine_ns;

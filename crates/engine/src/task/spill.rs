@@ -3,12 +3,13 @@
 //!
 //! Given an in-memory [`Segment`], this module sorts record indices by
 //! `(partition, key)` (the job's key comparator), runs the user's
-//! `combine()` over equal-key groups, and streams the result into a
-//! [`SpillFile`]. Each stage is measured separately because the paper's
+//! `combine()` over equal-key groups, and appends the result to a
+//! [`Store`] as a [`SpillFile`]. Each stage is measured separately because the paper's
 //! breakdown (Fig. 2/8) distinguishes sort (framework), combine (user) and
 //! spill I/O (framework).
 
-use crate::io::spill_file::SpillFile;
+use crate::io::spill_file::{SpillFile, SpillFileWriter};
+use crate::io::store::Store;
 use crate::job::Job;
 use crate::metrics::Stopwatch;
 use crate::task::merge::combine_group;
@@ -16,6 +17,7 @@ use crate::task::segment::Segment;
 use std::cmp::Ordering;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Measured result of spilling a segment.
 #[derive(Debug)]
@@ -135,8 +137,17 @@ fn common_prefix_len(seg: &Segment) -> usize {
     len
 }
 
-/// Sort, combine and write `seg` to a new spill file at `path`.
+/// Sort, combine and write `seg` to a new store at `path`.
 pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<SpillOutcome> {
+    spill_segment_into(seg, job, &Store::create(path))
+}
+
+/// Sort, combine and append `seg` to `store` as one spill file.
+pub fn spill_segment_into(
+    seg: &Segment,
+    job: &dyn Job,
+    store: &Arc<Store>,
+) -> io::Result<SpillOutcome> {
     let sw = Stopwatch::start();
     let idx = sort_indices(seg, job);
     let sort_ns = sw.elapsed_ns();
@@ -144,7 +155,7 @@ pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<
     let sw_write = Stopwatch::start();
     let mut combine_ns = 0u64;
     let mut records_out = 0u64;
-    let mut writer = SpillFile::create(path)?;
+    let mut writer = SpillFile::append_to(store);
     let use_combiner = job.has_combiner();
 
     let mut i = 0usize;
@@ -206,6 +217,17 @@ pub fn spill_segment_framed(
     path: PathBuf,
     frame_bytes: usize,
 ) -> io::Result<SpillOutcome> {
+    spill_segment_framed_into(seg, job, &Store::create(path), frame_bytes)
+}
+
+/// [`spill_segment_into`] writing each partition as a framed run (see
+/// [`spill_segment_framed`]).
+pub fn spill_segment_framed_into(
+    seg: &Segment,
+    job: &dyn Job,
+    store: &Arc<Store>,
+    frame_bytes: usize,
+) -> io::Result<SpillOutcome> {
     use crate::io::frame::FrameEncoder;
 
     let sw = Stopwatch::start();
@@ -215,7 +237,7 @@ pub fn spill_segment_framed(
     let sw_write = Stopwatch::start();
     let mut combine_ns = 0u64;
     let mut records_out = 0u64;
-    let mut writer = SpillFile::create(path)?;
+    let mut writer = SpillFile::append_to(store);
     let use_combiner = job.has_combiner();
 
     let mut i = 0usize;
@@ -223,7 +245,7 @@ pub fn spill_segment_framed(
     let mut enc: Option<FrameEncoder> = None;
     let mut part_records = 0u64;
     let mut values: Vec<&[u8]> = Vec::new();
-    let flush = |writer: &mut crate::io::spill_file::SpillFileWriter,
+    let flush = |writer: &mut SpillFileWriter,
                  enc: Option<FrameEncoder>,
                  part: Option<usize>,
                  part_records: u64|

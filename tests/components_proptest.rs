@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use textmr_engine::codec;
 use textmr_engine::io::compress;
-use textmr_engine::io::frame::{FrameEncoder, RunStore};
+use textmr_engine::io::frame::FrameEncoder;
+use textmr_engine::io::store::Store;
 use textmr_engine::job::{Emit, Job, Record, ValueCursor};
 use textmr_engine::task::merge::{
     merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, reduce_to_fan_in, CursorSource,
@@ -187,10 +188,10 @@ proptest! {
         merge_grouped(&encoded, &cmp, |k, vs| to_groups(k, vs, &mut buffered)).unwrap();
         prop_assert_eq!(&buffered, &expected);
 
-        let mut store = RunStore::create(scratch_dir().join("tie-store.bin")).unwrap();
+        let store = Store::create(scratch_dir().join("tie-store.bin"));
         let mut cursors: Vec<_> = encoded
             .iter()
-            .map(|r| framed_source(r).open(&mut store).unwrap())
+            .map(|r| framed_source(r).open(&store).unwrap())
             .collect();
         let mut streamed = Vec::new();
         merge_grouped_cursors(&mut cursors, &cmp, |k, vs| to_groups(k, vs, &mut streamed))
@@ -201,14 +202,14 @@ proptest! {
         // their final merges equal the reference applied the same way.
         let expected_multi = reference_merge(&reference_fan_in(runs.clone(), fan_in));
         let multi = reduce_to_fan_in(
-            encoded.clone(), &Bytewise, false, fan_in, &scratch_dir().join("tie.bin"),
+            encoded.clone(), &Bytewise, false, fan_in, &Store::create(scratch_dir().join("tie.bin")),
         ).unwrap();
         let mut buffered = Vec::new();
         merge_grouped(&multi.runs, &cmp, |k, vs| to_groups(k, vs, &mut buffered)).unwrap();
         prop_assert_eq!(&buffered, &expected_multi);
 
         let sources = encoded.iter().map(|r| framed_source(r)).collect();
-        let multi = reduce_sources_to_fan_in(sources, &Bytewise, false, fan_in, 64, &mut store)
+        let multi = reduce_sources_to_fan_in(sources, &Bytewise, false, fan_in, 64, &store)
             .unwrap();
         let mut cursors = multi.cursors;
         let mut streamed = Vec::new();

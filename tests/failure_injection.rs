@@ -392,3 +392,44 @@ fn mixed_map_and_reduce_faults_recover_together() {
         assert!(faulty.profile.shuffle_stats().retries > 0);
     }
 }
+
+#[test]
+fn a_corpus_truncated_on_disk_fails_the_job_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("textmr-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpus.txt");
+    let bytes = CorpusConfig {
+        lines: 2_000,
+        vocab_size: 2_000,
+        ..Default::default()
+    }
+    .generate_bytes();
+    std::fs::write(&path, &bytes).unwrap();
+    let mut dfs = SimDfs::new(6, 32 << 10);
+    dfs.put_path("corpus", &path).unwrap();
+    // Cut the file after it was registered: splits past the cut cannot
+    // read their bytes.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(bytes.len() as u64 / 2)
+        .unwrap();
+    for workers in [1, 2] {
+        let mut c = cluster();
+        c.worker_threads = workers;
+        let err = run_job(
+            &c,
+            &JobConfig::default().with_reducers(3),
+            Arc::new(WordCount),
+            &dfs,
+            &[("corpus", 0)],
+        )
+        .expect_err("a truncated input must fail the job");
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "error does not name the file: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
