@@ -190,16 +190,26 @@ impl JobConfig {
 /// replicas of the same block must share a cache entry). Disk-backed
 /// splits are digested through a bounded chunk window, never
 /// materialized; identical content digests identically on either backing.
-pub fn split_digest(split: &InputSplit) -> u64 {
+/// A disk-backed split that cannot be read is an error naming its file.
+pub fn split_digest(split: &InputSplit) -> io::Result<u64> {
     // Seed with the FNV offset basis, then stream the range.
-    let mut h = split.digest_content(0xcbf2_9ce4_8422_2325);
+    let mut h = split.digest_content(0xcbf2_9ce4_8422_2325)?;
     h ^= u64::from(split.source) | (u64::from(split.framed) << 8);
-    h.wrapping_mul(0x100_0000_01b3)
+    Ok(h.wrapping_mul(0x100_0000_01b3))
 }
 
-/// The full cache key for one map task.
-pub fn map_cache_key(prefix: &str, round: usize, task: usize, split: &InputSplit) -> String {
-    format!("{prefix}|rd{round}|t{task}|s{:016x}", split_digest(split))
+/// The full cache key for one map task (an error if its split cannot be
+/// read; see [`split_digest`]).
+pub fn map_cache_key(
+    prefix: &str,
+    round: usize,
+    task: usize,
+    split: &InputSplit,
+) -> io::Result<String> {
+    Ok(format!(
+        "{prefix}|rd{round}|t{task}|s{:016x}",
+        split_digest(split)?
+    ))
 }
 
 #[cfg(test)]
@@ -222,12 +232,13 @@ mod tests {
         let a = split(b"hello world\n");
         let mut b = split(b"hello world\n");
         b.home_node = 3;
-        assert_eq!(split_digest(&a), split_digest(&b));
+        let digest = |s: &InputSplit| split_digest(s).unwrap();
+        assert_eq!(digest(&a), digest(&b));
         let c = split(b"hello there\n");
-        assert_ne!(split_digest(&a), split_digest(&c));
+        assert_ne!(digest(&a), digest(&c));
         let mut d = split(b"hello world\n");
         d.framed = true;
-        assert_ne!(split_digest(&a), split_digest(&d));
+        assert_ne!(digest(&a), digest(&d));
     }
 
     #[test]

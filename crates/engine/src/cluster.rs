@@ -65,7 +65,9 @@ pub struct ClusterConfig {
     /// Map-side spill buffer capacity M per task, in bytes (Hadoop's
     /// `io.sort.mb`).
     pub spill_buffer_bytes: usize,
-    /// Directory for spill files; defaults to a per-process temp dir.
+    /// Root of the jobs' spill directories (one per job, removed when the
+    /// job ends); defaults to `TEXTMR_TMP`, else `/dev/shm`, else the
+    /// system temp dir.
     pub temp_dir: Option<PathBuf>,
     /// Maximum merge fan-in (Hadoop's `io.sort.factor`): more runs than
     /// this trigger multi-pass merging through scratch disk.
@@ -218,14 +220,17 @@ impl ClusterConfig {
         }
     }
 
+    /// A new directory for one job, `textmr-<pid>-job<seq>` directly under
+    /// the temp root, so the job's guard removing it leaves nothing
+    /// behind.
     pub(crate) fn resolve_temp_dir(&self) -> io::Result<PathBuf> {
         static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = match &self.temp_dir {
+        let root = match &self.temp_dir {
             Some(d) => d.clone(),
-            None => Self::default_temp_root().join(format!("textmr-{}", std::process::id())),
-        }
-        .join(format!("job{seq}"));
+            None => Self::default_temp_root(),
+        };
+        let dir = root.join(format!("textmr-{}-job{seq}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         Ok(dir)
     }
@@ -391,9 +396,10 @@ type Attempt<T> = Result<(T, VNanos), TaskError>;
 struct MapDone {
     out: MapOutput,
     prof: TaskProfile,
-    /// Whether the output came from the map-output cache (a hit is never
-    /// offered back to the cache).
-    cached: bool,
+    /// The map-output cache key of a task that missed the cache, under
+    /// which its output is offered back; `None` for a hit (never offered
+    /// back) or without a cache.
+    cache_key: Option<String>,
 }
 
 /// One scheduled attempt, captured for the trace: where and when it ran,
@@ -1215,7 +1221,7 @@ pub(crate) fn run_round(
             MapDone {
                 out,
                 prof,
-                cached: false,
+                cache_key: None,
             },
             dur,
         ))
@@ -1232,8 +1238,15 @@ pub(crate) fn run_round(
         // it) never executes. Keys are unique per (job prefix, round, task,
         // split digest), so each key sees at most one `get` per wave and
         // per-key cache state stays deterministic under the worker pool.
+        let mut cache_key = None;
         if let Some(mc) = &cfg.map_cache {
-            let key = crate::cache::map_cache_key(&mc.key_prefix, round, t, split);
+            let key = match crate::cache::map_cache_key(&mc.key_prefix, round, t, split) {
+                Ok(key) => key,
+                Err(e) => {
+                    cancel.store(true, Ordering::Relaxed);
+                    return TaskOutcome::Failed(e);
+                }
+            };
             if let Some(hit) = mc.cache.get(&key) {
                 let attempt_dir = map_phase.dir(t, Some(0));
                 let done = std::fs::create_dir_all(&attempt_dir).and_then(|()| {
@@ -1250,7 +1263,7 @@ pub(crate) fn run_round(
                         out: MapDone {
                             out,
                             prof,
-                            cached: true,
+                            cache_key: None,
                         },
                     },
                     Err(e) => {
@@ -1259,25 +1272,29 @@ pub(crate) fn run_round(
                     }
                 };
             }
+            cache_key = Some(key);
         }
-        map_phase.ladder(t, &cancel, |attempt, dir| {
+        match map_phase.ladder(t, &cancel, |attempt, dir| {
             run_map(t, node, Some(attempt), dir)
-        })
+        }) {
+            TaskOutcome::Done { attempts, mut out } => {
+                out.cache_key = cache_key;
+                TaskOutcome::Done { attempts, out }
+            }
+            other => other,
+        }
     };
     let map_results = run_indexed(workers, splits.len(), run_one_map_task);
 
     let mut map_outputs: Vec<MapOutput> = Vec::with_capacity(splits.len());
     let mut map_profiles = Vec::with_capacity(splits.len());
-    let map_durations = map_phase.collect(map_results, |t, done| {
+    let map_durations = map_phase.collect(map_results, |_, done| {
         // Offer misses back to the cache here — sequentially, in task-id
         // order — so admission and eviction never depend on worker-pool
         // timing.
-        if !done.cached {
-            if let Some(mc) = &cfg.map_cache {
-                let key = crate::cache::map_cache_key(&mc.key_prefix, round, t, &splits[t]);
-                if let Ok(c) = crate::cache::CachedMapOutput::capture(&done.out, &done.prof) {
-                    mc.cache.put(&key, Arc::new(c));
-                }
+        if let (Some(mc), Some(key)) = (&cfg.map_cache, &done.cache_key) {
+            if let Ok(c) = crate::cache::CachedMapOutput::capture(&done.out, &done.prof) {
+                mc.cache.put(key, Arc::new(c));
             }
         }
         map_outputs.push(done.out);
@@ -1606,6 +1623,24 @@ mod tests {
                 s += decode_u64(v).unwrap();
             }
             out.emit(k, &encode_u64(s));
+        }
+    }
+
+    #[test]
+    fn each_job_dir_lies_directly_under_the_temp_root() {
+        // The default root too: a per-process directory between the root
+        // and the job's would outlive every job.
+        let mut c = ClusterConfig::local();
+        for root in [None, Some(std::env::temp_dir())] {
+            c.temp_dir = root.clone();
+            let a = c.resolve_temp_dir().unwrap();
+            let b = c.resolve_temp_dir().unwrap();
+            let expected_root = root.unwrap_or_else(ClusterConfig::default_temp_root);
+            assert_eq!(a.parent(), Some(expected_root.as_path()));
+            assert_eq!(b.parent(), Some(expected_root.as_path()));
+            assert_ne!(a, b, "one directory per job");
+            std::fs::remove_dir(&a).unwrap();
+            std::fs::remove_dir(&b).unwrap();
         }
     }
 

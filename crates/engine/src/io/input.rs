@@ -150,24 +150,31 @@ impl InputSplit {
     /// Fold the split's byte range into a running FNV-1a hash without
     /// materializing disk-backed ranges (streams [`DEFAULT_INPUT_CHUNK`]
     /// windows). Identical content hashes identically on either backing.
-    pub fn digest_content(&self, mut h: u64) -> u64 {
+    /// A disk-backed range that cannot be opened or read whole is an error
+    /// whose message names the file.
+    pub fn digest_content(&self, mut h: u64) -> io::Result<u64> {
         use crate::job::fnv1a_update;
         match &self.data {
-            SplitBytes::Mem(d) => fnv1a_update(h, &d[self.start..self.end]),
+            SplitBytes::Mem(d) => Ok(fnv1a_update(h, &d[self.start..self.end])),
             SplitBytes::Disk { path, len } => {
+                let named = |e: io::Error| {
+                    io::Error::new(
+                        e.kind(),
+                        format!("digesting split of {}: {e}", path.display()),
+                    )
+                };
                 let end = self.end.min(*len);
-                let mut f = File::open(path.as_ref()).expect("open split backing file");
-                f.seek(SeekFrom::Start(self.start as u64))
-                    .expect("seek split backing file");
+                let mut f = File::open(path.as_ref()).map_err(named)?;
+                f.seek(SeekFrom::Start(self.start as u64)).map_err(named)?;
                 let mut pos = self.start;
                 let mut buf = vec![0u8; DEFAULT_INPUT_CHUNK.min(end.saturating_sub(pos))];
                 while pos < end {
                     let want = buf.len().min(end - pos);
-                    f.read_exact(&mut buf[..want]).expect("read split chunk");
+                    f.read_exact(&mut buf[..want]).map_err(named)?;
                     h = fnv1a_update(h, &buf[..want]);
                     pos += want;
                 }
-                h
+                Ok(h)
             }
         }
     }
@@ -588,7 +595,10 @@ mod tests {
         let mem = splits_of(text, 7, 2);
         let disk = disk_splits_of(text, 7, 2);
         for (m, d) in mem.iter().zip(&disk) {
-            assert_eq!(m.digest_content(1234), d.digest_content(1234));
+            assert_eq!(
+                m.digest_content(1234).unwrap(),
+                d.digest_content(1234).unwrap()
+            );
         }
     }
 

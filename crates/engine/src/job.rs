@@ -139,7 +139,10 @@ pub trait Job: Send + Sync {
     /// comparison, which matches order-preserving key encodings. The spill
     /// sort orders keys by their bytes first and checks that order with one
     /// call per distinct key; an override that disagrees is sorted by this
-    /// alone.
+    /// alone. Merge passes whose output can be discarded likewise order by
+    /// bytes and check each group boundary: an override that disagrees
+    /// with bytewise order costs one discarded merge pass per task
+    /// attempt, after which the attempt merges by this alone.
     fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
         a.cmp(b)
     }

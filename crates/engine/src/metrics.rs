@@ -646,10 +646,17 @@ const SAMPLE_EVERY: u64 = 16;
 /// the cold first call and the growth of a vector pushed once per call
 /// off the sample: such a vector reallocates on calls 1 and 2^k + 1,
 /// never on a multiple of [`SAMPLE_EVERY`].
+///
+/// Calls that may come only a few times per task (combine, reduce) also
+/// time the first call ([`SampledCost::start_or_first`]). It is kept
+/// apart: the estimate counts it once, as measured, and the other calls
+/// at the mean of the other samples, so a cold first call is not
+/// weighted as [`SAMPLE_EVERY`] calls.
 #[derive(Debug, Default)]
 pub(crate) struct SampledCost {
     samples: u64,
     sampled_ns: u64,
+    first_ns: Option<u64>,
 }
 
 impl SampledCost {
@@ -658,6 +665,18 @@ impl SampledCost {
     #[inline]
     pub(crate) fn start(count: u64) -> Option<Stopwatch> {
         Self::is_sampled(count).then(Stopwatch::start)
+    }
+
+    /// Start a stopwatch if call number `count` (counted from 1) is the
+    /// first, or is half a period off the sampled ones (the 8th, the 24th,
+    /// …): for calls that may come only a few times per task (combine,
+    /// reduce), whose cost should still show. The offset keeps a sampled
+    /// call off the sampled calls nested in it: a reduce that emits one
+    /// pair per call would otherwise time its sampled writes' clock reads
+    /// on every sample.
+    #[inline]
+    pub(crate) fn start_or_first(count: u64) -> Option<Stopwatch> {
+        (count == 1 || count % SAMPLE_EVERY == SAMPLE_EVERY / 2).then(Stopwatch::start)
     }
 
     /// Whether call number `count` (counted from 1) is sampled.
@@ -671,6 +690,18 @@ impl SampledCost {
     pub(crate) fn record(&mut self, ns: u64) {
         self.samples += 1;
         self.sampled_ns = self.sampled_ns.saturating_add(ns);
+    }
+
+    /// Record the cost of call number `count`, timed by
+    /// [`SampledCost::start_or_first`]: the first call apart, any other
+    /// as a sample.
+    #[inline]
+    pub(crate) fn record_call(&mut self, count: u64, ns: u64) {
+        if count == 1 {
+            self.first_ns = Some(ns);
+        } else {
+            self.record(ns);
+        }
     }
 
     /// Calls timed so far.
@@ -688,6 +719,20 @@ impl SampledCost {
         let ns = u128::from(calls) * u128::from(self.sampled_ns) / u128::from(self.samples);
         u64::try_from(ns).unwrap_or(u64::MAX)
     }
+
+    /// Estimated cost of the first `calls` calls recorded through
+    /// [`SampledCost::record_call`]: the first as measured, the others at
+    /// the mean of the other samples (at the first's cost before there
+    /// are any).
+    pub(crate) fn estimate_calls(&self, calls: u64) -> u64 {
+        match self.first_ns {
+            Some(first) if calls > 0 => first.saturating_add(match self.samples {
+                0 => first.saturating_mul(calls - 1),
+                _ => self.estimate(calls - 1),
+            }),
+            _ => self.estimate(calls),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -700,6 +745,21 @@ mod tests {
             .filter(|&i| SampledCost::start(i).is_some())
             .collect();
         assert_eq!(sampled, vec![16, 32]);
+        let with_first: Vec<u64> = (1..=40)
+            .filter(|&i| SampledCost::start_or_first(i).is_some())
+            .collect();
+        assert_eq!(with_first, vec![1, 8, 24, 40]);
+        let mut c = SampledCost::default();
+        c.record_call(1, 1000);
+        assert_eq!(c.estimate_calls(5), 5000, "the first call stands for all");
+        c.record_call(8, 10);
+        c.record_call(24, 30);
+        assert_eq!(
+            c.estimate_calls(33),
+            1000 + 32 * 20,
+            "the first counts once"
+        );
+        assert_eq!(c.estimate_calls(0), 0);
         let mut c = SampledCost::default();
         assert_eq!(c.estimate(100), 0);
         c.record(30);

@@ -17,8 +17,8 @@ use crate::io::StreamingConfig;
 use crate::job::{Emit, Job};
 use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
 use crate::task::merge::{
-    combine_group, merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in,
-    reduce_to_fan_in, CursorSource,
+    merge_grouped, merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in,
+    reduce_to_fan_in_with, CursorSource, Grouper,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
@@ -94,6 +94,8 @@ pub struct MapOutput {
 /// Implements [`Emit`] so it can serve directly as the filter's flush sink.
 struct SpillPath<'a> {
     job: &'a dyn Job,
+    /// The attempt's combiner and merge order, for spills and the merge.
+    grouper: Grouper<'a>,
     num_partitions: usize,
     pipeline: Pipeline,
     seg: Segment,
@@ -155,9 +157,9 @@ impl<'a> SpillPath<'a> {
             None => Store::create(self.spill_dir.join(format!("t{}.spills", self.task_id))),
         };
         let spilled = if self.framed {
-            spill_segment_framed_into(&self.seg, self.job, &store, self.frame_bytes)
+            spill_segment_framed_into(&self.seg, &mut self.grouper, &store, self.frame_bytes)
         } else {
-            spill_segment_into(&self.seg, self.job, &store)
+            spill_segment_into(&self.seg, &mut self.grouper, &store)
         };
         match spilled {
             Ok(out) => {
@@ -293,6 +295,7 @@ pub fn run_map_task(
     let initial = controller.initial_fraction().clamp(MIN_FRACTION, 1.0);
     let path = SpillPath {
         job: job.as_ref(),
+        grouper: Grouper::new(job.as_ref(), job.has_combiner()),
         num_partitions: cfg.num_partitions,
         pipeline: Pipeline::new(cfg.buffer_capacity, initial),
         seg: Segment::new(),
@@ -467,7 +470,7 @@ pub fn run_map_task(
     } else {
         let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
         let merge = SpillMerge {
-            job: job.as_ref(),
+            grouper: &mut path.grouper,
             spills: &path.spills,
             num_partitions: cfg.num_partitions,
             fan_in: cfg.merge_fan_in,
@@ -521,8 +524,9 @@ pub fn run_map_task(
 /// The merge of two or more spills (or none) into the map output, with the
 /// combiner applied again to each merged group. Intermediate passes append
 /// to the spills' store.
-struct SpillMerge<'a> {
-    job: &'a dyn Job,
+struct SpillMerge<'a, 'j> {
+    /// The attempt's grouper.
+    grouper: &'a mut Grouper<'j>,
     spills: &'a [SpillFile],
     num_partitions: usize,
     fan_in: usize,
@@ -532,12 +536,10 @@ struct SpillMerge<'a> {
     peak_buffer_bytes: &'a mut u64,
 }
 
-impl SpillMerge<'_> {
-    /// Record/blob spills into record/blob partitions.
+impl SpillMerge<'_, '_> {
+    /// Record/blob spills into record/blob partitions, each merged whole
+    /// into a buffer (see [`merge_partition`]) and written as one blob.
     fn records(self, out: PathBuf) -> io::Result<SpillFile> {
-        let job = self.job;
-        let has_combiner = job.has_combiner();
-        let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
         let mut writer = SpillFile::create(out)?;
         // No spills (empty input): an empty output.
         let Some(store) = self.spills.first().map(SpillFile::store) else {
@@ -556,18 +558,10 @@ impl SpillMerge<'_> {
             *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident as u64);
             // Bound the final pass's fan-in, merging through the spill store as
             // Hadoop does when spills exceed io.sort.factor.
-            let multi = reduce_to_fan_in(runs, job, has_combiner, self.fan_in, store)?;
-            *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-            writer.start_partition(part)?;
-            let mut written = Ok(());
-            merge_grouped(&multi.runs, &cmp, |key, values| {
-                combine_group(job, has_combiner, key, values, self.combine_ns, |v| {
-                    if written.is_ok() {
-                        written = writer.write_record(key, v);
-                    }
-                });
-            })?;
-            written?;
+            let (bytes, records, combine_ns) =
+                merge_partition(runs, self.grouper, self.fan_in, store)?;
+            *self.combine_ns = self.combine_ns.saturating_add(combine_ns);
+            writer.write_raw_partition(part, &bytes, records)?;
         }
         writer.finish()
     }
@@ -576,9 +570,10 @@ impl SpillMerge<'_> {
     /// reads produce identical output bytes: multi-pass batching, combiner
     /// application, and the merged record stream are the same (pinned by
     /// the merge-module tests); only how much of each run is resident
-    /// differs.
+    /// differs. The final merge orders by the comparator.
     fn framed(self, out: PathBuf, streaming: StreamingConfig) -> io::Result<SpillFile> {
-        let job = self.job;
+        let grouper = self.grouper;
+        let job = grouper.job();
         let has_combiner = job.has_combiner();
         let frame_bytes = streaming.frame_bytes;
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
@@ -587,16 +582,9 @@ impl SpillMerge<'_> {
         let Some(store) = self.spills.first().map(SpillFile::store) else {
             return writer.finish();
         };
-        let mut group_combine_ns = 0u64;
         for part in 0..self.num_partitions {
             let mut enc = FrameEncoder::new(frame_bytes);
             let mut records = 0u64;
-            let mut push = |key: &[u8], values: &[&[u8]]| {
-                combine_group(job, has_combiner, key, values, &mut group_combine_ns, |v| {
-                    enc.push_record(key, v);
-                    records += 1;
-                });
-            };
             if streaming.materialize_reads {
                 // Decode every frame of every run up front — whole-run
                 // residency, the byte-identical reference point.
@@ -623,9 +611,14 @@ impl SpillMerge<'_> {
                 let resident: usize = runs.iter().map(Vec::len).sum();
                 *self.peak_buffer_bytes =
                     (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
-                let multi = reduce_to_fan_in(runs, job, has_combiner, self.fan_in, store)?;
+                let multi = reduce_to_fan_in_with(runs, grouper, self.fan_in, store)?;
                 *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-                merge_grouped(&multi.runs, &cmp, |key, values| push(key, values))?;
+                merge_grouped(&multi.runs, &cmp, |key, values| {
+                    grouper.combine(key, values, |v| {
+                        enc.push_record(key, v);
+                        records += 1;
+                    });
+                })?;
             } else {
                 // Streamed: sources open lazily (batch by batch), so at
                 // most fan_in + 1 frame windows are live at once.
@@ -650,12 +643,17 @@ impl SpillMerge<'_> {
                 let resident: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
                 *self.peak_buffer_bytes =
                     (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
-                merge_grouped_cursors(&mut cursors, &cmp, |key, values| push(key, values))?;
+                merge_grouped_cursors(&mut cursors, &cmp, |key, values| {
+                    grouper.combine(key, values, |v| {
+                        enc.push_record(key, v);
+                        records += 1;
+                    });
+                })?;
             }
             let (stored, metas, _) = enc.finish();
             writer.write_framed_partition(part, &stored, metas, records)?;
         }
-        *self.combine_ns = self.combine_ns.saturating_add(group_combine_ns);
+        *self.combine_ns = self.combine_ns.saturating_add(grouper.take_combine_ns());
         writer.finish()
     }
 }
@@ -959,6 +957,7 @@ mod tests {
         MapEmitter {
             path: SpillPath {
                 job,
+                grouper: Grouper::new(job, job.has_combiner()),
                 num_partitions: 2,
                 pipeline: Pipeline::new(1 << 20, 0.8),
                 seg: Segment::new(),

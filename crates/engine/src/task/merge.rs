@@ -6,39 +6,142 @@
 //! `reduce()`. Runs are byte buffers of framed records sorted by the job's
 //! key comparator; groups (key + all its values) are delivered to a
 //! visitor without copying record bytes.
+//!
+//! A merge whose output can be discarded (every intermediate pass, the
+//! map-side final merge) orders run heads by packed key words
+//! ([`MergeOrder::Packed`]) and calls the comparator once per group
+//! boundary; where the comparator disagrees, the merge is redone in the
+//! comparator's order. The reducer's final merge, which calls `reduce()`,
+//! and the windowed cursor merges order by the comparator alone.
 
-use crate::codec::read_record;
+use crate::codec::{read_record, write_record};
 use crate::io::frame::{FrameMeta, FrameRunCursor, RunHandle};
 use crate::io::spill_file::SpillFile;
 use crate::io::store::Store;
-use crate::job::{combine_values, Job};
-use crate::metrics::Stopwatch;
+use crate::job::{Job, SliceValues, ValueSink};
+use crate::metrics::{SampledCost, Stopwatch};
+use crate::task::spill::{prefix_word, TIED};
 use std::cmp::Ordering;
 use std::io;
 use std::sync::Arc;
 
-/// Hand one merged group's values to `out`: through the job's combiner when
-/// `use_combiner` and the group holds more than one value, as they are
-/// otherwise (a combiner runs zero or more times, so skipping it on a
-/// singleton is sound). Combiner time is added to `combine_ns`.
-pub(crate) fn combine_group(
-    job: &dyn Job,
+/// How a merge of in-memory runs orders their head keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeOrder {
+    /// By each head key's packed word (7 key bytes and a length byte, as
+    /// the spill sort builds it), a tie of two length-8 words broken
+    /// bytewise: bytewise key order without the comparator. The job's
+    /// comparator is called once per group boundary, to check that each
+    /// group key comes strictly after the one before; where it does not,
+    /// the merge is redone in [`MergeOrder::Comparator`], which the
+    /// attempt keeps from then on. Only merges whose output can be
+    /// discarded run in this order.
+    Packed,
+    /// By the job's comparator alone.
+    Comparator,
+}
+
+/// Per-attempt state of the grouped paths (spills and merge passes): the
+/// combiner, its sampled cost and its reused output buffer, and the order
+/// the attempt's discardable merges run in.
+///
+/// Combine calls are timed like emits (a counter-chosen sample): one call
+/// in 16 and the attempt's first call, so a combiner that runs only a few
+/// times still shows a cost. The estimate only splits a measured total
+/// between ops; it never changes the total.
+pub struct Grouper<'j> {
+    job: &'j dyn Job,
     use_combiner: bool,
-    key: &[u8],
-    values: &[&[u8]],
-    combine_ns: &mut u64,
-    mut out: impl FnMut(&[u8]),
-) {
-    if use_combiner && values.len() > 1 {
-        let sw = Stopwatch::start();
-        let combined = combine_values(job, key, values);
-        *combine_ns = combine_ns.saturating_add(sw.elapsed_ns());
-        for v in &combined {
-            out(v);
+    order: MergeOrder,
+    /// Combine calls so far, their estimated cost, and how much of it
+    /// `take_combine_ns` has handed out.
+    calls: u64,
+    cost: SampledCost,
+    taken_ns: u64,
+    out: CombineOut,
+}
+
+/// The combiner's output values, back to back, with the end of each.
+#[derive(Default)]
+struct CombineOut {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl ValueSink for CombineOut {
+    fn push(&mut self, value: &[u8]) {
+        self.bytes.extend_from_slice(value);
+        self.ends.push(self.bytes.len());
+    }
+}
+
+impl<'j> Grouper<'j> {
+    /// A grouper for one task attempt of `job`, combining when
+    /// `use_combiner`, its merges starting in [`MergeOrder::Packed`].
+    pub fn new(job: &'j dyn Job, use_combiner: bool) -> Self {
+        Grouper {
+            job,
+            use_combiner,
+            order: MergeOrder::Packed,
+            calls: 0,
+            cost: SampledCost::default(),
+            taken_ns: 0,
+            out: CombineOut::default(),
         }
-    } else {
-        for v in values {
-            out(v);
+    }
+
+    /// The same grouper with its merges in `order`.
+    pub fn with_order(mut self, order: MergeOrder) -> Self {
+        self.order = order;
+        self
+    }
+
+    /// The order the attempt's discardable merges run in now.
+    pub fn order(&self) -> MergeOrder {
+        self.order
+    }
+
+    /// The job whose keys are grouped.
+    pub(crate) fn job(&self) -> &'j dyn Job {
+        self.job
+    }
+
+    /// Estimated combiner time since the last take: the estimate of every
+    /// call so far (the first as measured, the others at the mean of the
+    /// sampled ones) less what earlier takes handed out.
+    pub(crate) fn take_combine_ns(&mut self) -> u64 {
+        let ns = self
+            .cost
+            .estimate_calls(self.calls)
+            .saturating_sub(self.taken_ns);
+        self.taken_ns = self.taken_ns.saturating_add(ns);
+        ns
+    }
+
+    /// Hand one group's values to `out`: through the job's combiner when
+    /// it is on and the group holds more than one value, as they are
+    /// otherwise (a combiner runs zero or more times, so skipping it on a
+    /// singleton is sound).
+    pub(crate) fn combine(&mut self, key: &[u8], values: &[&[u8]], mut out: impl FnMut(&[u8])) {
+        if !self.use_combiner || values.len() < 2 {
+            for v in values {
+                out(v);
+            }
+            return;
+        }
+        self.calls += 1;
+        self.out.bytes.clear();
+        self.out.ends.clear();
+        let sw = SampledCost::start_or_first(self.calls);
+        self.job
+            .combine(key, &mut SliceValues::new(values), &mut self.out);
+        if let Some(sw) = sw {
+            self.cost.record_call(self.calls, sw.elapsed_ns());
+        }
+        let mut start = 0;
+        for &end in &self.out.ends {
+            out(&self.out.bytes[start..end]);
+            start = end;
         }
     }
 }
@@ -48,29 +151,33 @@ struct Cursor<'a> {
     /// Index of the run in the merge (for error messages).
     run: usize,
     data: &'a [u8],
+    /// Whether `word` is the head key's packed word (else [`TIED`]).
+    packed: bool,
+    /// The head's order word: its packed word or [`TIED`], `u64::MAX`
+    /// once exhausted (no packed word is: its low byte is at most 8).
+    word: u64,
     key: &'a [u8],
     val: &'a [u8],
     next_pos: usize,
-    exhausted: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(run: usize, data: &'a [u8]) -> io::Result<Self> {
+    fn new(run: usize, data: &'a [u8], packed: bool) -> io::Result<Self> {
         let mut c = Cursor {
             run,
             data,
+            packed,
+            word: u64::MAX,
             key: b"",
             val: b"",
             next_pos: 0,
-            exhausted: false,
         };
         c.advance()?;
         Ok(c)
     }
 
-    /// The head key, or `None` once exhausted.
-    fn head(&self) -> Option<&'a [u8]> {
-        (!self.exhausted).then_some(self.key)
+    fn exhausted(&self) -> bool {
+        self.word == u64::MAX
     }
 
     /// Step to the next record. A run is exhausted only at its last byte:
@@ -83,8 +190,9 @@ impl<'a> Cursor<'a> {
                 self.key = k;
                 self.val = v;
                 self.next_pos = pos;
+                self.word = if self.packed { prefix_word(k) } else { TIED };
             }
-            None if self.next_pos == self.data.len() => self.exhausted = true,
+            None if self.next_pos == self.data.len() => self.word = u64::MAX,
             None => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -100,6 +208,20 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
+}
+
+/// Whether head `(word, key)` `a` orders before `b`: by word, and on equal
+/// words whose length byte is [`TIED`] by `tie`.
+#[inline]
+fn word_before(a: (u64, &[u8]), b: (u64, &[u8]), tie: &impl Fn(&[u8], &[u8]) -> Ordering) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.0 as u8 == TIED as u8 && tie(a.1, b.1) == Ordering::Less)
+}
+
+/// Whether heads `a` and `b` hold one key: equal words, and on a
+/// [`TIED`] word equal by `tie`.
+#[inline]
+fn word_equal(a: (u64, &[u8]), b: (u64, &[u8]), tie: &impl Fn(&[u8], &[u8]) -> Ordering) -> bool {
+    a.0 == b.0 && (a.0 as u8 != TIED as u8 || tie(a.1, b.1) == Ordering::Equal)
 }
 
 /// Binary min-heap of run indices ordered by head key; a run that is
@@ -206,41 +328,68 @@ fn head_before(cmp: &dyn Fn(&[u8], &[u8]) -> Ordering, a: Option<&[u8]>, b: Opti
 pub fn merge_grouped<'a, F>(
     runs: &'a [Vec<u8>],
     cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
-    mut on_group: F,
+    on_group: F,
 ) -> io::Result<()>
 where
+    F: FnMut(&'a [u8], &[&'a [u8]]),
+{
+    merge_words(runs, false, cmp, None, on_group).map(drop)
+}
+
+/// A key comparator, as merges take it.
+type KeyCmp<'c> = dyn Fn(&[u8], &[u8]) -> Ordering + 'c;
+
+/// The merge loop: heads ordered by their words (packed words when
+/// `packed`, else all [`TIED`]) and ties of [`TIED`] words by `tie`. With
+/// `check`, stops with `Ok(false)` at the first group key that `check`
+/// does not put strictly after the previous group key.
+fn merge_words<'a, T, F>(
+    runs: &'a [Vec<u8>],
+    packed: bool,
+    tie: T,
+    check: Option<&KeyCmp<'_>>,
+    mut on_group: F,
+) -> io::Result<bool>
+where
+    T: Fn(&[u8], &[u8]) -> Ordering,
     F: FnMut(&'a [u8], &[&'a [u8]]),
 {
     let mut cursors: Vec<Cursor<'a>> = runs
         .iter()
         .enumerate()
-        .map(|(i, r)| Cursor::new(i, r))
+        .map(|(i, r)| Cursor::new(i, r, packed))
         .collect::<io::Result<_>>()?;
-    let before = |c: &[Cursor<'a>], a: usize, b: usize| head_before(cmp, c[a].head(), c[b].head());
+    let before = |c: &[Cursor<'a>], a: usize, b: usize| {
+        word_before((c[a].word, c[a].key), (c[b].word, c[b].key), &tie)
+    };
     let mut heap = RunHeap::new(cursors.len(), |a, b| before(&cursors, a, b));
     let mut values: Vec<&'a [u8]> = Vec::new();
-    while let Some(group_key) = heap.top().and_then(|t| cursors[t].head()) {
+    let mut prev: Option<&'a [u8]> = None;
+    while let Some(top) = heap.top().filter(|&t| !cursors[t].exhausted()) {
+        let head = (cursors[top].word, cursors[top].key);
+        if let (Some(check), Some(prev)) = (check, prev) {
+            if check(prev, head.1) != Ordering::Less {
+                return Ok(false);
+            }
+        }
+        prev = Some(head.1);
         values.clear();
-        let tied = heap.gather(|r| {
-            cursors[r]
-                .head()
-                .is_some_and(|k| cmp(k, group_key) == Ordering::Equal)
-        });
+        let tied = heap.gather(|r| word_equal((cursors[r].word, cursors[r].key), head, &tie));
         // A run may repeat the key (e.g. no combiner).
         for &r in tied {
             let c = &mut cursors[r];
             loop {
                 values.push(c.val);
                 c.advance()?;
-                if c.exhausted || cmp(c.key, group_key) != Ordering::Equal {
+                if c.exhausted() || !word_equal((c.word, c.key), head, &tie) {
                     break;
                 }
             }
         }
         heap.restore(|a, b| before(&cursors, a, b));
-        on_group(group_key, &values);
+        on_group(head.1, &values);
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Outcome of reducing a run set to a bounded fan-in (multi-pass merge).
@@ -248,7 +397,8 @@ where
 pub struct MultiPassOutcome {
     /// The surviving runs (≤ fan_in of them), each sorted.
     pub runs: Vec<Vec<u8>>,
-    /// Time spent in the user's combiner during intermediate passes (ns).
+    /// Estimated time in the user's combiner during intermediate passes
+    /// (ns).
     pub combine_ns: u64,
     /// Time spent appending intermediate runs to the store and reading
     /// them back (ns).
@@ -264,29 +414,36 @@ pub struct MultiPassOutcome {
 ///
 /// Each intermediate run is appended to `store` (the task attempt's one
 /// store) and read back by offset; the write+read cost is real and
-/// measured into `io_ns`.
+/// measured into `io_ns`. The passes merge in [`MergeOrder::Packed`]
+/// first (see [`reduce_to_fan_in_with`]).
 pub fn reduce_to_fan_in(
-    mut runs: Vec<Vec<u8>>,
+    runs: Vec<Vec<u8>>,
     job: &dyn Job,
     use_combiner: bool,
     fan_in: usize,
     store: &Store,
 ) -> io::Result<MultiPassOutcome> {
-    use crate::codec::write_record;
+    reduce_to_fan_in_with(runs, &mut Grouper::new(job, use_combiner), fan_in, store)
+}
 
+/// [`reduce_to_fan_in`] for one attempt's `grouper`: each pass merges in
+/// the grouper's [`MergeOrder`], and a packed pass that the comparator
+/// disagrees with is redone in comparator order, which the grouper keeps.
+/// The outcome's `combine_ns` takes the grouper's untaken combine time.
+pub fn reduce_to_fan_in_with(
+    mut runs: Vec<Vec<u8>>,
+    grouper: &mut Grouper<'_>,
+    fan_in: usize,
+    store: &Store,
+) -> io::Result<MultiPassOutcome> {
     let fan_in = fan_in.max(2);
-    let mut combine_ns = 0u64;
     let mut io_ns = 0u64;
     let mut passes = 0usize;
     while runs.len() > fan_in {
         passes += 1;
         let batch: Vec<Vec<u8>> = runs.drain(..fan_in).collect();
         let mut merged = Vec::with_capacity(batch.iter().map(|r| r.len()).sum());
-        merge_grouped(&batch, &|a, b| job.compare_keys(a, b), |key, values| {
-            combine_group(job, use_combiner, key, values, &mut combine_ns, |v| {
-                write_record(&mut merged, key, v)
-            });
-        })?;
+        merge_combined(&batch, grouper, &mut merged)?;
         // Round-trip through the store, as Hadoop's intermediate merge
         // outputs go through disk; the cost is real.
         let sw = Stopwatch::start();
@@ -297,10 +454,64 @@ pub fn reduce_to_fan_in(
     }
     Ok(MultiPassOutcome {
         runs,
-        combine_ns,
+        combine_ns: grouper.take_combine_ns(),
         io_ns,
         passes,
     })
+}
+
+/// Merge `runs` in the grouper's order, combine each group, and write the
+/// records to `out` (cleared first); returns the record count. A packed
+/// merge that the comparator disagrees with is discarded and redone in
+/// comparator order, which the grouper keeps.
+fn merge_combined(
+    runs: &[Vec<u8>],
+    grouper: &mut Grouper<'_>,
+    out: &mut Vec<u8>,
+) -> io::Result<u64> {
+    let job = grouper.job();
+    let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
+    loop {
+        out.clear();
+        let mut records = 0u64;
+        let packed = grouper.order == MergeOrder::Packed;
+        let on_group = |key: &[u8], values: &[&[u8]]| {
+            grouper.combine(key, values, |v| {
+                write_record(out, key, v);
+                records += 1;
+            });
+        };
+        let merged = if packed {
+            let bytewise = |a: &[u8], b: &[u8]| a.cmp(b);
+            merge_words(runs, true, bytewise, Some(&cmp), on_group)?
+        } else {
+            merge_words(runs, false, cmp, None, on_group)?
+        };
+        if merged {
+            return Ok(records);
+        }
+        grouper.order = MergeOrder::Comparator;
+    }
+}
+
+/// One record/blob map-output partition: `runs` (the partition of each
+/// spill) reduced to `fan_in` through `store`, then merged once more and
+/// combined. Returns the partition's bytes, its record count and the
+/// estimated combiner time (ns).
+///
+/// Every merge here runs in the grouper's [`MergeOrder`], since each
+/// output can be discarded: the partition is written whole afterwards.
+pub fn merge_partition(
+    runs: Vec<Vec<u8>>,
+    grouper: &mut Grouper<'_>,
+    fan_in: usize,
+    store: &Store,
+) -> io::Result<(Vec<u8>, u64, u64)> {
+    let multi = reduce_to_fan_in_with(runs, grouper, fan_in, store)?;
+    let mut out = Vec::with_capacity(multi.runs.iter().map(Vec::len).sum());
+    let records = merge_combined(&multi.runs, grouper, &mut out)?;
+    let combine_ns = multi.combine_ns.saturating_add(grouper.take_combine_ns());
+    Ok((out, records, combine_ns))
 }
 
 /// A sorted run readable one record at a time — the out-of-core
@@ -425,7 +636,8 @@ impl CursorSource<'_> {
 pub struct CursorMultiPassOutcome {
     /// The surviving cursors (≤ fan_in of them), each sorted.
     pub cursors: Vec<FrameRunCursor>,
-    /// Time spent in the user's combiner during intermediate passes (ns).
+    /// Estimated time in the user's combiner during intermediate passes
+    /// (ns).
     pub combine_ns: u64,
     /// Time spent encoding/writing intermediate framed runs (ns).
     pub io_ns: u64,
@@ -453,7 +665,7 @@ pub fn reduce_sources_to_fan_in(
     use crate::io::frame::FrameEncoder;
 
     let fan_in = fan_in.max(2);
-    let mut combine_ns = 0u64;
+    let mut grouper = Grouper::new(job, use_combiner);
     let mut io_ns = 0u64;
     let mut passes = 0usize;
     let mut sources = sources;
@@ -465,9 +677,7 @@ pub fn reduce_sources_to_fan_in(
         }
         let mut enc = FrameEncoder::new(frame_bytes);
         merge_grouped_cursors(&mut batch, &|a, b| job.compare_keys(a, b), |key, values| {
-            combine_group(job, use_combiner, key, values, &mut combine_ns, |v| {
-                enc.push_record(key, v)
-            });
+            grouper.combine(key, values, |v| enc.push_record(key, v));
         })?;
         drop(batch);
         let sw = Stopwatch::start();
@@ -482,7 +692,7 @@ pub fn reduce_sources_to_fan_in(
     }
     Ok(CursorMultiPassOutcome {
         cursors,
-        combine_ns,
+        combine_ns: grouper.take_combine_ns(),
         io_ns,
         passes,
     })
@@ -609,6 +819,81 @@ mod tests {
         let run = run_of(&[("a", "1"), ("b", "2")]);
         assert_eq!(count_records(&run), 2);
         assert_eq!(count_records(&[]), 0);
+    }
+
+    /// Bytewise order that counts its comparator calls.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+    impl Job for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn map(&self, _r: &crate::job::Record<'_>, _e: &mut dyn crate::job::Emit) {}
+        fn reduce(
+            &self,
+            _k: &[u8],
+            _v: &mut dyn crate::job::ValueCursor,
+            _o: &mut dyn crate::job::Emit,
+        ) {
+        }
+        fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            a.cmp(b)
+        }
+    }
+
+    #[test]
+    fn a_bytewise_merge_costs_one_comparison_per_group_boundary_per_pass() {
+        // Keys of 2–12 bytes, many sharing their first 7 bytes (ties broken
+        // bytewise, not by the comparator), spread over 9 runs that share
+        // some keys.
+        let key = |i: usize| match i % 3 {
+            0 => format!("k{i}"),
+            1 => format!("shared-{i:05}"),
+            _ => format!("shared-{}", i % 4),
+        };
+        let runs: Vec<Vec<u8>> = (0..9)
+            .map(|r| {
+                let mut keys: Vec<String> = (0..12).map(|j| key(r * 5 + j)).collect();
+                keys.sort();
+                let pairs: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "v")).collect();
+                run_of(&pairs)
+            })
+            .collect();
+        let distinct = |runs: &[Vec<u8>]| {
+            let mut keys = std::collections::BTreeSet::new();
+            for r in runs {
+                let mut pos = 0;
+                while let Some((k, _)) = read_record(r, &mut pos) {
+                    keys.insert(k.to_vec());
+                }
+            }
+            keys.len()
+        };
+        // Fan-in 3 over 9 runs: three passes of three runs each, then the
+        // final merge of their three outputs.
+        let boundaries: usize = runs.chunks(3).map(|b| distinct(b) - 1).sum();
+        let job = Counting::default();
+        let dir = std::env::temp_dir().join(format!("textmr-count-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = Store::create(dir.join("count.bin"));
+        let mut grouper = Grouper::new(&job, false);
+        let multi = reduce_to_fan_in_with(runs.clone(), &mut grouper, 3, &store).unwrap();
+        assert_eq!(multi.passes, 3);
+        assert_eq!(job.0.load(std::sync::atomic::Ordering::Relaxed), boundaries);
+        assert_eq!(grouper.order(), MergeOrder::Packed);
+
+        job.0.store(0, std::sync::atomic::Ordering::Relaxed);
+        let (bytes, _, _) = merge_partition(runs.clone(), &mut grouper, 3, &store).unwrap();
+        let final_boundaries = distinct(&runs) - 1;
+        assert_eq!(
+            job.0.load(std::sync::atomic::Ordering::Relaxed),
+            boundaries + final_boundaries
+        );
+        let mut keys = Vec::new();
+        merge_grouped(&[bytes], &|a, b| a.cmp(b), |k, _| keys.push(k.to_vec())).unwrap();
+        assert_eq!(keys.len(), final_boundaries + 1);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
     mod cursors {

@@ -19,7 +19,8 @@ use crate::net::NetworkConfig;
 use crate::shuffle::{run_shuffle, FlowInput, ShuffleStats};
 use crate::task::map_task::MapOutput;
 use crate::task::merge::{
-    merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, CursorSource,
+    merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, reduce_to_fan_in_with,
+    CursorSource, Grouper,
 };
 use crate::task::TaskError;
 use std::io;
@@ -154,7 +155,9 @@ pub fn run_reduce_task(
     let sw_all = Stopwatch::start();
     let peak_buffer_bytes;
     let mut sink = ReduceSink::default();
-    let mut reduce_ns = 0u64;
+    // Reduce calls are timed like combine calls (see `Grouper`): one in
+    // 16 and the first.
+    let mut reduce_cost = SampledCost::default();
     let mut input_records = 0u64;
     let intermediate_combine_ns;
     // Group-fault / cancellation bookkeeping: the merge drives a callback
@@ -170,9 +173,11 @@ pub fn run_reduce_task(
             return;
         }
         input_records += values.len() as u64;
-        let sw_r = Stopwatch::start();
+        let sw_r = SampledCost::start_or_first(groups_done + 1);
         job.reduce(key, &mut SliceValues::new(values), &mut sink);
-        reduce_ns = reduce_ns.saturating_add(sw_r.elapsed_ns());
+        if let Some(sw_r) = sw_r {
+            reduce_cost.record_call(groups_done + 1, sw_r.elapsed_ns());
+        }
         groups_done += 1;
         if cfg.fail_after_groups == Some(groups_done) {
             aborted = Some(Abort::Injected);
@@ -218,17 +223,13 @@ pub fn run_reduce_task(
             runs
         };
         peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
-        let multi = crate::task::merge::reduce_to_fan_in(
-            runs,
-            job.as_ref(),
-            job.has_combiner(),
-            cfg.merge_fan_in,
-            &store,
-        )?;
+        let mut grouper = Grouper::new(job.as_ref(), job.has_combiner());
+        let multi = reduce_to_fan_in_with(runs, &mut grouper, cfg.merge_fan_in, &store)?;
         let runs = multi.runs;
         intermediate_combine_ns = multi.combine_ns;
 
         // ---- final merge + reduce + write --------------------------------
+        // Comparator order: `reduce()` runs per group and cannot be redone.
         merge_grouped(&runs, &|a, b| job.compare_keys(a, b), &mut on_group)?;
     }
     match aborted {
@@ -242,12 +243,13 @@ pub fn run_reduce_task(
         None => {}
     }
     let total_ns = sw_all.elapsed_ns();
+    let reduce_ns = reduce_cost.estimate_calls(groups_done);
     // Decompose the post-shuffle time as a clamped cascade so the four
     // components sum to `total_ns` *exactly* (the trace's reduce lane must
     // tile it); in the normal case (components measured inside `sw_all`,
     // so their sum never exceeds it) each equals the plain subtraction
-    // used before. Writes happen inside the timed reduce calls, so their
-    // estimate is carved out of the reduce time.
+    // used before. Writes happen inside the reduce calls, so their
+    // estimate is carved out of the reduce time's.
     let write_ns = sink
         .write_cost
         .estimate(sink.pairs.len() as u64)

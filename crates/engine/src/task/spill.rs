@@ -8,11 +8,12 @@
 //! breakdown (Fig. 2/8) distinguishes sort (framework), combine (user) and
 //! spill I/O (framework).
 
+use crate::io::frame::FrameEncoder;
 use crate::io::spill_file::{SpillFile, SpillFileWriter};
 use crate::io::store::Store;
 use crate::job::Job;
 use crate::metrics::Stopwatch;
-use crate::task::merge::combine_group;
+use crate::task::merge::Grouper;
 use crate::task::segment::Segment;
 use std::cmp::Ordering;
 use std::io;
@@ -30,7 +31,7 @@ pub struct SpillOutcome {
     pub records_out: u64,
     /// Time sorting, ns.
     pub sort_ns: u64,
-    /// Time in the user's combiner, ns.
+    /// Estimated time in the user's combiner, ns (see [`Grouper`]).
     pub combine_ns: u64,
     /// Time grouping + writing, ns.
     pub write_ns: u64,
@@ -59,6 +60,22 @@ impl SpillOutcome {
 /// strictly after the one before it, the segment is sorted again with
 /// every word tied, so each partition is one comparator run.
 pub fn sort_indices(seg: &Segment, job: &dyn Job) -> Vec<u32> {
+    sort_groups(seg, job).idx
+}
+
+/// A segment's record indices in spill order, and where each group of
+/// equal `(partition, key)` ends.
+struct SortedSegment {
+    idx: Vec<u32>,
+    /// Exclusive end in `idx` of each group, ascending.
+    ends: Vec<u32>,
+}
+
+/// [`sort_indices`], with the groups read off the packed words: a run of
+/// equal words whose length byte is below [`TIED`] is one key, and a run
+/// boundary is a key boundary; only inside a run of [`TIED`] words does
+/// the comparator say where a group ends.
+fn sort_groups(seg: &Segment, job: &dyn Job) -> SortedSegment {
     let skip = common_prefix_len(seg);
     sort_packed(seg, job, |key| prefix_word(&key[skip..]))
         .or_else(|| sort_packed(seg, job, |_| TIED))
@@ -69,7 +86,7 @@ pub fn sort_indices(seg: &Segment, job: &dyn Job) -> Vec<u32> {
 /// key's prefix word, then sort runs of tied words by `job.compare_keys`.
 /// `None` if the comparator puts some run's first key at or before the
 /// last key of the run before it in the same partition.
-fn sort_packed(seg: &Segment, job: &dyn Job, word: impl Fn(&[u8]) -> u64) -> Option<Vec<u32>> {
+fn sort_packed(seg: &Segment, job: &dyn Job, word: impl Fn(&[u8]) -> u64) -> Option<SortedSegment> {
     let mut packed: Vec<u128> = (0..seg.len())
         .map(|i| {
             let word = word(seg.key(i));
@@ -79,12 +96,21 @@ fn sort_packed(seg: &Segment, job: &dyn Job, word: impl Fn(&[u8]) -> u64) -> Opt
     packed.sort_unstable();
 
     let mut idx: Vec<u32> = packed.iter().map(|&p| p as u32).collect();
+    let mut ends = Vec::new();
     let mut start = 0;
     for run in packed.chunk_by(|a, b| a >> 32 == b >> 32) {
         let end = start + run.len();
         if run.len() > 1 && (run[0] >> 32) as u8 == TIED as u8 {
-            idx[start..end]
-                .sort_by(|&a, &b| job.compare_keys(seg.key(a as usize), seg.key(b as usize)));
+            let keys = &mut idx[start..end];
+            keys.sort_by(|&a, &b| job.compare_keys(seg.key(a as usize), seg.key(b as usize)));
+            let mut first = seg.key(keys[0] as usize);
+            for (i, &r) in keys.iter().enumerate().skip(1) {
+                let key = seg.key(r as usize);
+                if job.compare_keys(key, first) != Ordering::Equal {
+                    ends.push((start + i) as u32);
+                    first = key;
+                }
+            }
         }
         if start > 0 && packed[start - 1] >> 96 == run[0] >> 96 {
             let (last, first) = (idx[start - 1] as usize, idx[start] as usize);
@@ -92,18 +118,20 @@ fn sort_packed(seg: &Segment, job: &dyn Job, word: impl Fn(&[u8]) -> u64) -> Opt
                 return None;
             }
         }
+        ends.push(end as u32);
         start = end;
     }
-    Some(idx)
+    Some(SortedSegment { idx, ends })
 }
 
 /// Length byte of a key suffix longer than the 7 packed bytes: its order
 /// against another such suffix with the same 7 bytes is the comparator's.
-const TIED: u64 = 8;
+pub(crate) const TIED: u64 = 8;
 
 /// The 7 leading bytes of `suffix` (zero-padded) above one length byte
 /// `min(suffix.len(), 8)`, as a big-endian word.
-fn prefix_word(suffix: &[u8]) -> u64 {
+#[inline]
+pub(crate) fn prefix_word(suffix: &[u8]) -> u64 {
     match suffix.first_chunk::<8>() {
         Some(head) => (u64::from_be_bytes(*head) & !0xff) | TIED,
         None => {
@@ -137,64 +165,109 @@ fn common_prefix_len(seg: &Segment) -> usize {
     len
 }
 
-/// Sort, combine and write `seg` to a new store at `path`.
-pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<SpillOutcome> {
-    spill_segment_into(seg, job, &Store::create(path))
+/// Where a spill's combined records go, partition by partition.
+trait SpillSink {
+    /// Begin partition `part` (ascending).
+    fn start_partition(&mut self, part: usize) -> io::Result<()>;
+    /// Append one record to the current partition.
+    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()>;
+    /// Seal the spill file.
+    fn finish(self) -> io::Result<SpillFile>;
 }
 
-/// Sort, combine and append `seg` to `store` as one spill file.
-pub fn spill_segment_into(
+impl SpillSink for SpillFileWriter {
+    fn start_partition(&mut self, part: usize) -> io::Result<()> {
+        SpillFileWriter::start_partition(self, part)
+    }
+    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
+        self.write_record(key, value)
+    }
+    fn finish(self) -> io::Result<SpillFile> {
+        SpillFileWriter::finish(self)
+    }
+}
+
+/// Framed partitions: each partition's records pack into one
+/// [`FrameEncoder`], written as a framed run when the next partition
+/// starts or the file is sealed.
+struct FramedSink {
+    writer: SpillFileWriter,
+    frame_bytes: usize,
+    /// The open partition, its encoder and its record count.
+    open: Option<(usize, FrameEncoder, u64)>,
+}
+
+impl FramedSink {
+    fn flush(&mut self) -> io::Result<()> {
+        if let Some((part, enc, records)) = self.open.take() {
+            let (stored, metas, _) = enc.finish();
+            self.writer
+                .write_framed_partition(part, &stored, metas, records)?;
+        }
+        Ok(())
+    }
+}
+
+impl SpillSink for FramedSink {
+    fn start_partition(&mut self, part: usize) -> io::Result<()> {
+        self.flush()?;
+        self.open = Some((part, FrameEncoder::new(self.frame_bytes), 0));
+        Ok(())
+    }
+    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
+        let (_, enc, records) = self
+            .open
+            .as_mut()
+            .expect("encoder open for current partition");
+        enc.push_record(key, value);
+        *records += 1;
+        Ok(())
+    }
+    fn finish(mut self) -> io::Result<SpillFile> {
+        self.flush()?;
+        self.writer.finish()
+    }
+}
+
+/// Sort `seg`, combine each group through `grouper` and write the records
+/// to `sink`: the one group loop of both spill formats.
+fn spill_groups(
     seg: &Segment,
-    job: &dyn Job,
-    store: &Arc<Store>,
+    grouper: &mut Grouper<'_>,
+    mut sink: impl SpillSink,
 ) -> io::Result<SpillOutcome> {
     let sw = Stopwatch::start();
-    let idx = sort_indices(seg, job);
+    let sorted = sort_groups(seg, grouper.job());
     let sort_ns = sw.elapsed_ns();
 
     let sw_write = Stopwatch::start();
-    let mut combine_ns = 0u64;
     let mut records_out = 0u64;
-    let mut writer = SpillFile::append_to(store);
-    let use_combiner = job.has_combiner();
-
-    let mut i = 0usize;
-    let mut cur_part: Option<usize> = None;
+    let mut part = None;
     let mut values: Vec<&[u8]> = Vec::new();
-    while i < idx.len() {
-        let r = idx[i] as usize;
-        let part = seg.part(r);
-        if cur_part != Some(part) {
-            writer.start_partition(part)?;
-            cur_part = Some(part);
+    let mut start = 0;
+    for &end in &sorted.ends {
+        let group = &sorted.idx[start..end as usize];
+        start = end as usize;
+        let first = group[0] as usize;
+        if part != Some(seg.part(first)) {
+            part = Some(seg.part(first));
+            sink.start_partition(seg.part(first))?;
         }
-        let key = seg.key(r);
-        // Gather the group of equal keys within this partition.
+        let key = seg.key(first);
         values.clear();
-        values.push(seg.value(r));
-        let mut j = i + 1;
-        while j < idx.len() {
-            let r2 = idx[j] as usize;
-            if seg.part(r2) != part
-                || job.compare_keys(seg.key(r2), key) != std::cmp::Ordering::Equal
-            {
-                break;
-            }
-            values.push(seg.value(r2));
-            j += 1;
-        }
+        values.extend(group.iter().map(|&r| seg.value(r as usize)));
         let mut written = Ok(());
-        combine_group(job, use_combiner, key, &values, &mut combine_ns, |v| {
+        grouper.combine(key, &values, |v| {
             if written.is_ok() {
-                written = writer.write_record(key, v);
+                written = sink.write(key, v);
                 records_out += 1;
             }
         });
         written?;
-        i = j;
     }
-    let file = writer.finish()?;
-    let write_ns = sw_write.elapsed_ns().saturating_sub(combine_ns);
+    let file = sink.finish()?;
+    let elapsed = sw_write.elapsed_ns();
+    let combine_ns = grouper.take_combine_ns().min(elapsed);
 
     Ok(SpillOutcome {
         file,
@@ -202,8 +275,24 @@ pub fn spill_segment_into(
         records_out,
         sort_ns,
         combine_ns,
-        write_ns,
+        write_ns: elapsed - combine_ns,
     })
+}
+
+/// Sort, combine and write `seg` to a new store at `path`.
+pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<SpillOutcome> {
+    let mut grouper = Grouper::new(job, job.has_combiner());
+    spill_segment_into(seg, &mut grouper, &Store::create(path))
+}
+
+/// Sort, combine (through the attempt's `grouper`) and append `seg` to
+/// `store` as one spill file.
+pub fn spill_segment_into(
+    seg: &Segment,
+    grouper: &mut Grouper<'_>,
+    store: &Arc<Store>,
+) -> io::Result<SpillOutcome> {
+    spill_groups(seg, grouper, SpillFile::append_to(store))
 }
 
 /// [`spill_segment`] writing each partition as a *framed run* (the
@@ -217,88 +306,24 @@ pub fn spill_segment_framed(
     path: PathBuf,
     frame_bytes: usize,
 ) -> io::Result<SpillOutcome> {
-    spill_segment_framed_into(seg, job, &Store::create(path), frame_bytes)
+    let mut grouper = Grouper::new(job, job.has_combiner());
+    spill_segment_framed_into(seg, &mut grouper, &Store::create(path), frame_bytes)
 }
 
 /// [`spill_segment_into`] writing each partition as a framed run (see
 /// [`spill_segment_framed`]).
 pub fn spill_segment_framed_into(
     seg: &Segment,
-    job: &dyn Job,
+    grouper: &mut Grouper<'_>,
     store: &Arc<Store>,
     frame_bytes: usize,
 ) -> io::Result<SpillOutcome> {
-    use crate::io::frame::FrameEncoder;
-
-    let sw = Stopwatch::start();
-    let idx = sort_indices(seg, job);
-    let sort_ns = sw.elapsed_ns();
-
-    let sw_write = Stopwatch::start();
-    let mut combine_ns = 0u64;
-    let mut records_out = 0u64;
-    let mut writer = SpillFile::append_to(store);
-    let use_combiner = job.has_combiner();
-
-    let mut i = 0usize;
-    let mut cur_part: Option<usize> = None;
-    let mut enc: Option<FrameEncoder> = None;
-    let mut part_records = 0u64;
-    let mut values: Vec<&[u8]> = Vec::new();
-    let flush = |writer: &mut SpillFileWriter,
-                 enc: Option<FrameEncoder>,
-                 part: Option<usize>,
-                 part_records: u64|
-     -> io::Result<()> {
-        if let (Some(enc), Some(part)) = (enc, part) {
-            let (stored, metas, _) = enc.finish();
-            writer.write_framed_partition(part, &stored, metas, part_records)?;
-        }
-        Ok(())
+    let sink = FramedSink {
+        writer: SpillFile::append_to(store),
+        frame_bytes,
+        open: None,
     };
-    while i < idx.len() {
-        let r = idx[i] as usize;
-        let part = seg.part(r);
-        if cur_part != Some(part) {
-            flush(&mut writer, enc.take(), cur_part, part_records)?;
-            enc = Some(FrameEncoder::new(frame_bytes));
-            part_records = 0;
-            cur_part = Some(part);
-        }
-        let key = seg.key(r);
-        values.clear();
-        values.push(seg.value(r));
-        let mut j = i + 1;
-        while j < idx.len() {
-            let r2 = idx[j] as usize;
-            if seg.part(r2) != part
-                || job.compare_keys(seg.key(r2), key) != std::cmp::Ordering::Equal
-            {
-                break;
-            }
-            values.push(seg.value(r2));
-            j += 1;
-        }
-        let e = enc.as_mut().expect("encoder open for current partition");
-        combine_group(job, use_combiner, key, &values, &mut combine_ns, |v| {
-            e.push_record(key, v);
-            part_records += 1;
-            records_out += 1;
-        });
-        i = j;
-    }
-    flush(&mut writer, enc.take(), cur_part, part_records)?;
-    let file = writer.finish()?;
-    let write_ns = sw_write.elapsed_ns().saturating_sub(combine_ns);
-
-    Ok(SpillOutcome {
-        file,
-        records_in: seg.len() as u64,
-        records_out,
-        sort_ns,
-        combine_ns,
-        write_ns,
-    })
+    spill_groups(seg, grouper, sink)
 }
 
 #[cfg(test)]
@@ -416,6 +441,33 @@ mod tests {
         for w in idx.windows(2) {
             let (a, b) = (w[0] as usize, w[1] as usize);
             assert!((seg.part(a), seg.key(a), a) < (seg.part(b), seg.key(b), b));
+        }
+    }
+
+    #[test]
+    fn spill_grouping_makes_no_comparator_calls_for_short_suffixes() {
+        // The segment of the test above: the sort's 8 run-boundary checks
+        // are the spill's only comparator calls, in either format.
+        let tails: [&[u8]; 6] = [b"a", b"a\0", b"a\0\0", b"", b"ab", b"zzzzzzz"];
+        let mut seg = Segment::new();
+        for i in 0..60 {
+            let key = [b"http://site/".as_slice(), tails[i % 6]].concat();
+            seg.push(i % 4, &key, b"v");
+        }
+        for framed in [false, true] {
+            let job = CountingJob::default();
+            let out = if framed {
+                spill_segment_framed(&seg, &job, tmp("count-framed.bin"), 1 << 10)
+            } else {
+                spill_segment(&seg, &job, tmp("count.bin"))
+            }
+            .unwrap();
+            assert_eq!(
+                job.0.load(std::sync::atomic::Ordering::Relaxed),
+                8,
+                "framed {framed}"
+            );
+            assert_eq!(out.records_out, 60);
         }
     }
 

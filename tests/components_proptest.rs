@@ -8,7 +8,8 @@ use textmr_engine::io::frame::FrameEncoder;
 use textmr_engine::io::store::Store;
 use textmr_engine::job::{Emit, Job, Record, ValueCursor};
 use textmr_engine::task::merge::{
-    merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, reduce_to_fan_in, CursorSource,
+    merge_grouped, merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in,
+    reduce_to_fan_in, reduce_to_fan_in_with, CursorSource, Grouper, MergeOrder,
 };
 use textmr_engine::task::segment::Segment;
 use textmr_engine::task::spill::sort_indices;
@@ -54,6 +55,47 @@ impl Job for Truncated {
     fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
         a[..a.len().min(3)].cmp(&b[..b.len().min(3)])
     }
+}
+
+/// A custom key order that disagrees with bytewise order only across
+/// runs whose keys start with different bytes: by the second byte, then
+/// bytewise. Within a run whose keys share their first byte it is
+/// bytewise order.
+struct SecondByte;
+impl Job for SecondByte {
+    fn name(&self) -> &str {
+        "second-byte"
+    }
+    fn map(&self, _r: &Record<'_>, _e: &mut dyn Emit) {}
+    fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
+    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        a.get(1).cmp(&b.get(1)).then_with(|| a.cmp(b))
+    }
+}
+
+/// A store file of its own: cases of parallel tests must not share one.
+fn fresh_store(name: &str) -> std::sync::Arc<Store> {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    Store::create(scratch_dir().join(format!("{name}-{n}.bin")))
+}
+
+/// Intermediate runs and map-output partition bytes of one merge of
+/// `runs` in `order`, and the order the grouper ended in.
+fn merge_in(
+    runs: &[Vec<u8>],
+    job: &dyn Job,
+    use_combiner: bool,
+    fan_in: usize,
+    order: MergeOrder,
+) -> (Vec<Vec<u8>>, Vec<u8>, u64, MergeOrder) {
+    let mut grouper = Grouper::new(job, use_combiner).with_order(order);
+    let multi =
+        reduce_to_fan_in_with(runs.to_vec(), &mut grouper, fan_in, &fresh_store("modes")).unwrap();
+    let mut grouper = Grouper::new(job, use_combiner).with_order(order);
+    let (bytes, records, _) =
+        merge_partition(runs.to_vec(), &mut grouper, fan_in, &fresh_store("modes")).unwrap();
+    (multi.runs, bytes, records, grouper.order())
 }
 
 /// One key byte from a small alphabet, so generated keys tie often.
@@ -304,6 +346,49 @@ proptest! {
     }
 
     #[test]
+    fn packed_and_comparator_merges_are_byte_identical(
+        runs_keys in proptest::collection::vec(proptest::collection::vec(spill_key(), 0..12), 1..14),
+        fan_in in 2usize..6,
+        use_combiner in any::<bool>(),
+    ) {
+        // Each run sorted by the job's comparator (stable), its values
+        // naming run and position; for `SecondByte` the keys of run r all
+        // start with byte r % 3, so it disagrees with bytewise order only
+        // across runs.
+        for job in [&Bytewise as &dyn Job, &Descending, &Truncated, &SecondByte] {
+            let runs: Vec<Vec<u8>> = runs_keys
+                .iter()
+                .enumerate()
+                .map(|(r, keys)| {
+                    let mut keys: Vec<Vec<u8>> = keys
+                        .iter()
+                        .map(|k| match job.name() {
+                            "second-byte" => [&[b'a' + (r % 3) as u8][..], k].concat(),
+                            _ => k.clone(),
+                        })
+                        .collect();
+                    keys.sort_by(|a, b| job.compare_keys(a, b));
+                    let pairs: Vec<(Vec<u8>, Vec<u8>)> = keys
+                        .into_iter()
+                        .enumerate()
+                        .map(|(p, k)| (k, format!("{r}.{p}").into_bytes()))
+                        .collect();
+                    encode_run(&pairs)
+                })
+                .collect();
+            let packed = merge_in(&runs, job, use_combiner, fan_in, MergeOrder::Packed);
+            let comparator = merge_in(&runs, job, use_combiner, fan_in, MergeOrder::Comparator);
+            prop_assert_eq!(&packed.0, &comparator.0, "{} intermediate runs", job.name());
+            prop_assert_eq!(&packed.1, &comparator.1, "{} map-output partition", job.name());
+            prop_assert_eq!(packed.2, comparator.2, "{} record count", job.name());
+            prop_assert_eq!(comparator.3, MergeOrder::Comparator);
+            if job.name() == "bytewise" {
+                prop_assert_eq!(packed.3, MergeOrder::Packed, "bytewise never redoes a merge");
+            }
+        }
+    }
+
+    #[test]
     fn merge_matches_naive_reference(
         runs_data in proptest::collection::vec(
             proptest::collection::vec(
@@ -399,6 +484,33 @@ proptest! {
         let words = textmr_nlp::tokenizer::words(&line).count();
         prop_assert_eq!(tagged.len(), words);
     }
+}
+
+#[test]
+fn a_comparator_that_disagrees_across_runs_redoes_the_merge() {
+    // Bytewise, run 0's "ab" comes before run 1's "ba"; by the second
+    // byte "ba" comes first. Each run alone is sorted either way.
+    let runs = vec![
+        encode_run(&[(b"ab".to_vec(), b"0".to_vec())]),
+        encode_run(&[(b"ba".to_vec(), b"1".to_vec())]),
+    ];
+    let (_, bytes, records, order) = merge_in(&runs, &SecondByte, false, 2, MergeOrder::Packed);
+    assert_eq!(order, MergeOrder::Comparator, "the packed merge was redone");
+    assert_eq!(records, 2);
+    let expected = encode_run(&[
+        (b"ba".to_vec(), b"1".to_vec()),
+        (b"ab".to_vec(), b"0".to_vec()),
+    ]);
+    assert_eq!(bytes, expected);
+    let (_, bytes, _, order) = merge_in(&runs, &Bytewise, false, 2, MergeOrder::Packed);
+    assert_eq!(order, MergeOrder::Packed);
+    assert_eq!(
+        bytes,
+        encode_run(&[
+            (b"ab".to_vec(), b"0".to_vec()),
+            (b"ba".to_vec(), b"1".to_vec()),
+        ])
+    );
 }
 
 /// Pinned regression (originally found by proptest): the

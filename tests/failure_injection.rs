@@ -9,6 +9,7 @@ use std::sync::Arc;
 use textmr_apps::WordCount;
 use textmr_core::{optimized, FreqBufferConfig, OptimizationConfig, SpillMatcherConfig};
 use textmr_data::text::CorpusConfig;
+use textmr_engine::cache::{CachedMapOutput, MapCacheConfig, MapOutputCache};
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::fault::FaultPlan;
 use textmr_engine::io::dfs::SimDfs;
@@ -393,9 +394,10 @@ fn mixed_map_and_reduce_faults_recover_together() {
     }
 }
 
-#[test]
-fn a_corpus_truncated_on_disk_fails_the_job_naming_the_file() {
-    let dir = std::env::temp_dir().join(format!("textmr-truncated-{}", std::process::id()));
+/// A corpus registered with `put_path` in a directory of its own, then
+/// cut to half its length: splits past the cut cannot read their bytes.
+fn truncated_corpus(name: &str) -> (std::path::PathBuf, std::path::PathBuf, SimDfs) {
+    let dir = std::env::temp_dir().join(format!("textmr-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.txt");
     let bytes = CorpusConfig {
@@ -407,20 +409,95 @@ fn a_corpus_truncated_on_disk_fails_the_job_naming_the_file() {
     std::fs::write(&path, &bytes).unwrap();
     let mut dfs = SimDfs::new(6, 32 << 10);
     dfs.put_path("corpus", &path).unwrap();
-    // Cut the file after it was registered: splits past the cut cannot
-    // read their bytes.
     std::fs::OpenOptions::new()
         .write(true)
         .open(&path)
         .unwrap()
         .set_len(bytes.len() as u64 / 2)
         .unwrap();
+    (dir, path, dfs)
+}
+
+#[test]
+fn a_corpus_truncated_on_disk_fails_the_job_naming_the_file() {
+    let (dir, path, dfs) = truncated_corpus("truncated");
     for workers in [1, 2] {
         let mut c = cluster();
         c.worker_threads = workers;
         let err = run_job(
             &c,
             &JobConfig::default().with_reducers(3),
+            Arc::new(WordCount),
+            &dfs,
+            &[("corpus", 0)],
+        )
+        .expect_err("a truncated input must fail the job");
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "error does not name the file: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_job_leaves_nothing_under_its_temp_root() {
+    // One job that succeeds and one that fails (a truncated corpus): each
+    // removes the one directory it created under the root.
+    let root = std::env::temp_dir().join(format!("textmr-root-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    let left = |root: &std::path::Path| -> Vec<_> {
+        std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect()
+    };
+    let mut c = cluster();
+    c.temp_dir = Some(root.clone());
+    let job = JobConfig::default().with_reducers(3);
+    run_job(
+        &c,
+        &job,
+        Arc::new(WordCount),
+        &corpus_dfs(),
+        &[("corpus", 0)],
+    )
+    .unwrap();
+    assert_eq!(left(&root), Vec::<std::ffi::OsString>::new(), "after Ok");
+    let (dir, _, dfs) = truncated_corpus("truncated-root");
+    run_job(&c, &job, Arc::new(WordCount), &dfs, &[("corpus", 0)]).expect_err("truncated");
+    assert_eq!(left(&root), Vec::<std::ffi::OsString>::new(), "after Err");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A map-output cache that never hits and keeps nothing.
+struct NoHits;
+impl MapOutputCache for NoHits {
+    fn get(&self, _key: &str) -> Option<Arc<CachedMapOutput>> {
+        None
+    }
+    fn put(&self, _key: &str, _value: Arc<CachedMapOutput>) {}
+}
+
+#[test]
+fn a_cached_map_task_over_a_truncated_corpus_fails_the_job_naming_the_file() {
+    // With a map-output cache every map task digests its split for the
+    // cache key before it runs: a split past the cut fails there.
+    let (dir, path, dfs) = truncated_corpus("truncated-cached");
+    let cache = MapCacheConfig {
+        cache: Arc::new(NoHits),
+        key_prefix: "wordcount".into(),
+        lookup_cost_ns: 0,
+    };
+    for workers in [1, 2] {
+        let mut c = cluster();
+        c.worker_threads = workers;
+        let err = run_job(
+            &c,
+            &JobConfig::default()
+                .with_reducers(3)
+                .with_map_cache(cache.clone()),
             Arc::new(WordCount),
             &dfs,
             &[("corpus", 0)],

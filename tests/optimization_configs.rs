@@ -243,8 +243,28 @@ fn combined_does_not_regress_text_virtual_time() {
     let combined = min_metric(&runs[3].1, |r| r.profile.wall) as f64;
     assert!(
         combined < base * slack(),
-        "combined optimizations grossly regressed text: base {base} vs combined {combined}"
+        "combined optimizations grossly regressed text: base {base} vs combined {combined}\n\
+         base rounds:\n{}combined rounds:\n{}",
+        rounds_report(&runs[0].1),
+        rounds_report(&runs[3].1)
     );
+}
+
+/// One line per round: virtual wall, spills and records the frequency
+/// buffer absorbed, summed over the map tasks.
+fn rounds_report(runs: &[JobRun]) -> String {
+    runs.iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let tasks = &r.profile.map_tasks;
+            format!(
+                "  round {i}: wall {} spills {} absorbed {}\n",
+                r.profile.wall,
+                tasks.iter().map(|t| t.spills.len()).sum::<usize>(),
+                tasks.iter().map(|t| t.freq_absorbed_records).sum::<u64>()
+            )
+        })
+        .collect()
 }
 
 #[test]
