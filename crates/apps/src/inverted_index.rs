@@ -70,11 +70,13 @@ impl Job for InvertedIndex {
         let doc = decode_u64(record.key).unwrap_or(0);
         let line = std::str::from_utf8(record.value).unwrap_or("");
         let mut buf = Vec::with_capacity(16);
-        for (i, word) in tokenizer::words(line).enumerate() {
+        let mut pos = 0u64;
+        tokenizer::for_each_word(line, |word| {
             buf.clear();
-            encode_postings(&[Posting { doc, pos: i as u64 }], &mut buf);
+            encode_postings(&[Posting { doc, pos }], &mut buf);
             emit.emit(word.as_bytes(), &buf);
-        }
+            pos += 1;
+        });
     }
 
     fn has_combiner(&self) -> bool {

@@ -100,7 +100,7 @@ impl Job for SynText {
     fn map(&self, record: &Record<'_>, emit: &mut dyn Emit) {
         let line = std::str::from_utf8(record.value).unwrap_or("");
         let mut buf = Vec::with_capacity(self.payload + 8);
-        for word in tokenizer::words(line) {
+        tokenizer::for_each_word(line, |word| {
             // Deterministic CPU burn proportional to cpu_factor.
             let mut h = fnv1a(word.as_bytes());
             for _ in 0..self.cpu_factor {
@@ -110,7 +110,7 @@ impl Job for SynText {
             buf.clear();
             encode_value(1, self.payload as u64, &mut buf);
             emit.emit(word.as_bytes(), &buf);
-        }
+        });
     }
 
     fn has_combiner(&self) -> bool {

@@ -27,9 +27,8 @@ impl Job for WordCount {
 
     fn map(&self, record: &Record<'_>, emit: &mut dyn Emit) {
         let line = std::str::from_utf8(record.value).unwrap_or("");
-        for word in tokenizer::words(line) {
-            emit.emit(word.as_bytes(), &encode_u64(1));
-        }
+        let one = encode_u64(1);
+        tokenizer::for_each_word(line, |word| emit.emit(word.as_bytes(), &one));
     }
 
     fn has_combiner(&self) -> bool {

@@ -8,12 +8,13 @@
 //! 2. **Profile** (until `s·N` input records): a [`SpaceSaving`] sketch —
 //!    seeded with the pre-profile's exact counts — tracks candidate keys.
 //!    All records still take the normal spill path.
-//! 3. **Optimize**: the sketch's top-k keys are frozen into a hash table
-//!    that absorbs matching emissions. Per key, values accumulate until
-//!    the key's space limit, then the user's `combine()` collapses them;
-//!    if a combined record still does not fit, it overflows to the normal
-//!    spill path. At end of input everything drains, combined, to the
-//!    spill path.
+//! 3. **Optimize**: the sketch's top-k keys are frozen into a table that
+//!    absorbs matching emissions: the keys sorted, indexed by an
+//!    open-addressed slot array probed on one `fnv1a` per record. Per key,
+//!    values accumulate until the key's space limit, then the user's
+//!    `combine()` collapses them in place; if a combined record still does
+//!    not fit, it overflows to the normal spill path. At end of input
+//!    everything drains, combined, to the spill path, in key order.
 //!
 //! The table's memory is carved out of the spill buffer (the engine's
 //! `filter_budget_fraction`), so total memory is constant — the paper's
@@ -31,15 +32,14 @@
 //! signatures — identical at any worker-thread count.
 
 use crate::autotune::{sampling_fraction, TuneBounds};
-// textmr-lint: allow(unordered-iteration, reason = "fixed-seed FNV; every iteration site below collects and sorts keys before emitting")
-use crate::fnv::FnvHashMap;
 use crate::registry::FrequentKeyRegistry;
 use crate::space_saving::SpaceSaving;
 use crate::zipf_estimator::ZipfEstimator;
 use std::sync::Arc;
 use textmr_engine::codec::{read_bytes, write_bytes};
 use textmr_engine::controller::{EmitFilter, EmitFilterFactory, FilterCtx};
-use textmr_engine::job::{combine_values, Emit, Job};
+use textmr_engine::job::{fnv1a, Emit, Job, ValueCursor, ValueSink};
+use textmr_engine::metrics::Stopwatch;
 
 /// Tuning knobs for frequency-buffering.
 #[derive(Debug, Clone)]
@@ -69,7 +69,8 @@ impl Default for FreqBufferConfig {
 
 /// Per-key value accumulator: values stored back to back, length-framed,
 /// in one growing buffer whose allocation is reused across combines — the
-/// hot absorption path performs no per-record allocation.
+/// hot absorption path performs no per-record allocation. It is also the
+/// sink the combiner writes into.
 #[derive(Debug, Default)]
 struct KeyBuf {
     /// Length-framed values.
@@ -79,29 +80,114 @@ struct KeyBuf {
 }
 
 impl KeyBuf {
+    fn clear(&mut self) {
+        self.data.clear();
+        self.count = 0;
+    }
+
+    /// A cursor over the buffered values, in the order they came.
+    fn values(&self) -> FramedValues<'_> {
+        FramedValues {
+            data: &self.data,
+            pos: 0,
+        }
+    }
+
+    /// Hand every buffered value to `sink` under `key`.
+    fn emit_all(&self, key: &[u8], sink: &mut dyn Emit) {
+        let mut values = self.values();
+        while let Some(v) = values.next() {
+            sink.emit(key, v);
+        }
+    }
+}
+
+impl ValueSink for KeyBuf {
     #[inline]
     fn push(&mut self, value: &[u8]) {
         write_bytes(&mut self.data, value);
         self.count += 1;
     }
+}
 
-    /// Borrow all framed values into `scratch` (cleared first).
-    fn gather<'a>(&'a self, scratch: &mut Vec<&'a [u8]>) {
-        scratch.clear();
-        let mut pos = 0usize;
-        while let Some(v) = read_bytes(&self.data, &mut pos) {
-            scratch.push(v);
-        }
+/// A [`ValueCursor`] over length-framed values, lent straight from a
+/// [`KeyBuf`].
+struct FramedValues<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl ValueCursor for FramedValues<'_> {
+    #[inline]
+    fn next(&mut self) -> Option<&[u8]> {
+        read_bytes(self.data, &mut self.pos)
     }
 }
 
+/// Run `job`'s combiner over `values` into `out` (cleared first); returns
+/// the time spent in the combiner.
+fn combine_into(job: &dyn Job, key: &[u8], values: &KeyBuf, out: &mut KeyBuf) -> u64 {
+    out.clear();
+    let sw = Stopwatch::start();
+    job.combine(key, &mut values.values(), out);
+    sw.elapsed_ns()
+}
+
+/// The frozen keys, sorted and distinct, stored back to back.
+struct SortedKeys {
+    bytes: Vec<u8>,
+    /// Key `i` is `bytes[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl SortedKeys {
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[self.bounds[i]..self.bounds[i + 1]]
+    }
+}
+
+/// One slot of the table's index: the low 32 bits of a key's `fnv1a`
+/// and the key's position in [`SortedKeys`] plus one (0: empty).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    tag: u32,
+    key: u32,
+}
+
 /// The frozen frequent-key table (Optimize stage).
+///
+/// The key set is fixed at freeze, so the table is built once and never
+/// grows: the keys are stored sorted (the drain order), and an
+/// open-addressed index of at least 2k slots maps a key to its position.
+/// A lookup hashes the key once with [`fnv1a`] (the partitioner's
+/// function), probes linearly from its [`home_slot`], and compares the
+/// stored hash bits before the key bytes.
 struct FreqTable {
-    // textmr-lint: allow(unordered-iteration, reason = "drain sites sort the key list before emission, so table order never leaks")
-    entries: FnvHashMap<Box<[u8]>, KeyBuf>,
+    keys: SortedKeys,
+    /// Key `i`'s buffered values.
+    bufs: Vec<KeyBuf>,
+    /// A power-of-two number of slots, at least twice the keys.
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`, for [`home_slot`].
+    shift: u32,
     per_key_limit: usize,
-    /// Reused scratch for combine calls.
-    scratch: Vec<Vec<u8>>,
+    /// The in-place combine's output, swapped with the key's buffer
+    /// afterwards; its allocation is reused by every combine.
+    combined: KeyBuf,
+}
+
+/// The slot a key with `fnv1a` hash `hash` probes first, of
+/// `2^(64 - shift)`. FNV-1a's top bits barely depend on a key's last
+/// byte ("cat", "cab" and "car" would share a home), so the hash is
+/// spread by a Fibonacci multiply before its top bits are taken.
+#[inline]
+fn home_slot(hash: u64, shift: u32) -> usize {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 /// Minimum useful per-key value budget; below this, a key's values are
@@ -109,13 +195,94 @@ struct FreqTable {
 const MIN_PER_KEY_BYTES: usize = 256;
 
 impl FreqTable {
-    fn new(keys: impl IntoIterator<Item = Box<[u8]>>, per_key_limit: usize) -> Self {
-        let entries = keys.into_iter().map(|k| (k, KeyBuf::default())).collect();
-        FreqTable {
-            entries,
-            per_key_limit: per_key_limit.max(MIN_PER_KEY_BYTES),
-            scratch: Vec::new(),
+    fn new(keys: &[Box<[u8]>], per_key_limit: usize) -> Self {
+        let mut sorted: Vec<&[u8]> = keys.iter().map(|k| &**k).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut bytes = Vec::with_capacity(sorted.iter().map(|k| k.len()).sum());
+        let mut bounds = Vec::with_capacity(sorted.len() + 1);
+        bounds.push(0);
+        let n_slots = (2 * sorted.len()).max(2).next_power_of_two();
+        let mut slots = vec![Slot::default(); n_slots];
+        let shift = 64 - n_slots.trailing_zeros();
+        for (i, key) in sorted.iter().enumerate() {
+            bytes.extend_from_slice(key);
+            bounds.push(bytes.len());
+            let hash = fnv1a(key);
+            let mut s = home_slot(hash, shift);
+            while slots[s].key != 0 {
+                s = (s + 1) & (n_slots - 1);
+            }
+            // A key count past u32 would need terabytes of budget.
+            slots[s] = Slot {
+                tag: hash as u32,
+                key: (i + 1) as u32,
+            };
         }
+        FreqTable {
+            keys: SortedKeys { bytes, bounds },
+            bufs: (0..sorted.len()).map(|_| KeyBuf::default()).collect(),
+            slots,
+            shift,
+            per_key_limit: per_key_limit.max(MIN_PER_KEY_BYTES),
+            combined: KeyBuf::default(),
+        }
+    }
+
+    /// The position of `key` among the frozen keys, if it is one.
+    #[inline]
+    fn find(&self, key: &[u8]) -> Option<usize> {
+        let hash = fnv1a(key);
+        let mask = self.slots.len() - 1;
+        let mut s = home_slot(hash, self.shift);
+        loop {
+            let slot = self.slots[s];
+            if slot.key == 0 {
+                return None;
+            }
+            let i = slot.key as usize - 1;
+            if slot.tag == hash as u32 && self.keys.get(i) == key {
+                return Some(i);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Key `i`'s values (its bytes are `key`) passed the per-key limit:
+    /// combine them in place, and if even the aggregate does not fit
+    /// (a storage-intensive combine), overflow them to `sink`. Returns
+    /// the time spent in the combiner.
+    fn make_room(&mut self, i: usize, key: &[u8], job: &dyn Job, sink: &mut dyn Emit) -> u64 {
+        let buf = &mut self.bufs[i];
+        let mut combine_ns = 0;
+        if buf.count > 1 {
+            combine_ns = combine_into(job, key, buf, &mut self.combined);
+            std::mem::swap(buf, &mut self.combined);
+        }
+        if buf.data.len() > self.per_key_limit {
+            buf.emit_all(key, sink);
+            buf.clear();
+        }
+        combine_ns
+    }
+
+    /// Drain every buffered key to `sink` in key order, each combined when
+    /// it holds more than one value. Returns the time spent in the
+    /// combiner.
+    fn drain(&mut self, job: &dyn Job, sink: &mut dyn Emit) -> u64 {
+        let mut combine_ns = 0u64;
+        for i in 0..self.keys.len() {
+            let key = self.keys.get(i);
+            let buf = &self.bufs[i];
+            if buf.count > 1 {
+                combine_ns =
+                    combine_ns.saturating_add(combine_into(job, key, buf, &mut self.combined));
+                self.combined.emit_all(key, sink);
+            } else {
+                buf.emit_all(key, sink);
+            }
+        }
+        combine_ns
     }
 }
 
@@ -207,9 +374,7 @@ impl FrequencyBuffer {
                             .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
                     };
                     match r.wait_for(node, &cancelled) {
-                        Some(keys) => {
-                            Stage::Optimize(FreqTable::new(keys.iter().cloned(), budget / k))
-                        }
+                        Some(keys) => Stage::Optimize(FreqTable::new(&keys, budget / k)),
                         None => fresh_profile(),
                     }
                 }
@@ -307,13 +472,13 @@ impl FrequencyBuffer {
             .into_iter()
             .map(|k| k.into_boxed_slice())
             .collect();
+        self.stage = Stage::Optimize(FreqTable::new(&keys, self.budget / self.k));
         if self.publisher {
             if let Some(r) = &self.registry {
-                r.publish(self.node, keys.clone());
+                r.publish(self.node, keys);
             }
             self.published = true;
         }
-        self.stage = Stage::Optimize(FreqTable::new(keys, self.budget / self.k));
     }
 }
 
@@ -370,41 +535,15 @@ impl EmitFilter for FrequencyBuffer {
                 false
             }
             Stage::Optimize(table) => {
-                let Some(buf) = table.entries.get_mut(key) else {
+                let Some(i) = table.find(key) else {
                     return false;
                 };
+                let buf = &mut table.bufs[i];
                 buf.push(value);
                 self.absorbed += 1;
                 if buf.data.len() > table.per_key_limit {
-                    if buf.count > 1 {
-                        // Space limit hit: combine in place, reusing the
-                        // buffer's allocation.
-                        let mut refs: Vec<&[u8]> = Vec::with_capacity(buf.count as usize);
-                        buf.gather(&mut refs);
-                        // textmr-lint: allow(wall-clock-in-virtual-path, reason = "measured-op sampling: times the user combiner to report its real cost; never feeds the virtual schedule")
-                        let sw = std::time::Instant::now();
-                        let combined = combine_values(self.job.as_ref(), key, &refs);
-                        self.user_combine_ns = self.user_combine_ns.saturating_add(
-                            u64::try_from(sw.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        table.scratch.clear();
-                        table.scratch.extend(combined);
-                        buf.data.clear();
-                        buf.count = 0;
-                        for v in &table.scratch {
-                            buf.push(v);
-                        }
-                    }
-                    if buf.data.len() > table.per_key_limit {
-                        // Even the aggregate does not fit (storage-intensive
-                        // combine): overflow to the normal dataflow.
-                        let mut pos = 0usize;
-                        while let Some(v) = read_bytes(&buf.data, &mut pos) {
-                            sink.emit(key, v);
-                        }
-                        buf.data.clear();
-                        buf.count = 0;
-                    }
+                    let ns = table.make_room(i, key, self.job.as_ref(), sink);
+                    self.user_combine_ns = self.user_combine_ns.saturating_add(ns);
                 }
                 true
             }
@@ -412,35 +551,10 @@ impl EmitFilter for FrequencyBuffer {
     }
 
     fn finish(&mut self, sink: &mut dyn Emit) {
+        // Only a job with a combiner reaches Optimize (`Stage::Disabled`).
         if let Stage::Optimize(table) = &mut self.stage {
-            // Drain deterministically: sort keys so output is stable.
-            let mut keys: Vec<Box<[u8]>> = table
-                .entries
-                .iter()
-                .filter(|(_, b)| b.count > 0)
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.sort();
-            let mut refs: Vec<&[u8]> = Vec::new();
-            for key in keys {
-                let buf = table.entries.get(&key).expect("key just listed");
-                buf.gather(&mut refs);
-                if refs.len() > 1 && self.job.has_combiner() {
-                    // textmr-lint: allow(wall-clock-in-virtual-path, reason = "measured-op sampling: times the user combiner to report its real cost; never feeds the virtual schedule")
-                    let sw = std::time::Instant::now();
-                    let combined = combine_values(self.job.as_ref(), &key, &refs);
-                    self.user_combine_ns = self
-                        .user_combine_ns
-                        .saturating_add(u64::try_from(sw.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    for v in combined {
-                        sink.emit(&key, &v);
-                    }
-                } else {
-                    for v in &refs {
-                        sink.emit(&key, v);
-                    }
-                }
-            }
+            let ns = table.drain(self.job.as_ref(), sink);
+            self.user_combine_ns = self.user_combine_ns.saturating_add(ns);
         }
     }
 
@@ -699,6 +813,29 @@ mod tests {
         // Offer a key that is definitely not hot.
         let mut sink2 = VecEmit::default();
         assert!(!fb.offer(b"definitely-cold", &encode_u64(1), &mut sink2));
+    }
+
+    #[test]
+    fn keys_that_differ_in_their_last_byte_spread_over_the_slots() {
+        let keys: Vec<Box<[u8]>> = (b'a'..=b'z')
+            .map(|c| vec![b'c', b'a', c].into_boxed_slice())
+            .collect();
+        let table = FreqTable::new(&keys, 0);
+        assert_eq!(table.slots.len(), 64);
+        let homes: std::collections::BTreeSet<usize> = keys
+            .iter()
+            .map(|k| home_slot(fnv1a(k), table.shift))
+            .collect();
+        assert!(
+            homes.len() >= 16,
+            "26 keys share {} home slots",
+            homes.len()
+        );
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(table.find(key), Some(i), "sorted position of {key:?}");
+        }
+        assert_eq!(table.find(b"ca"), None);
+        assert_eq!(table.find(b"caaa"), None);
     }
 
     #[test]

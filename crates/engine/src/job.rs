@@ -271,7 +271,8 @@ pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Run `combine` over an owned value list, returning the combined values.
-/// Convenience used by both the spill path and the frequency buffer.
+/// A convenience off the hot paths (tests, reference models): the spill
+/// path and the frequency buffer combine into reused buffers instead.
 pub fn combine_values(job: &dyn Job, key: &[u8], values: &[&[u8]]) -> Vec<Vec<u8>> {
     let mut cursor = SliceValues::new(values);
     let mut out: Vec<Vec<u8>> = Vec::with_capacity(1);

@@ -652,14 +652,51 @@ const SAMPLE_EVERY: u64 = 16;
 /// apart: the estimate counts it once, as measured, and the other calls
 /// at the mean of the other samples, so a cold first call is not
 /// weighted as [`SAMPLE_EVERY`] calls.
-#[derive(Debug, Default)]
+///
+/// Each sample is recorded less the stopwatch's own floor
+/// ([`clock_floor_ns`]): a start → elapsed window holds about one clock
+/// read even around no work, which on a per-record call is as large as
+/// the call. Only the split of a measured total between ops moves; the
+/// totals stay measured.
+#[derive(Debug)]
 pub(crate) struct SampledCost {
     samples: u64,
     sampled_ns: u64,
     first_ns: Option<u64>,
+    /// Subtracted, saturating, from every recorded sample.
+    floor_ns: u64,
+}
+
+impl Default for SampledCost {
+    fn default() -> Self {
+        SampledCost::with_floor(clock_floor_ns())
+    }
+}
+
+/// The shortest start → elapsed window of a [`Stopwatch`] around no work,
+/// over a few dozen tries, measured once per process: the clock cost
+/// every timed sample holds.
+pub(crate) fn clock_floor_ns() -> u64 {
+    static FLOOR: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        (0..48)
+            .map(|_| Stopwatch::start().elapsed_ns())
+            .min()
+            .unwrap_or(0)
+    })
 }
 
 impl SampledCost {
+    /// No samples yet; each sample will be recorded less `floor_ns`.
+    pub(crate) fn with_floor(floor_ns: u64) -> Self {
+        SampledCost {
+            samples: 0,
+            sampled_ns: 0,
+            first_ns: None,
+            floor_ns,
+        }
+    }
+
     /// Start a stopwatch if call number `count` (counted from 1) is
     /// sampled.
     #[inline]
@@ -685,11 +722,14 @@ impl SampledCost {
         count.is_multiple_of(SAMPLE_EVERY)
     }
 
-    /// Record one sampled call's cost.
+    /// Record one sampled call's cost, `ns` as timed (the floor is taken
+    /// off here).
     #[inline]
     pub(crate) fn record(&mut self, ns: u64) {
         self.samples += 1;
-        self.sampled_ns = self.sampled_ns.saturating_add(ns);
+        self.sampled_ns = self
+            .sampled_ns
+            .saturating_add(ns.saturating_sub(self.floor_ns));
     }
 
     /// Record the cost of call number `count`, timed by
@@ -698,7 +738,7 @@ impl SampledCost {
     #[inline]
     pub(crate) fn record_call(&mut self, count: u64, ns: u64) {
         if count == 1 {
-            self.first_ns = Some(ns);
+            self.first_ns = Some(ns.saturating_sub(self.floor_ns));
         } else {
             self.record(ns);
         }
@@ -749,7 +789,7 @@ mod tests {
             .filter(|&i| SampledCost::start_or_first(i).is_some())
             .collect();
         assert_eq!(with_first, vec![1, 8, 24, 40]);
-        let mut c = SampledCost::default();
+        let mut c = SampledCost::with_floor(0);
         c.record_call(1, 1000);
         assert_eq!(c.estimate_calls(5), 5000, "the first call stands for all");
         c.record_call(8, 10);
@@ -760,13 +800,30 @@ mod tests {
             "the first counts once"
         );
         assert_eq!(c.estimate_calls(0), 0);
-        let mut c = SampledCost::default();
+        let mut c = SampledCost::with_floor(0);
         assert_eq!(c.estimate(100), 0);
         c.record(30);
         c.record(50);
         assert_eq!(c.samples(), 2);
         assert_eq!(c.estimate(10), 400);
         assert_eq!(c.estimate(0), 0);
+    }
+
+    #[test]
+    fn sampled_cost_takes_the_clock_floor_off_every_sample() {
+        let mut c = SampledCost::with_floor(50);
+        c.record(80);
+        c.record(30); // below the floor: counts as a free call
+        assert_eq!(c.samples(), 2);
+        assert_eq!(c.estimate(2), 30);
+        let mut c = SampledCost::with_floor(50);
+        c.record_call(1, 1050);
+        c.record_call(8, 70);
+        c.record_call(24, 90);
+        assert_eq!(c.estimate_calls(3), 1000 + 2 * 30);
+        let mut c = SampledCost::with_floor(50);
+        c.record_call(1, 40);
+        assert_eq!(c.estimate_calls(4), 0);
     }
 
     #[test]

@@ -22,6 +22,12 @@
 
 use crate::metrics::VNanos;
 
+/// The spill threshold in bytes for fraction `x` of capacity `m`. Ceil so
+/// that x = 1.0 requires a genuinely full buffer.
+fn threshold(x: f64, m: usize) -> usize {
+    (x * m as f64).ceil() as usize
+}
+
 /// Outcome of offering a record to the pipeline: what the caller (the map
 /// task) must do before appending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +45,9 @@ pub struct Pipeline {
     capacity: usize,
     /// Spill fraction x in force for the active segment.
     fraction: f64,
+    /// Spill threshold in bytes, `⌈x·M⌉`: computed when `x` is set, not
+    /// on every append.
+    threshold: usize,
     /// Producer virtual clock.
     v_producer: VNanos,
     /// Virtual time at which the consumer finishes its current segment.
@@ -76,6 +85,7 @@ impl Pipeline {
         Pipeline {
             capacity,
             fraction,
+            threshold: threshold(fraction, capacity),
             v_producer: 0,
             consumer_busy_until: 0,
             in_flight: 0,
@@ -106,6 +116,7 @@ impl Pipeline {
             "spill fraction must be in (0,1], got {x}"
         );
         self.fraction = x;
+        self.threshold = threshold(x, self.capacity);
     }
 
     /// Producer performed `ns` of measured work (advances its clock).
@@ -113,12 +124,6 @@ impl Pipeline {
     pub fn produce(&mut self, ns: u64) {
         self.v_producer += ns;
         self.produce_busy += ns;
-    }
-
-    /// Current spill threshold in bytes.
-    fn threshold(&self) -> usize {
-        // Ceil so that x = 1.0 requires a genuinely full buffer.
-        (self.fraction * self.capacity as f64).ceil() as usize
     }
 
     /// Free the in-flight segment if the consumer has finished by now.
@@ -154,7 +159,7 @@ impl Pipeline {
         }
         // Reaching the spill threshold hands over only if the consumer is
         // idle; otherwise the segment keeps growing (Eq. 2).
-        if self.active_bytes >= self.threshold() && self.v_producer >= self.consumer_busy_until {
+        if self.active_bytes >= self.threshold && self.v_producer >= self.consumer_busy_until {
             return Admission::SpillThenAppend;
         }
         Admission::Append
@@ -171,7 +176,7 @@ impl Pipeline {
     /// true when the threshold is reached and the consumer is idle.
     pub fn should_spill(&mut self) -> bool {
         self.reap();
-        self.active_bytes >= self.threshold() && self.v_producer >= self.consumer_busy_until
+        self.active_bytes >= self.threshold && self.v_producer >= self.consumer_busy_until
     }
 
     /// Hand the active segment (its size is tracked internally) to the

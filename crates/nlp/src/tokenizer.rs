@@ -4,6 +4,22 @@
 //! lowercased; this is the exact key normalization the paper's WordCount /
 //! InvertedIndex / WordPOSTag jobs perform before emitting word keys, so the
 //! tokenizer's cost is part of the measured `map` operation.
+//!
+//! One scanner holds the word rule, and every entry point runs it:
+//!
+//! * [`for_each_word`] lends each word as a `&str` and is the hot API: the
+//!   map functions of WordCount, InvertedIndex and SynText call it, and it
+//!   allocates nothing per word.
+//! * [`words`] yields owned `String`s (one allocation per word), and
+//!   [`tokenize`] keeps the punctuation too, for sentence splitting.
+//!
+//! A line that is all ASCII (the common case) is scanned as bytes: a word
+//! is a run of `is_ascii_alphanumeric` bytes, a word with no uppercase byte
+//! is lent as a slice of the line, and only a word with an uppercase byte
+//! is lowercased, into one buffer reused for the rest of the line. A line
+//! holding any non-ASCII byte takes the char path instead, which decodes
+//! every char and lowercases it through the Unicode tables. On ASCII input
+//! the two paths give the same words.
 
 /// A single token: either a lowercased word or one punctuation character.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,72 +56,177 @@ impl Token {
 /// [`Token::Punct`]; all other characters are separators.
 pub fn tokenize(line: &str) -> Vec<Token> {
     let mut out = Vec::new();
-    let mut word = String::new();
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c.is_alphanumeric() {
-            word.extend(c.to_lowercase());
-        } else if (c == '\'' || c == '-')
-            && !word.is_empty()
-            && chars.peek().is_some_and(|n| n.is_alphanumeric())
-        {
-            // Internal apostrophe/hyphen stays inside the word ("don't").
-            word.push(c);
-        } else {
-            if !word.is_empty() {
-                out.push(Token::Word(std::mem::take(&mut word)));
-            }
-            if matches!(c, '.' | ',' | ';' | ':' | '!' | '?') {
-                out.push(Token::Punct(c));
-            }
-        }
-    }
-    if !word.is_empty() {
-        out.push(Token::Word(word));
+    let mut scanner = Scanner::new(line);
+    while let Some(piece) = scanner.next_piece() {
+        out.push(match piece {
+            Piece::Punct(c) => Token::Punct(c),
+            word => Token::Word(scanner.text(word).to_owned()),
+        });
     }
     out
 }
 
-/// Iterate just the lowercased words of a line, skipping punctuation.
-/// Cheaper than [`tokenize`] when sentence structure is irrelevant
-/// (WordCount, InvertedIndex).
+/// Iterate just the lowercased words of a line, skipping punctuation, as
+/// owned strings. [`for_each_word`] gives the same words without
+/// allocating.
 pub fn words(line: &str) -> impl Iterator<Item = String> + '_ {
-    WordIter {
-        chars: line.chars().peekable(),
-        word: String::new(),
+    let mut scanner = Scanner::new(line);
+    std::iter::from_fn(move || scanner.next_word().map(str::to_owned))
+}
+
+/// Call `f` with each lowercased word of `line`, in order, skipping
+/// punctuation: the words [`words`] yields, lent instead of allocated.
+pub fn for_each_word(line: &str, mut f: impl FnMut(&str)) {
+    let mut scanner = Scanner::new(line);
+    while let Some(word) = scanner.next_word() {
+        f(word);
     }
 }
 
-struct WordIter<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    word: String,
+/// Sentence punctuation, kept as [`Token::Punct`] by [`tokenize`].
+fn is_punct(c: char) -> bool {
+    matches!(c, '.' | ',' | ';' | ':' | '!' | '?')
 }
 
-impl<'a> Iterator for WordIter<'a> {
-    type Item = String;
+/// An apostrophe or hyphen stays inside a word when it follows a word
+/// char and a word char follows it ("don't", "well-known").
+fn is_joiner(c: char) -> bool {
+    c == '\'' || c == '-'
+}
 
-    fn next(&mut self) -> Option<String> {
-        self.word.clear();
-        while let Some(c) = self.chars.next() {
-            if c.is_alphanumeric() {
-                self.word.extend(c.to_lowercase());
-            } else if (c == '\'' || c == '-')
-                && !self.word.is_empty()
-                && self.chars.peek().is_some_and(|n| n.is_alphanumeric())
-            {
-                // Internal apostrophe/hyphen stays inside the word, exactly
-                // as in [`tokenize`] — both iterators must produce the same
-                // word keys or applications would disagree on vocabulary.
-                self.word.push(c);
-            } else if !self.word.is_empty() {
-                return Some(std::mem::take(&mut self.word));
+/// One scanned piece of a line. A word is a place, not a borrow, so the
+/// scanner can go on to the next piece before the caller reads it.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// A word that is `line[start..end]` as it stands.
+    Slice(usize, usize),
+    /// A word lowercased into the scanner's buffer.
+    Lowered,
+    /// A punctuation character.
+    Punct(char),
+}
+
+/// The word rule, run over one line from left to right.
+struct Scanner<'a> {
+    line: &'a str,
+    /// Byte offset of the next char to scan.
+    pos: usize,
+    /// Whether the line is all ASCII: the byte path, else the char path.
+    ascii: bool,
+    /// The last [`Piece::Lowered`] word.
+    buf: String,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(line: &'a str) -> Self {
+        Scanner {
+            line,
+            pos: 0,
+            ascii: line.is_ascii(),
+            buf: String::new(),
+        }
+    }
+
+    /// The text of a word piece the scanner returned last.
+    #[inline]
+    fn text(&self, piece: Piece) -> &str {
+        match piece {
+            Piece::Slice(start, end) => &self.line[start..end],
+            Piece::Lowered => &self.buf,
+            Piece::Punct(_) => "",
+        }
+    }
+
+    /// The next word, skipping punctuation.
+    #[inline]
+    fn next_word(&mut self) -> Option<&str> {
+        loop {
+            let piece = self.next_piece()?;
+            if !matches!(piece, Piece::Punct(_)) {
+                return Some(self.text(piece));
             }
         }
-        if self.word.is_empty() {
-            None
+    }
+
+    /// The next word or punctuation character.
+    #[inline]
+    fn next_piece(&mut self) -> Option<Piece> {
+        if self.ascii {
+            self.next_ascii()
         } else {
-            Some(std::mem::take(&mut self.word))
+            self.next_char_path()
         }
+    }
+
+    /// The byte path: every byte is a char, so a word is a run of
+    /// alphanumeric bytes with internal joiners, and lowercasing is per
+    /// byte.
+    fn next_ascii(&mut self) -> Option<Piece> {
+        let bytes = self.line.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() && !bytes[i].is_ascii_alphanumeric() {
+            let c = char::from(bytes[i]);
+            i += 1;
+            if is_punct(c) {
+                self.pos = i;
+                return Some(Piece::Punct(c));
+            }
+        }
+        if i == bytes.len() {
+            self.pos = i;
+            return None;
+        }
+        let start = i;
+        let mut upper = false;
+        loop {
+            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+                upper |= bytes[i].is_ascii_uppercase();
+                i += 1;
+            }
+            let joined = i + 1 < bytes.len()
+                && is_joiner(char::from(bytes[i]))
+                && bytes[i + 1].is_ascii_alphanumeric();
+            if !joined {
+                break;
+            }
+            i += 1;
+        }
+        self.pos = i;
+        if !upper {
+            return Some(Piece::Slice(start, i));
+        }
+        self.buf.clear();
+        self.buf.push_str(&self.line[start..i]);
+        self.buf.make_ascii_lowercase();
+        Some(Piece::Lowered)
+    }
+
+    /// The char path: decode each char and lowercase it through the
+    /// Unicode tables (one char may lowercase to several).
+    fn next_char_path(&mut self) -> Option<Piece> {
+        self.buf.clear();
+        let rest = &self.line[self.pos..];
+        let mut chars = rest.char_indices().peekable();
+        while let Some((off, c)) = chars.next() {
+            if c.is_alphanumeric() {
+                self.buf.extend(c.to_lowercase());
+            } else if is_joiner(c)
+                && !self.buf.is_empty()
+                && chars.peek().is_some_and(|&(_, n)| n.is_alphanumeric())
+            {
+                self.buf.push(c);
+            } else if !self.buf.is_empty() {
+                // The word ends before `c`, which the next call scans
+                // again as a separator.
+                self.pos += off;
+                return Some(Piece::Lowered);
+            } else if is_punct(c) {
+                self.pos += off + c.len_utf8();
+                return Some(Piece::Punct(c));
+            }
+        }
+        self.pos = self.line.len();
+        (!self.buf.is_empty()).then_some(Piece::Lowered)
     }
 }
 
@@ -185,6 +306,84 @@ mod tests {
         assert_eq!(toks.len(), 3);
         assert!(sentences(&toks).len() == 3);
         assert_eq!(words("!!!").count(), 0);
+    }
+
+    fn collect(line: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_word(line, |w| out.push(w.to_string()));
+        out
+    }
+
+    /// The words of `line` through the char path, even when it is ASCII.
+    fn char_path_words(line: &str) -> Vec<String> {
+        let mut scanner = Scanner::new(line);
+        scanner.ascii = false;
+        let mut out = Vec::new();
+        while let Some(w) = scanner.next_word() {
+            out.push(w.to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn the_word_rule_at_its_edges() {
+        let cases: [(&str, &[&str]); 7] = [
+            ("don't", &["don't"]),
+            ("a-", &["a"]),
+            ("-a", &["a"]),
+            ("''a''b", &["a", "b"]),
+            ("rock-'n'-roll", &["rock", "n", "roll"]),
+            ("well-known X-Ray's 4-2", &["well-known", "x-ray's", "4-2"]),
+            ("", &[]),
+        ];
+        for (line, want) in cases {
+            assert_eq!(collect(line), want, "{line:?}");
+            assert_eq!(words(line).collect::<Vec<_>>(), want, "{line:?}");
+            assert_eq!(char_path_words(line), want, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn only_words_with_an_uppercase_byte_are_copied() {
+        let mut scanner = Scanner::new("The cat's HAT.");
+        let mut pieces = Vec::new();
+        while let Some(p) = scanner.next_piece() {
+            pieces.push((format!("{p:?}"), scanner.text(p).to_string()));
+        }
+        let got: Vec<(&str, &str)> = pieces
+            .iter()
+            .map(|(p, t)| (p.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("Lowered", "the"),
+                ("Slice(4, 9)", "cat's"),
+                ("Lowered", "hat"),
+                ("Punct('.')", ""),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_line_with_one_non_ascii_char_takes_the_char_path() {
+        let line = "Hello, Wörld-Cup don't STOP.";
+        assert!(!Scanner::new(line).ascii);
+        assert_eq!(collect(line), ["hello", "wörld-cup", "don't", "stop"]);
+        assert_eq!(
+            tokenize(line),
+            vec![
+                Token::Word("hello".into()),
+                Token::Punct(','),
+                Token::Word("wörld-cup".into()),
+                Token::Word("don't".into()),
+                Token::Word("stop".into()),
+                Token::Punct('.'),
+            ]
+        );
+        let ascii = "Hello, World-Cup don't STOP.";
+        assert!(Scanner::new(ascii).ascii);
+        assert_eq!(collect(ascii), char_path_words(ascii));
     }
 
     #[test]

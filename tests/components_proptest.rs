@@ -2,17 +2,22 @@
 //! merging and tokenization hold their invariants on arbitrary inputs.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use textmr_core::{FreqBufferConfig, FrequencyBuffer, FrequentKeyRegistry};
 use textmr_engine::codec;
+use textmr_engine::controller::{EmitFilter, FilterCtx, TaskCtx};
 use textmr_engine::io::compress;
 use textmr_engine::io::frame::FrameEncoder;
 use textmr_engine::io::store::Store;
-use textmr_engine::job::{Emit, Job, Record, ValueCursor};
+use textmr_engine::job::{combine_values, Emit, Job, Record, ValueCursor, ValueSink, VecEmit};
 use textmr_engine::task::merge::{
     merge_grouped, merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in,
     reduce_to_fan_in, reduce_to_fan_in_with, CursorSource, Grouper, MergeOrder,
 };
 use textmr_engine::task::segment::Segment;
 use textmr_engine::task::spill::sort_indices;
+use textmr_nlp::tokenizer::{self, Token};
 
 /// A scratch directory private to this test process.
 fn scratch_dir() -> std::path::PathBuf {
@@ -197,6 +202,172 @@ fn framed_source(run: &[u8]) -> CursorSource<'static> {
 
 fn to_groups(k: &[u8], vs: &[&[u8]], out: &mut Vec<Group>) {
     out.push((k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
+}
+
+/// ASCII chars for tokenizer lines: word chars of both cases, the joiners
+/// `'` and `-` and the sentence punctuation (often enough to meet word
+/// chars on either side), and spaces.
+const ASCII_LINE_CHARS: &[char] = &[
+    'a', 'b', 'x', 'A', 'B', 'X', '0', '7', '\'', '-', '\'', '-', '.', ',', ';', ':', '!', '?',
+    ' ', ' ',
+];
+
+/// Non-ASCII chars, any one of which sends a line down the tokenizer's char
+/// path; `İ` lowercases to two chars.
+const NON_ASCII_LINE_CHARS: &[char] = &['é', 'İ', 'ß', '中', '😀'];
+
+/// Lines of the chars above: half all ASCII (the byte path), half drawn
+/// from both sets.
+fn tokenizer_line() -> impl Strategy<Value = String> {
+    let ascii = proptest::collection::vec(0..ASCII_LINE_CHARS.len(), 0..40)
+        .prop_map(|ix| ix.into_iter().map(|i| ASCII_LINE_CHARS[i]).collect());
+    let all = ASCII_LINE_CHARS.len() + NON_ASCII_LINE_CHARS.len();
+    let mixed = proptest::collection::vec(0..all, 0..40).prop_map(|ix| {
+        ix.into_iter()
+            .map(|i| match ASCII_LINE_CHARS.get(i) {
+                Some(&c) => c,
+                None => NON_ASCII_LINE_CHARS[i - ASCII_LINE_CHARS.len()],
+            })
+            .collect()
+    });
+    prop_oneof![ascii, mixed]
+}
+
+/// The word rule one char at a time, as the tokenizer ran it before its
+/// byte path: alphanumeric runs lowercased through the Unicode tables, an
+/// internal `'` or `-` kept when an alphanumeric follows, sentence
+/// punctuation kept, everything else a separator.
+fn reference_tokens(line: &str) -> Vec<Token> {
+    let mut out = Vec::new();
+    let mut word = String::new();
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c.is_alphanumeric() {
+            word.extend(c.to_lowercase());
+        } else if (c == '\'' || c == '-')
+            && !word.is_empty()
+            && chars.peek().is_some_and(|n| n.is_alphanumeric())
+        {
+            word.push(c);
+        } else {
+            if !word.is_empty() {
+                out.push(Token::Word(std::mem::take(&mut word)));
+            }
+            if matches!(c, '.' | ',' | ';' | ':' | '!' | '?') {
+                out.push(Token::Punct(c));
+            }
+        }
+    }
+    if !word.is_empty() {
+        out.push(Token::Word(word));
+    }
+    out
+}
+
+/// A combiner that depends on the key's first byte: `s` sums its values
+/// into 8 bytes (always fits), `c` concatenates them into one value (may
+/// still not fit), anything else hands them back unchanged (never fits
+/// again, so the key overflows).
+struct MixedCombine;
+impl Job for MixedCombine {
+    fn name(&self) -> &str {
+        "mixed-combine"
+    }
+    fn map(&self, _r: &Record<'_>, _e: &mut dyn Emit) {}
+    fn has_combiner(&self) -> bool {
+        true
+    }
+    fn combine(&self, key: &[u8], values: &mut dyn ValueCursor, out: &mut dyn ValueSink) {
+        match key.first() {
+            Some(b's') => {
+                let mut sum = 0u64;
+                while let Some(v) = values.next() {
+                    sum += v.iter().map(|&b| u64::from(b)).sum::<u64>();
+                }
+                out.push(&sum.to_le_bytes());
+            }
+            Some(b'c') => {
+                let mut all = Vec::new();
+                while let Some(v) = values.next() {
+                    all.extend_from_slice(v);
+                }
+                out.push(&all);
+            }
+            _ => {
+                while let Some(v) = values.next() {
+                    out.push(v);
+                }
+            }
+        }
+    }
+    fn reduce(&self, _k: &[u8], _v: &mut dyn ValueCursor, _o: &mut dyn Emit) {}
+}
+
+/// Keys of the frequent-key table proptest: index `i` names a key whose
+/// first byte picks its [`MixedCombine`] behaviour.
+const TABLE_KEYS: usize = 96;
+
+fn table_key(i: usize) -> Vec<u8> {
+    format!("{}{i}", ['s', 'c', 'i'][i % 3]).into_bytes()
+}
+
+/// `(key, value)` pairs in the order a sink received them.
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Bytes `values` take length-framed.
+fn framed_len(values: &[Vec<u8>]) -> usize {
+    let mut buf = Vec::new();
+    for v in values {
+        codec::write_bytes(&mut buf, v);
+    }
+    buf.len()
+}
+
+/// The documented semantics of the Optimize stage over `stream`, with
+/// `frozen` as the key set and `limit` as the per-key byte limit: a
+/// frozen key's value is absorbed, and when its values' framed bytes pass
+/// the limit they are combined (when there are several), then overflow to
+/// the sink if they still do not fit; any other record is passed through.
+/// At the end every buffered key drains in key order, combined when it
+/// holds several values. Returns the sink's pairs and the absorbed count.
+fn model_optimize_stage(
+    frozen: &BTreeSet<Vec<u8>>,
+    limit: usize,
+    stream: &[(Vec<u8>, Vec<u8>)],
+) -> (Pairs, u64) {
+    let combine = |key: &[u8], values: &[Vec<u8>]| {
+        let refs: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+        combine_values(&MixedCombine, key, &refs)
+    };
+    let mut out = Vec::new();
+    let mut absorbed = 0u64;
+    let mut buffered: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+    for (key, value) in stream {
+        if !frozen.contains(key) {
+            out.push((key.clone(), value.clone()));
+            continue;
+        }
+        absorbed += 1;
+        let values = buffered.entry(key.clone()).or_default();
+        values.push(value.clone());
+        if framed_len(values) > limit {
+            if values.len() > 1 {
+                *values = combine(key, values);
+            }
+            if framed_len(values) > limit {
+                out.extend(values.drain(..).map(|v| (key.clone(), v)));
+            }
+        }
+    }
+    for (key, values) in &buffered {
+        let values = if values.len() > 1 {
+            combine(key, values)
+        } else {
+            values.clone()
+        };
+        out.extend(values.into_iter().map(|v| (key.clone(), v)));
+    }
+    (out, absorbed)
 }
 
 proptest! {
@@ -475,6 +646,69 @@ proptest! {
             .collect();
         let via_words: Vec<String> = textmr_nlp::tokenizer::words(&line).collect();
         prop_assert_eq!(via_tokens, via_words);
+    }
+
+    #[test]
+    fn tokenizer_entry_points_agree(line in tokenizer_line()) {
+        let reference = reference_tokens(&line);
+        let reference_words: Vec<String> = reference
+            .iter()
+            .filter_map(|t| t.as_word().map(str::to_string))
+            .collect();
+        let mut lent = Vec::new();
+        tokenizer::for_each_word(&line, |w| lent.push(w.to_string()));
+        prop_assert_eq!(&lent, &reference_words, "for_each_word({:?})", line);
+        let owned: Vec<String> = tokenizer::words(&line).collect();
+        prop_assert_eq!(&owned, &reference_words, "words({:?})", line);
+        prop_assert_eq!(tokenizer::tokenize(&line), reference, "tokenize({:?})", line);
+    }
+
+    #[test]
+    fn frozen_key_table_matches_a_reference_model(
+        frozen_ix in proptest::collection::vec(0..TABLE_KEYS, 0..80),
+        stream_ix in proptest::collection::vec((0..TABLE_KEYS, 0..TABLE_KEYS, 0..96usize, any::<u8>()), 0..800),
+    ) {
+        // At most 64 distinct frozen keys in 128 slots (the 2k rule at its
+        // fullest), so probes collide; keys skew towards low indices so
+        // that some pass the per-key limit many times.
+        let frozen_keys: Vec<Box<[u8]>> = frozen_ix
+            .iter()
+            .take(64)
+            .map(|&i| table_key(i).into_boxed_slice())
+            .collect();
+        let frozen: BTreeSet<Vec<u8>> = frozen_keys.iter().map(|k| k.to_vec()).collect();
+        let stream: Vec<(Vec<u8>, Vec<u8>)> = stream_ix
+            .iter()
+            .map(|&(a, b, len, byte)| (table_key(a.min(b)), vec![byte; len]))
+            .collect();
+        // Budget 256 bytes per key: the smallest per-key limit the table
+        // allows, reached after a few values.
+        let k = 64;
+        let limit = 256;
+        let registry = Arc::new(FrequentKeyRegistry::new());
+        registry.publish(0, frozen_keys);
+        let ctx = FilterCtx {
+            task: TaskCtx { node: 0, task: 1 },
+            job: Arc::new(MixedCombine),
+            budget_bytes: k * limit,
+            estimated_records: stream.len() as u64,
+            node_first_task: 0,
+            cancel: None,
+        };
+        let cfg = FreqBufferConfig { k, ..FreqBufferConfig::default() };
+        let mut fb = FrequencyBuffer::new(&ctx, cfg, Some(registry));
+        prop_assert!(fb.is_optimizing(), "a published key set starts in Optimize");
+        let mut sink = VecEmit::default();
+        for (key, value) in &stream {
+            fb.on_input_record();
+            if !fb.offer(key, value, &mut sink) {
+                sink.emit(key, value);
+            }
+        }
+        fb.finish(&mut sink);
+        let (want, absorbed) = model_optimize_stage(&frozen, limit, &stream);
+        prop_assert_eq!(fb.absorbed(), absorbed);
+        prop_assert_eq!(sink.pairs, want);
     }
 
     #[test]
