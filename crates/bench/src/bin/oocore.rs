@@ -1,19 +1,20 @@
 //! Out-of-core harness — bounded-memory runs over inputs that dwarf the
 //! configured RAM budget.
 //!
-//! The headline claim of the streaming engine: WordCount and PageRank
+//! The headline claim of the out-of-core engine: WordCount and PageRank
 //! complete over disk-resident corpora **≥ 10× the per-map-task byte
 //! budget** with every map task's tracked peak buffer residency under
-//! that budget, while producing outputs and timing-free signatures
-//! byte-identical to the materialized (whole-run-resident) reference
-//! path. This harness demonstrates both, then sweeps frequency-buffering
-//! on/off across budgets under the adaptive spill controller.
+//! that budget, while producing the same output as the unbudgeted
+//! record/blob run. This harness demonstrates both, then sweeps
+//! frequency-buffering on/off across budgets under the adaptive spill
+//! controller.
 //!
-//! For every headline (app × residency mode) run it reports input size,
-//! budget, wall time, spill counts, tracked peak map/reduce buffer bytes,
-//! and sustained MB/s per map slot; the streamed runs additionally assert
-//! `peak ≤ budget`. The WordCount streamed run exports its virtual-time
-//! trace through the streaming trace writer ([`textmr_engine::trace::stream`])
+//! For every headline (app × budgeted/unbudgeted) run it reports input
+//! size, budget, wall time, spill counts, tracked peak map/reduce buffer
+//! bytes, and sustained MB/s per map slot; the budgeted runs additionally
+//! assert `peak ≤ budget`, and the unbudgeted run's residency is the
+//! contrast. The WordCount budgeted run exports its virtual-time trace
+//! through the streaming trace writer ([`textmr_engine::trace::stream`])
 //! to `results/trace_oocore.json` — the full JSON is never resident,
 //! matching the memory story end to end.
 //!
@@ -42,7 +43,6 @@ use textmr_data::graph::GraphConfig;
 use textmr_data::text::CorpusConfig;
 use textmr_engine::cluster::{ClusterConfig, JobConfig, JobRun};
 use textmr_engine::io::dfs::SimDfs;
-use textmr_engine::io::StreamingConfig;
 use textmr_engine::job::Job;
 use textmr_engine::prelude::{adaptive_budget_factory, run_job, validate_chrome_trace};
 
@@ -94,15 +94,22 @@ fn headline_row(
     app: &str,
     mode: &str,
     input_bytes: u64,
-    budget: usize,
+    budget: Option<usize>,
     m: &Measured,
 ) {
+    let (budget_kb, ratio) = match budget {
+        Some(b) => (
+            kb(b as u64),
+            format!("{:.1}", input_bytes as f64 / b as f64),
+        ),
+        None => ("-".to_string(), "-".to_string()),
+    };
     table.row(&[
         app.to_string(),
         mode.to_string(),
         format!("{:.2}", input_bytes as f64 / (1 << 20) as f64),
-        kb(budget as u64),
-        format!("{:.1}", input_bytes as f64 / budget as f64),
+        budget_kb,
+        ratio,
         format!("{:.3}", m.wall_ms),
         kb(m.peak_map),
         kb(m.peak_reduce),
@@ -167,15 +174,11 @@ fn main() {
         graph_bytes as f64 / budget as f64,
     );
 
-    // Streamed: the budget derives every window; frame reads stay
-    // windowed. Materialized: same budget-derived write path (identical
-    // bytes on disk and on the wire) but whole-run-resident reads — the
-    // reference the streamed path must match byte for byte.
-    let streamed_cluster = base.clone().with_map_budget(budget);
-    let materialized_cluster = base
-        .clone()
-        .with_streaming(StreamingConfig::materialized())
-        .with_map_budget(budget);
+    // Budgeted: the budget selects framed runs and derives every window.
+    // Unbudgeted: record/blob runs merged whole — the same answer, with
+    // the residency a budget exists to bound.
+    let budgeted_cluster = base.clone().with_map_budget(budget);
+    let unbudgeted_cluster = base.clone();
 
     let mut table = Table::new(&[
         "app",
@@ -212,48 +215,42 @@ fn main() {
     ];
     for (app, job, input, input_bytes) in apps {
         let mut cfg = JobConfig::default().with_reducers(REDUCERS);
-        // The WordCount streamed run ships its trace through the
+        // The WordCount budgeted run ships its trace through the
         // streaming writer: span events spool to disk as attempts retire.
         if app == "WordCount" {
             cfg = cfg.with_trace_stream(trace_path.clone());
         }
-        eprintln!("{app}: streamed run …");
-        let streamed = run_job(&streamed_cluster, &cfg, job.clone(), &dfs, &[(input, 0)])
-            .unwrap_or_else(|e| panic!("{app} streamed run failed: {e}"));
-        eprintln!("{app}: materialized reference …");
-        let materialized = run_job(
-            &materialized_cluster,
+        eprintln!("{app}: budgeted run …");
+        let budgeted = run_job(&budgeted_cluster, &cfg, job.clone(), &dfs, &[(input, 0)])
+            .unwrap_or_else(|e| panic!("{app} budgeted run failed: {e}"));
+        eprintln!("{app}: unbudgeted record/blob run …");
+        let unbudgeted = run_job(
+            &unbudgeted_cluster,
             &JobConfig::default().with_reducers(REDUCERS),
             job.clone(),
             &dfs,
             &[(input, 0)],
         )
-        .unwrap_or_else(|e| panic!("{app} materialized run failed: {e}"));
+        .unwrap_or_else(|e| panic!("{app} unbudgeted run failed: {e}"));
 
-        // The whole point: identical results and identical timing-free
-        // signatures at opposite residency extremes…
+        // The whole point: the same answer in either format…
         assert_eq!(
-            streamed.sorted_pairs(),
-            materialized.sorted_pairs(),
-            "{app}: streamed and materialized outputs diverged"
+            budgeted.sorted_pairs(),
+            unbudgeted.sorted_pairs(),
+            "{app}: budgeted and unbudgeted outputs diverged"
         );
-        assert_eq!(
-            streamed.profile.signature(),
-            materialized.profile.signature(),
-            "{app}: streamed and materialized signatures diverged"
-        );
-        // …with the streamed map tasks under budget.
-        for (i, t) in streamed.profile.map_tasks.iter().enumerate() {
+        // …with the budgeted map tasks under budget.
+        for (i, t) in budgeted.profile.map_tasks.iter().enumerate() {
             assert!(
                 t.peak_buffer_bytes <= budget as u64,
                 "{app}: map task {i} peak {} B exceeds the {budget} B budget",
                 t.peak_buffer_bytes
             );
         }
-        let sm = measure(&streamed_cluster, &streamed, input_bytes);
-        let mm = measure(&materialized_cluster, &materialized, input_bytes);
-        headline_row(&mut table, app, "streamed", input_bytes, budget, &sm);
-        headline_row(&mut table, app, "materialized", input_bytes, budget, &mm);
+        let bm = measure(&budgeted_cluster, &budgeted, input_bytes);
+        let um = measure(&unbudgeted_cluster, &unbudgeted, input_bytes);
+        headline_row(&mut table, app, "budgeted", input_bytes, Some(budget), &bm);
+        headline_row(&mut table, app, "unbudgeted", input_bytes, None, &um);
     }
 
     let trace_text = std::fs::read_to_string(&trace_path).expect("streamed trace file");
@@ -340,6 +337,6 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&gen_dir);
     if smoke {
-        println!("\nsmoke OK: streamed == materialized, every streamed map task under budget");
+        println!("\nsmoke OK: budgeted == unbudgeted output, every budgeted map task under budget");
     }
 }

@@ -29,8 +29,8 @@ use crate::dag::{DagExecutor, DagRun};
 use crate::event::{AttemptKey, ClusterShape, ReduceAttempt, Scheduler};
 use crate::fault::{FaultPlan, SpeculationConfig};
 use crate::io::dfs::SimDfs;
-use crate::io::input::InputSplit;
-use crate::io::StreamingConfig;
+use crate::io::frame::DEFAULT_FRAME_BYTES;
+use crate::io::input::{InputSplit, DEFAULT_INPUT_CHUNK};
 use crate::job::{Job, StageInput};
 use crate::metrics::{JobProfile, Op, SpeculationStats, TaskProfile, TaskSpan, VNanos};
 use crate::net::NetworkConfig;
@@ -89,31 +89,21 @@ pub struct ClusterConfig {
     /// signatures are identical at any setting; clamped to
     /// [`crate::shuffle::MAX_FETCHERS`].
     pub shuffle_fetchers: usize,
-    /// Out-of-core streaming knobs (see [`StreamingConfig`]). Default off:
-    /// every legacy path runs byte-for-byte. With `framed` on, spills, map
-    /// outputs and shuffle payloads become compressed framed runs with
-    /// per-run frame indexes; `materialize_reads` then toggles whole-run
-    /// vs one-frame-window residency without changing a single stored or
-    /// shuffled byte.
-    pub streaming: StreamingConfig,
-    /// Optional per-map-task RAM budget in bytes. `Some(B)` turns framed
-    /// streaming on and derives the task's tracked buffers from `B` (see
-    /// [`ClusterConfig::effective_streaming`] /
-    /// [`ClusterConfig::effective_spill_buffer_bytes`]):
-    ///
-    /// * spill buffer  = `min(spill_buffer_bytes, B/2)` (≥ 4 KiB)
-    /// * input window  = `min(input_chunk_bytes, B/8)` (≥ 1 KiB)
-    /// * frame window  = `min(frame_bytes, B/16)` (≥ 1 KiB)
-    ///
-    /// During the producer phase the task holds the spill buffer plus one
-    /// input window (≤ 5B/8); during the merge it holds at most
-    /// `merge_fan_in + 1` frame windows (≤ 11B/16 at the default fan-in of
-    /// 10) — either way under `B`, which is what
+    /// Optional per-map-task RAM budget in bytes, the one out-of-core
+    /// setting. `Some(B)` selects compressed framed runs
+    /// ([`crate::io::frame`]) for spills, map outputs and shuffle runs,
+    /// written and read one frame at a time, and derives the spill buffer,
+    /// input window and frame size from `B` (the `effective_*` methods).
+    /// A task then holds at most about 3B/4 — the spill buffer, one input
+    /// window and a writer's frame, or `merge_fan_in` frame windows and a
+    /// writer's frame — which is what
     /// [`TaskProfile::peak_buffer_bytes`](crate::metrics::TaskProfile::peak_buffer_bytes)
     /// tracks and the `oocore` bench asserts. Unlike the paper's fixed
     /// spill-percentage trigger, the budget composes with the adaptive
     /// controller ([`crate::controller::AdaptiveBudget`]), which moves the
-    /// spill *fraction* inside the budgeted buffer.
+    /// spill *fraction* inside the budgeted buffer. `None` (the default)
+    /// writes record/blob runs, merged whole, which are faster when memory
+    /// is not the limit.
     pub map_budget_bytes: Option<usize>,
 }
 
@@ -130,7 +120,6 @@ impl ClusterConfig {
             merge_fan_in: 10,
             worker_threads: 1,
             shuffle_fetchers: 1,
-            streaming: StreamingConfig::default(),
             map_budget_bytes: None,
         }
     }
@@ -147,7 +136,6 @@ impl ClusterConfig {
             merge_fan_in: 10,
             worker_threads: 1,
             shuffle_fetchers: 1,
-            streaming: StreamingConfig::default(),
             map_budget_bytes: None,
         }
     }
@@ -164,7 +152,6 @@ impl ClusterConfig {
             merge_fan_in: 10,
             worker_threads: 1,
             shuffle_fetchers: 1,
-            streaming: StreamingConfig::default(),
             map_budget_bytes: None,
         }
     }
@@ -183,31 +170,27 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: set the out-of-core streaming knobs.
-    pub fn with_streaming(mut self, s: StreamingConfig) -> Self {
-        self.streaming = s;
-        self
-    }
-
-    /// Builder: set a per-map-task RAM budget (turns framed streaming on;
-    /// see [`ClusterConfig::map_budget_bytes`] for the derivation).
+    /// Builder: set a per-map-task RAM budget (selects framed runs; see
+    /// [`ClusterConfig::map_budget_bytes`] for the derivation).
     pub fn with_map_budget(mut self, bytes: usize) -> Self {
         self.map_budget_bytes = Some(bytes);
         self
     }
 
-    /// The streaming knobs a run actually uses: [`ClusterConfig::streaming`]
-    /// with [`ClusterConfig::map_budget_bytes`]'s derivation applied (a
-    /// budget forces framed mode and shrinks the input and frame windows to
-    /// its share of `B`).
-    pub fn effective_streaming(&self) -> StreamingConfig {
-        let mut s = self.streaming;
-        if let Some(b) = self.map_budget_bytes {
-            s.framed = true;
-            s.input_chunk_bytes = s.input_chunk_bytes.min((b / 8).max(1 << 10));
-            s.frame_bytes = s.frame_bytes.min((b / 16).max(1 << 10));
+    /// Frame size under a budget `B`: `min(64 KiB, B/16)`, ≥ 1 KiB; `None`
+    /// (record/blob runs) without one.
+    pub fn effective_frame_bytes(&self) -> Option<usize> {
+        self.map_budget_bytes
+            .map(|b| (b / 16).clamp(1 << 10, DEFAULT_FRAME_BYTES))
+    }
+
+    /// Input chunk window: `min(256 KiB, B/8)`, ≥ 1 KiB, under a budget
+    /// `B`; 256 KiB without one.
+    pub fn effective_input_chunk_bytes(&self) -> usize {
+        match self.map_budget_bytes {
+            Some(b) => (b / 8).clamp(1 << 10, DEFAULT_INPUT_CHUNK),
+            None => DEFAULT_INPUT_CHUNK,
         }
-        s
     }
 
     /// The spill-buffer capacity a run actually uses:
@@ -1134,7 +1117,8 @@ pub(crate) fn run_round(
     let reduce_phase = phase(TaskKind::Reduce, reduce_task_base);
 
     // ---- execute map tasks (real), collecting per-attempt durations -----------
-    let streaming = cluster.effective_streaming();
+    let frame_bytes = cluster.effective_frame_bytes();
+    let input_chunk_bytes = cluster.effective_input_chunk_bytes();
     let spill_buffer = cluster.effective_spill_buffer_bytes();
     let filter_budget = if cfg.emit_filter.is_some() {
         (spill_buffer as f64 * cfg.filter_budget_fraction) as usize
@@ -1213,7 +1197,8 @@ pub(crate) fn run_round(
             fail_spill,
             cancel,
             trace: cfg.trace,
-            streaming,
+            frame_bytes,
+            input_chunk_bytes,
         };
         let (out, prof) = run_map_task(&job, split, task_cfg)?;
         let dur = prof.virtual_duration;
@@ -1389,7 +1374,7 @@ pub(crate) fn run_round(
                     max_fetch_attempts,
                     cancel,
                     trace: cfg.trace,
-                    streaming,
+                    frame_bytes: frame_bytes.unwrap_or(DEFAULT_FRAME_BYTES),
                 },
             )?;
             let dur = res.profile.virtual_duration;
@@ -1856,6 +1841,37 @@ mod tests {
     }
 
     #[test]
+    fn the_map_budget_alone_derives_the_out_of_core_sizes() {
+        let sizes = |c: &ClusterConfig| {
+            (
+                c.effective_frame_bytes(),
+                c.effective_input_chunk_bytes(),
+                c.effective_spill_buffer_bytes(),
+            )
+        };
+        let mut base = ClusterConfig::local();
+        base.spill_buffer_bytes = 1 << 20;
+        // No budget: record/blob runs, the default window, the whole buffer.
+        assert_eq!(sizes(&base), (None, 256 << 10, 1 << 20));
+        // A 6 KiB budget hits every floor: B/16 and B/8 under 1 KiB, B/2
+        // under 4 KiB.
+        assert_eq!(
+            sizes(&base.clone().with_map_budget(6 << 10)),
+            (Some(1 << 10), 1 << 10, 4 << 10)
+        );
+        // 256 KiB: each size is its share of the budget.
+        assert_eq!(
+            sizes(&base.clone().with_map_budget(256 << 10)),
+            (Some(16 << 10), 32 << 10, 128 << 10)
+        );
+        // Above every default: the defaults and the configured buffer.
+        assert_eq!(
+            sizes(&base.clone().with_map_budget(64 << 20)),
+            (Some(64 << 10), 256 << 10, 1 << 20)
+        );
+    }
+
+    #[test]
     fn framed_output_preserves_output_and_shrinks_shuffle() {
         let mut cluster = ClusterConfig::local();
         cluster.spill_buffer_bytes = 64 << 10;
@@ -1869,7 +1885,9 @@ mod tests {
             &[("c", 0)],
         )
         .unwrap();
-        cluster.streaming = StreamingConfig::streamed();
+        // A budget whose half holds the spill buffer: framed runs with the
+        // same spill geometry.
+        let cluster = cluster.with_map_budget(16 << 20);
         let packed = run_job(
             &cluster,
             &JobConfig::default(),

@@ -85,14 +85,85 @@ impl From<FrameError> for io::Error {
     }
 }
 
-/// Builds one framed run in memory: records accumulate in a raw buffer
-/// and are sealed into compressed frames at the target size. The encoder
-/// holds at most one raw frame (`target` bytes) plus the stored output.
+/// The frame being filled: raw records up to the target size, then
+/// sealed into `header + payload`. Both run writers seal through it
+/// ([`FrameEncoder`] into memory, a framed
+/// [`SpillFileWriter`](crate::io::spill_file::SpillFileWriter) into a
+/// store, a frame at a time), so they lay out identical bytes.
 #[derive(Debug)]
-pub struct FrameEncoder {
+pub(crate) struct OpenFrame {
     target: usize,
     raw: Vec<u8>,
-    raw_records: u32,
+    records: u32,
+    header: Vec<u8>,
+    /// Most bytes held at once: the raw frame and its compressed copy
+    /// while it seals.
+    pub(crate) peak: usize,
+}
+
+impl OpenFrame {
+    /// Frames of `target` raw bytes (clamped to ≥ 1 KiB).
+    pub(crate) fn new(target: usize) -> Self {
+        OpenFrame {
+            target: target.max(1 << 10),
+            raw: Vec::new(),
+            records: 0,
+            header: Vec::new(),
+            peak: 0,
+        }
+    }
+
+    /// Append one record; true when the frame reached its target size.
+    pub(crate) fn push(&mut self, key: &[u8], value: &[u8]) -> bool {
+        write_record(&mut self.raw, key, value);
+        self.records += 1;
+        self.raw.len() >= self.target
+    }
+
+    /// Seal the frame as the one at `offset` in its run: hand its header
+    /// and payload to `out`, and return its index entry with what `out`
+    /// returned. `None` when the frame holds no record.
+    pub(crate) fn seal<R>(
+        &mut self,
+        offset: u64,
+        out: impl FnOnce(&[u8], &[u8]) -> R,
+    ) -> Option<(FrameMeta, R)> {
+        if self.raw.is_empty() {
+            return None;
+        }
+        let packed = compress(&self.raw);
+        self.peak = self.peak.max(self.raw.len() + packed.len());
+        let (flags, payload): (u8, &[u8]) = if packed.len() < self.raw.len() {
+            (FRAME_COMPRESSED, &packed)
+        } else {
+            (FRAME_RAW, &self.raw)
+        };
+        self.header.clear();
+        self.header.push(flags);
+        write_varint(&mut self.header, self.raw.len() as u64);
+        write_varint(&mut self.header, payload.len() as u64);
+        write_varint(&mut self.header, u64::from(raw_check(&self.raw)));
+        let meta = FrameMeta {
+            offset,
+            stored_len: (self.header.len() + payload.len()) as u32,
+            raw_len: self.raw.len() as u32,
+            records: self.records,
+        };
+        let written = out(&self.header, payload);
+        self.raw.clear();
+        self.records = 0;
+        Some((meta, written))
+    }
+}
+
+/// Builds one framed run in memory: records accumulate in a raw buffer
+/// and are sealed into compressed frames at the target size. The encoder
+/// holds one raw frame (`target` bytes) plus the whole stored run; a run
+/// bound for a store is written frame by frame by a framed
+/// [`SpillFileWriter`](crate::io::spill_file::SpillFileWriter) instead.
+#[derive(Debug)]
+pub struct FrameEncoder {
+    frame: OpenFrame,
     out: Vec<u8>,
     metas: Vec<FrameMeta>,
     total_records: u64,
@@ -103,9 +174,7 @@ impl FrameEncoder {
     /// (clamped to ≥ 1 KiB).
     pub fn new(target: usize) -> Self {
         FrameEncoder {
-            target: target.max(1 << 10),
-            raw: Vec::new(),
-            raw_records: 0,
+            frame: OpenFrame::new(target),
             out: Vec::new(),
             metas: Vec::new(),
             total_records: 0,
@@ -115,43 +184,21 @@ impl FrameEncoder {
     /// Append one record; seals a frame when the raw buffer reaches the
     /// target size.
     pub fn push_record(&mut self, key: &[u8], value: &[u8]) {
-        write_record(&mut self.raw, key, value);
-        self.raw_records += 1;
         self.total_records += 1;
-        if self.raw.len() >= self.target {
+        if self.frame.push(key, value) {
             self.seal();
         }
     }
 
     fn seal(&mut self) {
-        if self.raw.is_empty() {
-            return;
-        }
-        let offset = self.out.len() as u64;
-        let packed = compress(&self.raw);
-        let (flags, payload): (u8, &[u8]) = if packed.len() < self.raw.len() {
-            (FRAME_COMPRESSED, &packed)
-        } else {
-            (FRAME_RAW, &self.raw)
-        };
-        self.out.push(flags);
-        write_varint(&mut self.out, self.raw.len() as u64);
-        write_varint(&mut self.out, payload.len() as u64);
-        write_varint(&mut self.out, u64::from(raw_check(&self.raw)));
-        self.out.extend_from_slice(payload);
-        self.metas.push(FrameMeta {
-            offset,
-            stored_len: (self.out.len() as u64 - offset) as u32,
-            raw_len: self.raw.len() as u32,
-            records: self.raw_records,
+        let out = &mut self.out;
+        let sealed = self.frame.seal(out.len() as u64, |header, payload| {
+            out.extend_from_slice(header);
+            out.extend_from_slice(payload);
         });
-        self.raw.clear();
-        self.raw_records = 0;
-    }
-
-    /// Uncompressed bytes currently buffered (the open frame).
-    pub fn buffered_bytes(&self) -> usize {
-        self.raw.len()
+        if let Some((meta, ())) = sealed {
+            self.metas.push(meta);
+        }
     }
 
     /// Seal the open frame and return `(stored run bytes, frame index,
@@ -226,8 +273,8 @@ fn decode_frame_with(frame: &[u8], indexed_raw_len: Option<u32>) -> Result<Vec<u
 }
 
 /// Decode every frame of a stored run into one contiguous raw record
-/// buffer (the *materialized* read path; the corresponding windowed path
-/// is [`FrameRunCursor`]).
+/// buffer (for inspecting a run whole; the engine's merges read one frame
+/// window at a time through [`FrameRunCursor`]).
 pub fn decode_run(stored: &[u8]) -> Result<Vec<u8>, FrameError> {
     let mut raw = Vec::new();
     for meta in scan_frames(stored)? {
@@ -270,7 +317,7 @@ pub fn scan_frames(stored: &[u8]) -> Result<Vec<FrameMeta>, FrameError> {
 /// Where a framed run's stored bytes live.
 #[derive(Debug)]
 enum RunBytes {
-    /// Whole stored run resident in memory (e.g. a fetched shuffle run).
+    /// Whole stored run resident in memory (tests, an empty partition).
     Mem(Vec<u8>),
     /// A range of a store: the run occupies `[base, base + len)`. `frame`
     /// holds the stored bytes of the frame last read, reused across

@@ -15,15 +15,18 @@
 //! task-attempt directories. [`SpillFile::create`] starts a new store
 //! holding one spill file (the map output, a cached output).
 //!
-//! Under [`StreamingConfig::framed`](crate::io::StreamingConfig) a
-//! partition holds a *framed run* (see [`crate::io::frame`]) instead of
+//! Under a map budget
+//! ([`ClusterConfig::map_budget_bytes`](crate::cluster::ClusterConfig::map_budget_bytes))
+//! a partition holds a *framed run* (see [`crate::io::frame`]) instead of
 //! bare records: the stored bytes are compressed frames and a per-run
 //! frame index rides in a side table, so consumers can open a
 //! [`FrameRunCursor`] and decode one frame window at a time instead of
-//! materializing the whole partition.
+//! materializing the whole partition. A framed writer
+//! ([`SpillFileWriter::framed`]) seals each frame into the store as it
+//! fills, so it holds one frame, not a partition.
 
 use crate::codec::write_record;
-use crate::io::frame::{FrameMeta, FrameRunCursor};
+use crate::io::frame::{FrameMeta, FrameRunCursor, OpenFrame};
 use crate::io::store::{Appender, Store};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -71,6 +74,7 @@ impl SpillFile {
             index: Vec::new(),
             frames: Vec::new(),
             cur: None,
+            framing: None,
         }
     }
 
@@ -155,13 +159,23 @@ pub struct SpillFileWriter {
     index: Vec<PartIndex>,
     frames: Vec<(usize, Vec<FrameMeta>)>,
     cur: Option<PartIndex>,
+    /// The open frame and the current partition's frame index, when every
+    /// partition is written as a framed run.
+    framing: Option<(OpenFrame, Vec<FrameMeta>)>,
 }
 
 impl SpillFileWriter {
+    /// The same writer writing each partition it starts as a framed run of
+    /// `frame_bytes`-sized frames.
+    pub fn framed(mut self, frame_bytes: usize) -> Self {
+        self.framing = Some((OpenFrame::new(frame_bytes), Vec::new()));
+        self
+    }
+
     /// Begin a new partition. Panics if `part` is not greater than the
     /// previous partition (enforces sorted layout).
     pub fn start_partition(&mut self, part: usize) -> io::Result<()> {
-        self.finish_partition()?;
+        self.end_partition()?;
         if let Some(last) = self.index.last() {
             assert!(
                 part > last.part,
@@ -186,8 +200,15 @@ impl SpillFileWriter {
             .cur
             .as_mut()
             .expect("write_record before start_partition");
-        cur.len += self.w.write_with(|buf| write_record(buf, key, value))?;
         cur.records += 1;
+        match &mut self.framing {
+            Some((frame, metas)) => {
+                if frame.push(key, value) {
+                    seal(&mut self.w, frame, metas, cur)?;
+                }
+            }
+            None => cur.len += self.w.write_with(|buf| write_record(buf, key, value))?,
+        }
         Ok(())
     }
 
@@ -227,18 +248,33 @@ impl SpillFileWriter {
         Ok(())
     }
 
-    fn finish_partition(&mut self) -> io::Result<()> {
-        if let Some(cur) = self.cur.take() {
-            if cur.records > 0 {
-                self.index.push(cur);
+    /// End the current partition, sealing its last frame when framed
+    /// (starting a partition and [`SpillFileWriter::finish`] do this too).
+    pub fn end_partition(&mut self) -> io::Result<()> {
+        let Some(mut cur) = self.cur.take() else {
+            return Ok(());
+        };
+        if let Some((frame, metas)) = &mut self.framing {
+            seal(&mut self.w, frame, metas, &mut cur)?;
+            if !metas.is_empty() {
+                self.frames.push((cur.part, std::mem::take(metas)));
             }
+        }
+        if cur.records > 0 {
+            self.index.push(cur);
         }
         Ok(())
     }
 
+    /// Most bytes a frame writer held at once over the partitions ended so
+    /// far: one frame and its compressed copy (0 unless framed).
+    pub fn held_bytes(&self) -> usize {
+        self.framing.as_ref().map_or(0, |(frame, _)| frame.peak)
+    }
+
     /// Flush and seal the file, committing its bytes to the store.
     pub fn finish(mut self) -> io::Result<SpillFile> {
-        self.finish_partition()?;
+        self.end_partition()?;
         let total_bytes = self.index.iter().map(|e| e.len).sum();
         let total_records = self.index.iter().map(|e| e.records).sum();
         Ok(SpillFile {
@@ -249,6 +285,25 @@ impl SpillFileWriter {
             total_records,
         })
     }
+}
+
+/// Seal `frame` into `w` as the next frame of partition `cur`, indexed in
+/// `metas`.
+fn seal(
+    w: &mut Appender,
+    frame: &mut OpenFrame,
+    metas: &mut Vec<FrameMeta>,
+    cur: &mut PartIndex,
+) -> io::Result<()> {
+    let sealed = frame.seal(cur.len, |header, payload| {
+        w.write(header).and_then(|()| w.write(payload))
+    });
+    if let Some((meta, written)) = sealed {
+        written?;
+        cur.len += u64::from(meta.stored_len);
+        metas.push(meta);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

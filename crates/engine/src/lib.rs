@@ -24,12 +24,11 @@
 //! * an opt-in deterministic virtual-time tracer ([`trace`]) that exports
 //!   per-thread span timelines as Chrome-trace/Perfetto JSON or ASCII —
 //!   streamable to disk during the run ([`trace::stream`]);
-//! * an out-of-core streaming mode: record-windowed split reads, framed
-//!   compressed intermediate runs with a per-run frame index
-//!   ([`io::frame`]), and a single per-task byte budget
-//!   ([`cluster::ClusterConfig::map_budget_bytes`]) that bounds resident
-//!   buffers while keeping outputs and signatures byte-identical to the
-//!   materialized path.
+//! * an out-of-core mode with one switch, a per-map-task byte budget
+//!   ([`cluster::ClusterConfig::map_budget_bytes`]) that selects framed
+//!   compressed intermediate runs ([`io::frame`]), written and read one
+//!   frame at a time, and sizes every buffer to stay under it; without a
+//!   budget the engine runs the faster record/blob runs.
 //!
 //! The paper's optimizations plug in through [`controller::SpillController`]
 //! and [`controller::EmitFilter`] — see the `textmr-core` crate.
@@ -96,7 +95,6 @@ pub mod prelude {
     pub use crate::dag::{run_dag, DagExecutor, DagRun};
     pub use crate::fault::{ChaosShape, FaultPlan, SpeculationConfig};
     pub use crate::io::dfs::SimDfs;
-    pub use crate::io::StreamingConfig;
     pub use crate::job::{Emit, Job, JobDag, Record, Stage, StageInput, ValueCursor, ValueSink};
     pub use crate::metrics::{DagProfile, DagSignature, JobProfile, Op, Phase, TaskProfile};
     pub use crate::net::NetworkConfig;

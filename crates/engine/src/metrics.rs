@@ -337,11 +337,11 @@ pub struct TaskProfile {
     /// Bytes written to the final (merged) map output / reduce output.
     pub output_bytes: u64,
     /// Peak tracked buffer bytes the task held at once: spill-buffer
-    /// occupancy plus (out-of-core mode) the input chunk window, the open
-    /// frame encoder, and decoded merge windows. This is the quantity the
-    /// `map_budget_bytes` knob bounds. Deliberately **not** part of
-    /// [`TaskSignature`]: window residency differs between streamed and
-    /// materialized reads of the same bytes.
+    /// occupancy plus the input chunk window, and (framed runs) a spill
+    /// writer's frame, the decoded merge windows and the merge writer's
+    /// frame. This is the quantity the `map_budget_bytes` setting bounds.
+    /// Deliberately **not** part of [`TaskSignature`]: it measures where
+    /// bytes sat, not what the task computed.
     pub peak_buffer_bytes: u64,
     /// Per-thread span timeline of this attempt, recorded only when the
     /// job ran with [`JobConfig::trace`](crate::cluster::JobConfig::trace)

@@ -34,13 +34,13 @@
 //! [`Op::ShuffleWait`](crate::metrics::Op::ShuffleWait) and the
 //! `shuffle_scale` harness.
 //!
-//! Under [`StreamingConfig::framed`](crate::io::StreamingConfig) a map
-//! output partition is a *framed run* ([`crate::io::frame`]): the fetcher
-//! ships the stored frames verbatim — frame-level decompression is
-//! deferred to the reduce-side merge, which decodes one frame window at a
-//! time (or all at once with `materialize_reads`). Either way the bytes
-//! on the wire are the stored bytes, so [`ShuffleStats`] counts the same
-//! `fetched_bytes` at any residency setting.
+//! Under a map budget
+//! ([`ClusterConfig::map_budget_bytes`](crate::cluster::ClusterConfig::map_budget_bytes))
+//! a map output partition is a *framed run* ([`crate::io::frame`]): the
+//! fetcher ships the stored frames verbatim — frame-level decompression
+//! is deferred to the reduce-side merge, which decodes one frame window at
+//! a time. The bytes on the wire are the stored bytes, so
+//! [`ShuffleStats`] counts the compressed `fetched_bytes`.
 //!
 //! The schedule computed *here* is the attempt-in-isolation one: this
 //! reduce attempt's own flows sharing the destination NIC. Cross-task

@@ -9,20 +9,18 @@
 //! (spill-matcher) picks the spill fraction after every spill.
 
 use crate::controller::{EmitFilter, SpillController, SpillObservation};
-use crate::io::frame::{FrameEncoder, FrameRunCursor};
+use crate::io::frame::FrameRunCursor;
 use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
 use crate::io::store::Store;
-use crate::io::StreamingConfig;
 use crate::job::{Emit, Job};
 use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
 use crate::task::merge::{
-    merge_grouped, merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in,
-    reduce_to_fan_in_with, CursorSource, Grouper,
+    merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in, CursorSource, Grouper,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
-use crate::task::spill::{spill_segment_framed_into, spill_segment_into};
+use crate::task::spill::spill_segment_into;
 use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
@@ -68,12 +66,12 @@ pub struct MapTaskConfig {
     /// Record a per-thread span timeline into `TaskProfile::trace`. Off by
     /// default; the untraced path allocates nothing.
     pub trace: bool,
-    /// Out-of-core streaming knobs. With `framed` off (the default) the
-    /// task runs the legacy byte-for-byte paths; with it on, spills and
-    /// the map output are written as framed runs and the final merge
-    /// reads them either as one-frame windows (streamed) or whole runs
-    /// (`materialize_reads`) — same bytes, different residency.
-    pub streaming: StreamingConfig,
+    /// Target uncompressed bytes per frame when spills and the map output
+    /// are written as framed runs, merged through one-frame windows;
+    /// `None` writes record/blob partitions, each merged whole.
+    pub frame_bytes: Option<usize>,
+    /// Chunk window for disk-backed input splits.
+    pub input_chunk_bytes: usize,
 }
 
 /// A finished map task's output, fetchable by partition during shuffle.
@@ -112,10 +110,12 @@ struct SpillPath<'a> {
     io_error: Option<io::Error>,
     /// Injected spill fault: fail the spill write with this index.
     fail_spill: Option<usize>,
-    /// Write spills as framed runs (out-of-core format).
-    framed: bool,
-    /// Target uncompressed bytes per frame when `framed`.
-    frame_bytes: usize,
+    /// Target uncompressed bytes per frame of framed spills; `None`
+    /// writes record/blob spills.
+    frame_bytes: Option<usize>,
+    /// Most bytes a framed spill held at once: its segment and its
+    /// writer's frame.
+    spill_peak: usize,
     /// Set when `io_error` came from an injected fault, so the task is
     /// reported as `Injected` (retryable) instead of a hard I/O failure.
     injected: bool,
@@ -156,12 +156,7 @@ impl<'a> SpillPath<'a> {
             Some(first) => Arc::clone(first.store()),
             None => Store::create(self.spill_dir.join(format!("t{}.spills", self.task_id))),
         };
-        let spilled = if self.framed {
-            spill_segment_framed_into(&self.seg, &mut self.grouper, &store, self.frame_bytes)
-        } else {
-            spill_segment_into(&self.seg, &mut self.grouper, &store)
-        };
-        match spilled {
+        match spill_segment_into(&self.seg, &mut self.grouper, &store, self.frame_bytes) {
             Ok(out) => {
                 self.ops.add_nanos(Op::Sort, out.sort_ns);
                 self.ops.add_nanos(Op::Combine, out.combine_ns);
@@ -172,6 +167,11 @@ impl<'a> SpillPath<'a> {
                 // producer's clock — capture it for the support-lane span.
                 let handover_at = self.pipeline.producer_clock();
                 let (bytes, produce_ns) = self.pipeline.handover(consume_ns);
+                // Only a framed spill's writer holds bytes besides the
+                // segment; record/blob peaks stay the per-record samples.
+                if out.held_bytes > 0 {
+                    self.spill_peak = self.spill_peak.max(bytes + out.held_bytes as usize);
+                }
                 if let Some(tr) = &mut self.trace {
                     tr.on_spill(handover_at, out.sort_ns, out.combine_ns, out.write_ns);
                 }
@@ -308,8 +308,8 @@ pub fn run_map_task(
         consume_pending_ns: 0,
         io_error: None,
         fail_spill: cfg.fail_spill,
-        framed: cfg.streaming.framed,
-        frame_bytes: cfg.streaming.frame_bytes,
+        frame_bytes: cfg.frame_bytes,
+        spill_peak: 0,
         injected: false,
         trace: cfg.trace.then(|| Box::new(MapTraceRecorder::new())),
     };
@@ -322,10 +322,11 @@ pub fn run_map_task(
     };
 
     // ---- producer loop: read → map → emit ---------------------------------
-    let mut reader = SplitReader::with_chunk(split, cfg.streaming.input_chunk_bytes);
-    // High-water mark of tracked buffer residency: spill-buffer bytes plus
-    // the input chunk window plus (during the merge) cursor windows. This
-    // is the quantity a RAM budget bounds; see `TaskProfile`.
+    let mut reader = SplitReader::with_chunk(split, cfg.input_chunk_bytes);
+    // High-water mark of tracked buffer residency: the input chunk window
+    // plus spill-buffer bytes, or a spill's segment and its writer's
+    // frame, and (during the merge) cursor windows and the writer's frame.
+    // This is the quantity a RAM budget bounds; see `TaskProfile`.
     let mut peak_buffer_bytes = 0u64;
     // Producer-wait watermark for the trace: the delta per record is the
     // blocked-on-full-buffer time that preceded the record's busy time.
@@ -368,7 +369,12 @@ pub fn run_map_task(
         ops.add_nanos(Op::Combine, combine_c);
         ops.add_nanos(Op::Map, map_c);
         emitter.path.pipeline.produce(produce_ns);
-        let resident = emitter.path.pipeline.active_bytes() + reader.window_bytes();
+        let held = emitter
+            .path
+            .pipeline
+            .active_bytes()
+            .max(emitter.path.spill_peak);
+        let resident = held + reader.window_bytes();
         peak_buffer_bytes = peak_buffer_bytes.max(resident as u64);
         if emitter.path.trace.is_some() {
             let pw = emitter.path.pipeline.producer_wait;
@@ -453,6 +459,7 @@ pub fn run_map_task(
         return Err(e.into());
     }
     let pipeline_end = path.pipeline.pipeline_end();
+    peak_buffer_bytes = peak_buffer_bytes.max((path.spill_peak + reader.window_bytes()) as u64);
 
     // ---- spills → the map output ----------------------------------------------
     if is_cancelled(&cfg.cancel) {
@@ -460,7 +467,6 @@ pub fn run_map_task(
     }
     let sw_merge = Stopwatch::start();
     let mut combine_in_merge_ns = 0u64;
-    let framed = cfg.streaming.framed;
     let file = if path.spills.len() == 1 {
         // A lone spill already is the map output: sorted, combined,
         // indexed by partition, and (when framed) encoded at the output's
@@ -477,10 +483,9 @@ pub fn run_map_task(
             combine_ns: &mut combine_in_merge_ns,
             peak_buffer_bytes: &mut peak_buffer_bytes,
         };
-        if framed {
-            merge.framed(out_path, cfg.streaming)?
-        } else {
-            merge.records(out_path)?
+        match cfg.frame_bytes {
+            Some(frame_bytes) => merge.framed(out_path, frame_bytes)?,
+            None => merge.records(out_path)?,
         }
     };
     let merge_total_ns = sw_merge.elapsed_ns();
@@ -515,7 +520,7 @@ pub fn run_map_task(
         MapOutput {
             file,
             node: cfg.node,
-            framed,
+            framed: cfg.frame_bytes.is_some(),
         },
         profile,
     ))
@@ -566,92 +571,53 @@ impl SpillMerge<'_, '_> {
         writer.finish()
     }
 
-    /// Framed spills into framed partitions. Streamed and materialized
-    /// reads produce identical output bytes: multi-pass batching, combiner
-    /// application, and the merged record stream are the same (pinned by
-    /// the merge-module tests); only how much of each run is resident
-    /// differs. The final merge orders by the comparator.
-    fn framed(self, out: PathBuf, streaming: StreamingConfig) -> io::Result<SpillFile> {
+    /// Framed spills into framed partitions, each merged through
+    /// one-frame windows and written a frame at a time. The final merge
+    /// orders by the comparator.
+    fn framed(self, out: PathBuf, frame_bytes: usize) -> io::Result<SpillFile> {
         let grouper = self.grouper;
         let job = grouper.job();
-        let has_combiner = job.has_combiner();
-        let frame_bytes = streaming.frame_bytes;
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
-        let mut writer = SpillFile::create(out)?;
+        let mut writer = SpillFile::create(out)?.framed(frame_bytes);
         // No spills (empty input): an empty output.
         let Some(store) = self.spills.first().map(SpillFile::store) else {
             return writer.finish();
         };
         for part in 0..self.num_partitions {
-            let mut enc = FrameEncoder::new(frame_bytes);
-            let mut records = 0u64;
-            if streaming.materialize_reads {
-                // Decode every frame of every run up front — whole-run
-                // residency, the byte-identical reference point.
-                let mut runs: Vec<Vec<u8>> = Vec::with_capacity(self.spills.len());
-                for s in self.spills {
-                    let stored = s.read_partition(part)?;
-                    let mut raw = Vec::new();
-                    if !stored.is_empty() {
-                        let metas = s
-                            .frames(part)
-                            .expect("framed spill has a frame index for non-empty partitions");
-                        for m in metas {
-                            raw.extend(
-                                crate::io::frame::decode_frame(&stored, m)
-                                    .map_err(io::Error::from)?,
-                            );
-                        }
-                    }
-                    runs.push(raw);
-                }
-                if runs.iter().all(|r| r.is_empty()) {
-                    continue;
-                }
-                let resident: usize = runs.iter().map(Vec::len).sum();
-                *self.peak_buffer_bytes =
-                    (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
-                let multi = reduce_to_fan_in_with(runs, grouper, self.fan_in, store)?;
-                *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-                merge_grouped(&multi.runs, &cmp, |key, values| {
-                    grouper.combine(key, values, |v| {
-                        enc.push_record(key, v);
-                        records += 1;
-                    });
-                })?;
-            } else {
-                // Streamed: sources open lazily (batch by batch), so at
-                // most fan_in + 1 frame windows are live at once.
-                if self.spills.iter().all(|s| s.frames(part).is_none()) {
-                    continue;
-                }
-                let sources: Vec<CursorSource<'_>> = self
-                    .spills
-                    .iter()
-                    .map(|s| CursorSource::Spill { file: s, part })
-                    .collect();
-                let multi = reduce_sources_to_fan_in(
-                    sources,
-                    job,
-                    has_combiner,
-                    self.fan_in,
-                    frame_bytes,
-                    store,
-                )?;
-                *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-                let mut cursors = multi.cursors;
-                let resident: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
-                *self.peak_buffer_bytes =
-                    (*self.peak_buffer_bytes).max((resident + frame_bytes) as u64);
-                merge_grouped_cursors(&mut cursors, &cmp, |key, values| {
-                    grouper.combine(key, values, |v| {
-                        enc.push_record(key, v);
-                        records += 1;
-                    });
-                })?;
+            if self.spills.iter().all(|s| s.frames(part).is_none()) {
+                continue;
             }
-            let (stored, metas, _) = enc.finish();
-            writer.write_framed_partition(part, &stored, metas, records)?;
+            // Sources open lazily (batch by batch), so at most fan_in
+            // frame windows are live at once.
+            let sources: Vec<CursorSource<'_>> = self
+                .spills
+                .iter()
+                .map(|s| CursorSource::Spill { file: s, part })
+                .collect();
+            let multi = reduce_sources_to_fan_in(
+                sources,
+                job,
+                job.has_combiner(),
+                self.fan_in,
+                frame_bytes,
+                store,
+            )?;
+            *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
+            let mut cursors = multi.cursors;
+            let windows: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
+            writer.start_partition(part)?;
+            let mut written = Ok(());
+            merge_grouped_cursors(&mut cursors, &cmp, |key, values| {
+                grouper.combine(key, values, |v| {
+                    if written.is_ok() {
+                        written = writer.write_record(key, v);
+                    }
+                });
+            })?;
+            written?;
+            writer.end_partition()?;
+            let resident = (windows + writer.held_bytes()) as u64;
+            *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident.max(multi.peak_bytes));
         }
         *self.combine_ns = self.combine_ns.saturating_add(grouper.take_combine_ns());
         writer.finish()
@@ -664,6 +630,8 @@ mod tests {
     use crate::codec::{decode_u64, encode_u64, read_record};
     use crate::controller::FixedSpill;
     use crate::io::dfs::SimDfs;
+    use crate::io::frame::DEFAULT_FRAME_BYTES;
+    use crate::io::input::DEFAULT_INPUT_CHUNK;
     use crate::job::{Record, ValueCursor, ValueSink};
 
     struct WordSum;
@@ -721,7 +689,8 @@ mod tests {
             fail_spill: None,
             cancel: None,
             trace: false,
-            streaming: StreamingConfig::default(),
+            frame_bytes: None,
+            input_chunk_bytes: DEFAULT_INPUT_CHUNK,
         }
     }
 
@@ -881,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn framed_streamed_matches_materialized_byte_for_byte() {
+    fn framed_output_matches_record_blob_and_repeats_byte_for_byte() {
         let text: String = (0..300)
             .map(|i| format!("w{} common tail{}\n", i % 23, i % 7))
             .collect();
@@ -892,32 +861,30 @@ mod tests {
         legacy.task_id = 10;
         let (out_legacy, _) = run_map_task(&job, &split, legacy).unwrap();
 
-        let mut streamed = cfg(512);
-        streamed.task_id = 11;
-        streamed.streaming = crate::io::StreamingConfig::streamed();
-        let (out_s, prof_s) = run_map_task(&job, &split, streamed).unwrap();
+        let framed = |task_id| {
+            let mut c = cfg(512);
+            c.task_id = task_id;
+            c.frame_bytes = Some(DEFAULT_FRAME_BYTES);
+            run_map_task(&job, &split, c).unwrap()
+        };
+        let (out_a, prof_a) = framed(11);
+        let (out_b, prof_b) = framed(12);
 
-        let mut mat = cfg(512);
-        mat.task_id = 12;
-        mat.streaming = crate::io::StreamingConfig::materialized();
-        let (out_m, prof_m) = run_map_task(&job, &split, mat).unwrap();
-
-        // Same logical output as the legacy path.
+        // Same logical output as the record/blob path.
         assert_eq!(
-            framed_output_counts(&out_s, 2),
+            framed_output_counts(&out_a, 2),
             output_counts(&out_legacy, 2)
         );
-        // Byte-identical partitions and timing-free signatures across
-        // residency modes.
+        // Byte-identical partitions and timing-free signatures run to run.
         for p in 0..2 {
             assert_eq!(
-                out_s.file.read_partition(p).unwrap(),
-                out_m.file.read_partition(p).unwrap(),
-                "partition {p} bytes differ streamed vs materialized"
+                out_a.file.read_partition(p).unwrap(),
+                out_b.file.read_partition(p).unwrap(),
+                "partition {p} bytes differ between two framed runs"
             );
         }
-        assert_eq!(prof_s.signature(), prof_m.signature());
-        assert!(prof_s.spills.len() > 3, "want multi-spill coverage");
+        assert_eq!(prof_a.signature(), prof_b.signature());
+        assert!(prof_a.spills.len() > 3, "want multi-spill coverage");
     }
 
     /// WordSum without a combiner: no `Combine` time on any side.
@@ -970,8 +937,8 @@ mod tests {
                 consume_pending_ns: 0,
                 io_error: None,
                 fail_spill: None,
-                framed: false,
-                frame_bytes: 0,
+                frame_bytes: None,
+                spill_peak: 0,
                 injected: false,
                 trace: None,
             },
@@ -1053,11 +1020,7 @@ mod tests {
             .collect();
         let split = one_split(&text);
         let job: Arc<dyn Job> = Arc::new(WordSum);
-        for (task_id, streaming) in [
-            (30, StreamingConfig::default()),
-            (31, StreamingConfig::streamed()),
-            (32, StreamingConfig::materialized()),
-        ] {
+        for (task_id, frame_bytes) in [(30, None), (31, Some(DEFAULT_FRAME_BYTES))] {
             let dir = tmpdir().join(format!("store-files-{task_id}"));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
@@ -1065,12 +1028,12 @@ mod tests {
             c.task_id = task_id;
             c.merge_fan_in = 3;
             c.spill_dir = dir.clone();
-            c.streaming = streaming;
+            c.frame_bytes = frame_bytes;
             let (out, prof) = run_map_task(&job, &split, c).unwrap();
             assert!(prof.spills.len() >= 10, "got {} spills", prof.spills.len());
             assert_eq!(files_in(&dir), vec![format!("t{task_id}_out.bin")]);
             drop(out);
-            assert!(files_in(&dir).is_empty(), "{streaming:?}");
+            assert!(files_in(&dir).is_empty(), "{frame_bytes:?}");
         }
     }
 

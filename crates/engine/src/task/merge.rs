@@ -15,7 +15,7 @@
 //! and the windowed cursor merges order by the comparator alone.
 
 use crate::codec::{read_record, write_record};
-use crate::io::frame::{FrameMeta, FrameRunCursor, RunHandle};
+use crate::io::frame::{FrameRunCursor, RunHandle};
 use crate::io::spill_file::SpillFile;
 use crate::io::store::Store;
 use crate::job::{Job, SliceValues, ValueSink};
@@ -599,16 +599,9 @@ fn recycle<'b>(mut v: Vec<&[u8]>) -> Vec<&'b [u8]> {
 /// Multi-pass merging over cursors must not open every run up front: a
 /// cursor holds one decoded frame window from construction, so opening N
 /// runs at once costs N windows of residency. Sources defer that until
-/// the run's batch is actually merged, keeping at most
-/// `fan_in + 1` windows live at any moment.
+/// the run's batch is actually merged, keeping at most `fan_in` windows
+/// live at any moment.
 pub enum CursorSource<'a> {
-    /// An in-memory framed run (tests, hand-offs).
-    Mem {
-        /// Stored (framed) bytes of the run.
-        stored: Vec<u8>,
-        /// Its frame index.
-        metas: Vec<FrameMeta>,
-    },
     /// A framed partition of an existing spill file.
     Spill {
         /// The spill file holding the run.
@@ -618,15 +611,17 @@ pub enum CursorSource<'a> {
     },
     /// A run previously appended to the task attempt's [`Store`].
     Stored(RunHandle),
+    /// Partition 0 of a spill file of its own (an intermediate pass).
+    Run(SpillFile),
 }
 
 impl CursorSource<'_> {
     /// Open the source as a cursor positioned on its first record.
     pub fn open(self, store: &Arc<Store>) -> std::io::Result<FrameRunCursor> {
         match self {
-            CursorSource::Mem { stored, metas } => FrameRunCursor::from_mem(stored, metas),
             CursorSource::Spill { file, part } => file.framed_cursor(part),
             CursorSource::Stored(h) => h.cursor(store),
+            CursorSource::Run(file) => file.framed_cursor(0),
         }
     }
 }
@@ -639,8 +634,9 @@ pub struct CursorMultiPassOutcome {
     /// Estimated time in the user's combiner during intermediate passes
     /// (ns).
     pub combine_ns: u64,
-    /// Time spent encoding/writing intermediate framed runs (ns).
-    pub io_ns: u64,
+    /// Most bytes an intermediate pass held at once: its batch's frame
+    /// windows and its writer's frame (0 without a pass).
+    pub peak_bytes: u64,
     /// Number of intermediate merge passes performed.
     pub passes: usize,
 }
@@ -648,12 +644,12 @@ pub struct CursorMultiPassOutcome {
 /// [`reduce_to_fan_in`] over windowed cursors: while more than `fan_in`
 /// runs remain, merge batches of `fan_in` (applying the combiner when
 /// available, as Hadoop does on intermediate passes) into new *framed*
-/// runs appended to `store`, until at most `fan_in` cursors remain for
-/// the caller's final streaming pass. Batch order, combiner application,
-/// and the resulting record stream match the in-memory version exactly;
-/// only the residency differs. Sources open lazily, batch by batch, so
-/// at most `fan_in + 1` frame windows are live at once no matter how
-/// many runs go in.
+/// runs appended to `store` frame by frame, until at most `fan_in`
+/// cursors remain for the caller's final streaming pass. Batch order,
+/// combiner application, and the resulting record stream match the
+/// in-memory version exactly; only the residency differs. Sources open
+/// lazily, batch by batch, so at most `fan_in` frame windows and one
+/// frame being written are live at once no matter how many runs go in.
 pub fn reduce_sources_to_fan_in(
     sources: Vec<CursorSource<'_>>,
     job: &dyn Job,
@@ -662,11 +658,9 @@ pub fn reduce_sources_to_fan_in(
     frame_bytes: usize,
     store: &Arc<Store>,
 ) -> io::Result<CursorMultiPassOutcome> {
-    use crate::io::frame::FrameEncoder;
-
     let fan_in = fan_in.max(2);
     let mut grouper = Grouper::new(job, use_combiner);
-    let mut io_ns = 0u64;
+    let mut peak_bytes = 0u64;
     let mut passes = 0usize;
     let mut sources = sources;
     while sources.len() > fan_in {
@@ -675,16 +669,22 @@ pub fn reduce_sources_to_fan_in(
         for src in sources.drain(..fan_in) {
             batch.push(src.open(store)?);
         }
-        let mut enc = FrameEncoder::new(frame_bytes);
+        let windows: usize = batch.iter().map(FrameRunCursor::window_bytes).sum();
+        let mut run = SpillFile::append_to(store).framed(frame_bytes);
+        run.start_partition(0)?;
+        let mut written = Ok(());
         merge_grouped_cursors(&mut batch, &|a, b| job.compare_keys(a, b), |key, values| {
-            grouper.combine(key, values, |v| enc.push_record(key, v));
+            grouper.combine(key, values, |v| {
+                if written.is_ok() {
+                    written = run.write_record(key, v);
+                }
+            });
         })?;
+        written?;
         drop(batch);
-        let sw = Stopwatch::start();
-        let (stored, metas, records) = enc.finish();
-        let handle = RunHandle::append(store, &stored, metas, records)?;
-        io_ns = io_ns.saturating_add(sw.elapsed_ns());
-        sources.push(CursorSource::Stored(handle));
+        run.end_partition()?;
+        peak_bytes = peak_bytes.max((windows + run.held_bytes()) as u64);
+        sources.push(CursorSource::Run(run.finish()?));
     }
     let mut cursors = Vec::with_capacity(sources.len());
     for src in sources {
@@ -693,7 +693,7 @@ pub fn reduce_sources_to_fan_in(
     Ok(CursorMultiPassOutcome {
         cursors,
         combine_ns: grouper.take_combine_ns(),
-        io_ns,
+        peak_bytes,
         passes,
     })
 }
@@ -975,8 +975,9 @@ mod tests {
                     while let Some((k, v)) = read_record(r, &mut pos) {
                         enc.push_record(k, v);
                     }
-                    let (stored, metas, _) = enc.finish();
-                    CursorSource::Mem { stored, metas }
+                    let (stored, metas, records) = enc.finish();
+                    let run = RunHandle::append(&store, &stored, metas, records).unwrap();
+                    CursorSource::Stored(run)
                 })
                 .collect();
             let out =

@@ -10,9 +10,8 @@
 //! which is where the EC2 configuration's shuffle penalty enters (Table IV).
 
 use crate::fault::FaultPlan;
-use crate::io::frame::{decode_run, scan_frames, RunHandle};
+use crate::io::frame::{scan_frames, RunHandle};
 use crate::io::store::Store;
-use crate::io::StreamingConfig;
 use crate::job::{Emit, Job, SliceValues};
 use crate::metrics::{Op, OpTimes, SampledCost, Stopwatch, TaskProfile};
 use crate::net::NetworkConfig;
@@ -98,11 +97,9 @@ pub struct ReduceTaskConfig {
     /// Record a per-thread span timeline (reduce lane + fetcher lanes)
     /// into `TaskProfile::trace`. Off by default.
     pub trace: bool,
-    /// Out-of-core streaming knobs. Relevant only when the map outputs
-    /// are framed: with `materialize_reads` off, fetched runs spool to the
-    /// attempt's [`Store`] and merge through one-frame windows; with it on, every frame is decoded up front.
-    /// Same bytes, same output — different residency.
-    pub streaming: StreamingConfig,
+    /// Target uncompressed bytes per frame of the intermediate merge
+    /// passes over framed map outputs (unused for record/blob outputs).
+    pub frame_bytes: usize,
 }
 
 #[inline]
@@ -185,13 +182,12 @@ pub fn run_reduce_task(
             aborted = Some(Abort::Cancelled);
         }
     };
-    if framed && !cfg.streaming.materialize_reads {
-        // ---- streamed framed merge --------------------------------------
+    if framed {
+        // ---- framed merge -------------------------------------------------
         // Spool each fetched (stored, compressed) run into the store and
-        // drop the in-memory copies; every later pass reads
-        // one-frame windows, so at most `fan_in + 1` windows are
-        // resident. The record stream — and hence the output — is
-        // identical to the materialized path below.
+        // drop the in-memory copies; every later pass reads one-frame
+        // windows, so at most `fan_in` windows and one frame being
+        // written are resident.
         let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
         for run in &runs {
             let metas = scan_frames(run).map_err(io::Error::from)?;
@@ -205,23 +201,16 @@ pub fn run_reduce_task(
             job.as_ref(),
             job.has_combiner(),
             cfg.merge_fan_in,
-            cfg.streaming.frame_bytes,
+            cfg.frame_bytes,
             &store,
         )?;
         intermediate_combine_ns = multi.combine_ns;
         let mut cursors = multi.cursors;
-        peak_buffer_bytes = cursors.iter().map(|c| c.window_bytes() as u64).sum();
+        let windows: u64 = cursors.iter().map(|c| c.window_bytes() as u64).sum();
+        peak_buffer_bytes = windows.max(multi.peak_bytes);
         merge_grouped_cursors(&mut cursors, &|a, b| job.compare_keys(a, b), &mut on_group)?;
     } else {
         // ---- multi-pass merge down to the fan-in limit ------------------
-        let runs = if framed {
-            // Materialized framed reads: decode every frame up front.
-            runs.iter()
-                .map(|r| decode_run(r).map_err(io::Error::from))
-                .collect::<io::Result<Vec<_>>>()?
-        } else {
-            runs
-        };
         peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
         let mut grouper = Grouper::new(job.as_ref(), job.has_combiner());
         let multi = reduce_to_fan_in_with(runs, &mut grouper, cfg.merge_fan_in, &store)?;
@@ -298,7 +287,8 @@ mod tests {
     use crate::codec::{decode_u64, encode_u64};
     use crate::controller::FixedSpill;
     use crate::io::dfs::SimDfs;
-    use crate::io::input::InputSplit;
+    use crate::io::frame::DEFAULT_FRAME_BYTES;
+    use crate::io::input::{InputSplit, DEFAULT_INPUT_CHUNK};
     use crate::job::{Record, ValueCursor, ValueSink};
     use crate::task::map_task::{run_map_task, MapTaskConfig};
     use std::path::PathBuf;
@@ -354,7 +344,7 @@ mod tests {
             max_fetch_attempts: 4,
             cancel: None,
             trace: false,
-            streaming: StreamingConfig::default(),
+            frame_bytes: DEFAULT_FRAME_BYTES,
         }
     }
 
@@ -380,7 +370,8 @@ mod tests {
                     fail_spill: None,
                     cancel: None,
                     trace: false,
-                    streaming: StreamingConfig::default(),
+                    frame_bytes: None,
+                    input_chunk_bytes: DEFAULT_INPUT_CHUNK,
                 };
                 run_map_task(&job, &split, cfg)
                     .map_err(|e| format!("{e:?}"))

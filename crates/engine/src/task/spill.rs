@@ -8,8 +8,7 @@
 //! breakdown (Fig. 2/8) distinguishes sort (framework), combine (user) and
 //! spill I/O (framework).
 
-use crate::io::frame::FrameEncoder;
-use crate::io::spill_file::{SpillFile, SpillFileWriter};
+use crate::io::spill_file::SpillFile;
 use crate::io::store::Store;
 use crate::job::Job;
 use crate::metrics::Stopwatch;
@@ -35,6 +34,9 @@ pub struct SpillOutcome {
     pub combine_ns: u64,
     /// Time grouping + writing, ns.
     pub write_ns: u64,
+    /// Most bytes the framed writer held at once (one frame and its
+    /// compressed copy; 0 for record/blob spills).
+    pub held_bytes: u64,
 }
 
 impl SpillOutcome {
@@ -165,77 +167,19 @@ fn common_prefix_len(seg: &Segment) -> usize {
     len
 }
 
-/// Where a spill's combined records go, partition by partition.
-trait SpillSink {
-    /// Begin partition `part` (ascending).
-    fn start_partition(&mut self, part: usize) -> io::Result<()>;
-    /// Append one record to the current partition.
-    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()>;
-    /// Seal the spill file.
-    fn finish(self) -> io::Result<SpillFile>;
-}
-
-impl SpillSink for SpillFileWriter {
-    fn start_partition(&mut self, part: usize) -> io::Result<()> {
-        SpillFileWriter::start_partition(self, part)
-    }
-    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
-        self.write_record(key, value)
-    }
-    fn finish(self) -> io::Result<SpillFile> {
-        SpillFileWriter::finish(self)
-    }
-}
-
-/// Framed partitions: each partition's records pack into one
-/// [`FrameEncoder`], written as a framed run when the next partition
-/// starts or the file is sealed.
-struct FramedSink {
-    writer: SpillFileWriter,
-    frame_bytes: usize,
-    /// The open partition, its encoder and its record count.
-    open: Option<(usize, FrameEncoder, u64)>,
-}
-
-impl FramedSink {
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some((part, enc, records)) = self.open.take() {
-            let (stored, metas, _) = enc.finish();
-            self.writer
-                .write_framed_partition(part, &stored, metas, records)?;
-        }
-        Ok(())
-    }
-}
-
-impl SpillSink for FramedSink {
-    fn start_partition(&mut self, part: usize) -> io::Result<()> {
-        self.flush()?;
-        self.open = Some((part, FrameEncoder::new(self.frame_bytes), 0));
-        Ok(())
-    }
-    fn write(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
-        let (_, enc, records) = self
-            .open
-            .as_mut()
-            .expect("encoder open for current partition");
-        enc.push_record(key, value);
-        *records += 1;
-        Ok(())
-    }
-    fn finish(mut self) -> io::Result<SpillFile> {
-        self.flush()?;
-        self.writer.finish()
-    }
-}
-
-/// Sort `seg`, combine each group through `grouper` and write the records
-/// to `sink`: the one group loop of both spill formats.
-fn spill_groups(
+/// Sort, combine (through the attempt's `grouper`) and append `seg` to
+/// `store` as one spill file: framed runs of `frame_bytes`-sized frames
+/// when given, else record/blob partitions.
+pub fn spill_segment_into(
     seg: &Segment,
     grouper: &mut Grouper<'_>,
-    mut sink: impl SpillSink,
+    store: &Arc<Store>,
+    frame_bytes: Option<usize>,
 ) -> io::Result<SpillOutcome> {
+    let mut writer = SpillFile::append_to(store);
+    if let Some(t) = frame_bytes {
+        writer = writer.framed(t);
+    }
     let sw = Stopwatch::start();
     let sorted = sort_groups(seg, grouper.job());
     let sort_ns = sw.elapsed_ns();
@@ -251,7 +195,7 @@ fn spill_groups(
         let first = group[0] as usize;
         if part != Some(seg.part(first)) {
             part = Some(seg.part(first));
-            sink.start_partition(seg.part(first))?;
+            writer.start_partition(seg.part(first))?;
         }
         let key = seg.key(first);
         values.clear();
@@ -259,13 +203,15 @@ fn spill_groups(
         let mut written = Ok(());
         grouper.combine(key, &values, |v| {
             if written.is_ok() {
-                written = sink.write(key, v);
+                written = writer.write_record(key, v);
                 records_out += 1;
             }
         });
         written?;
     }
-    let file = sink.finish()?;
+    writer.end_partition()?;
+    let held_bytes = writer.held_bytes() as u64;
+    let file = writer.finish()?;
     let elapsed = sw_write.elapsed_ns();
     let combine_ns = grouper.take_combine_ns().min(elapsed);
 
@@ -276,23 +222,14 @@ fn spill_groups(
         sort_ns,
         combine_ns,
         write_ns: elapsed - combine_ns,
+        held_bytes,
     })
 }
 
 /// Sort, combine and write `seg` to a new store at `path`.
 pub fn spill_segment(seg: &Segment, job: &dyn Job, path: PathBuf) -> io::Result<SpillOutcome> {
     let mut grouper = Grouper::new(job, job.has_combiner());
-    spill_segment_into(seg, &mut grouper, &Store::create(path))
-}
-
-/// Sort, combine (through the attempt's `grouper`) and append `seg` to
-/// `store` as one spill file.
-pub fn spill_segment_into(
-    seg: &Segment,
-    grouper: &mut Grouper<'_>,
-    store: &Arc<Store>,
-) -> io::Result<SpillOutcome> {
-    spill_groups(seg, grouper, SpillFile::append_to(store))
+    spill_segment_into(seg, &mut grouper, &Store::create(path), None)
 }
 
 /// [`spill_segment`] writing each partition as a *framed run* (the
@@ -307,23 +244,7 @@ pub fn spill_segment_framed(
     frame_bytes: usize,
 ) -> io::Result<SpillOutcome> {
     let mut grouper = Grouper::new(job, job.has_combiner());
-    spill_segment_framed_into(seg, &mut grouper, &Store::create(path), frame_bytes)
-}
-
-/// [`spill_segment_into`] writing each partition as a framed run (see
-/// [`spill_segment_framed`]).
-pub fn spill_segment_framed_into(
-    seg: &Segment,
-    grouper: &mut Grouper<'_>,
-    store: &Arc<Store>,
-    frame_bytes: usize,
-) -> io::Result<SpillOutcome> {
-    let sink = FramedSink {
-        writer: SpillFile::append_to(store),
-        frame_bytes,
-        open: None,
-    };
-    spill_groups(seg, grouper, sink)
+    spill_segment_into(seg, &mut grouper, &Store::create(path), Some(frame_bytes))
 }
 
 #[cfg(test)]

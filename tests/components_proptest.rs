@@ -8,7 +8,7 @@ use textmr_core::{FreqBufferConfig, FrequencyBuffer, FrequentKeyRegistry};
 use textmr_engine::codec;
 use textmr_engine::controller::{EmitFilter, FilterCtx, TaskCtx};
 use textmr_engine::io::compress;
-use textmr_engine::io::frame::FrameEncoder;
+use textmr_engine::io::frame::{FrameEncoder, RunHandle};
 use textmr_engine::io::store::Store;
 use textmr_engine::job::{combine_values, Emit, Job, Record, ValueCursor, ValueSink, VecEmit};
 use textmr_engine::task::merge::{
@@ -190,14 +190,15 @@ fn encode_run(run: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
     buf
 }
 
-fn framed_source(run: &[u8]) -> CursorSource<'static> {
+/// `run` as a framed run appended to `store`.
+fn framed_source(run: &[u8], store: &Store) -> CursorSource<'static> {
     let mut enc = FrameEncoder::new(64);
     let mut pos = 0;
     while let Some((k, v)) = codec::read_record(run, &mut pos) {
         enc.push_record(k, v);
     }
-    let (stored, metas, _) = enc.finish();
-    CursorSource::Mem { stored, metas }
+    let (stored, metas, records) = enc.finish();
+    CursorSource::Stored(RunHandle::append(store, &stored, metas, records).unwrap())
 }
 
 fn to_groups(k: &[u8], vs: &[&[u8]], out: &mut Vec<Group>) {
@@ -404,7 +405,7 @@ proptest! {
         let store = Store::create(scratch_dir().join("tie-store.bin"));
         let mut cursors: Vec<_> = encoded
             .iter()
-            .map(|r| framed_source(r).open(&store).unwrap())
+            .map(|r| framed_source(r, &store).open(&store).unwrap())
             .collect();
         let mut streamed = Vec::new();
         merge_grouped_cursors(&mut cursors, &cmp, |k, vs| to_groups(k, vs, &mut streamed))
@@ -421,7 +422,7 @@ proptest! {
         merge_grouped(&multi.runs, &cmp, |k, vs| to_groups(k, vs, &mut buffered)).unwrap();
         prop_assert_eq!(&buffered, &expected_multi);
 
-        let sources = encoded.iter().map(|r| framed_source(r)).collect();
+        let sources = encoded.iter().map(|r| framed_source(r, &store)).collect();
         let multi = reduce_sources_to_fan_in(sources, &Bytewise, false, fan_in, 64, &store)
             .unwrap();
         let mut cursors = multi.cursors;

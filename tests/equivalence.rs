@@ -10,7 +10,6 @@ use textmr_core::{optimized, FreqBufferConfig, OptimizationConfig, SpillMatcherC
 use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig};
 use textmr_engine::codec::{decode_u64, encode_u64};
 use textmr_engine::io::dfs::SimDfs;
-use textmr_engine::io::StreamingConfig;
 use textmr_engine::job::{Emit, Job, Record, ValueCursor, ValueSink};
 use textmr_engine::reference::{flatten_sorted, reference_run};
 
@@ -92,7 +91,8 @@ proptest! {
         cluster.nodes = nodes;
         cluster.spill_buffer_bytes = buffer;
         if framed {
-            cluster.streaming = StreamingConfig::streamed();
+            // Above every derived size: framed runs, the buffer unchanged.
+            cluster = cluster.with_map_budget(16 << 20);
         }
         let freq = FreqBufferConfig { k: 50, sampling_fraction: Some(0.1), ..Default::default() };
         let opt = match opt_kind {
@@ -253,7 +253,7 @@ fn equivalence_regression_freqopt_tiny_buffer() {
             cluster.spill_buffer_bytes = buffer;
             cluster.worker_threads = workers;
             if framed {
-                cluster.streaming = StreamingConfig::streamed();
+                cluster = cluster.with_map_budget(16 << 20);
             }
             let freq = FreqBufferConfig {
                 k: 50,

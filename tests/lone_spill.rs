@@ -27,9 +27,8 @@ use textmr_engine::cluster::{run_job, ClusterConfig, JobConfig, JobRun};
 use textmr_engine::codec::write_record;
 use textmr_engine::controller::FixedSpill;
 use textmr_engine::io::dfs::SimDfs;
-use textmr_engine::io::frame::{decode_run, FrameEncoder};
-use textmr_engine::io::input::InputSplit;
-use textmr_engine::io::StreamingConfig;
+use textmr_engine::io::frame::{decode_run, FrameEncoder, DEFAULT_FRAME_BYTES};
+use textmr_engine::io::input::{InputSplit, DEFAULT_INPUT_CHUNK};
 use textmr_engine::job::{combine_values, Job};
 use textmr_engine::reference::{flatten_sorted, reference_run};
 use textmr_engine::task::map_task::{run_map_task, MapOutput, MapTaskConfig};
@@ -114,8 +113,9 @@ fn combiner_apps() -> Vec<(Arc<dyn Job>, InputSplit)> {
     ]
 }
 
-/// Run one map task whose buffer holds its whole split.
-fn map_once(job: &Arc<dyn Job>, split: &InputSplit, streaming: StreamingConfig) -> MapOutput {
+/// Run one map task whose buffer holds its whole split, framed when
+/// `frame_bytes` is given.
+fn map_once(job: &Arc<dyn Job>, split: &InputSplit, frame_bytes: Option<usize>) -> MapOutput {
     let cfg = MapTaskConfig {
         task_id: 0,
         node: 0,
@@ -124,12 +124,13 @@ fn map_once(job: &Arc<dyn Job>, split: &InputSplit, streaming: StreamingConfig) 
         controller: Box::new(FixedSpill(0.8)),
         filter: None,
         merge_fan_in: 10,
-        spill_dir: temp_dir(&format!("{}-{}", job.name(), streaming.framed)),
+        spill_dir: temp_dir(&format!("{}-{}", job.name(), frame_bytes.is_some())),
         fail_after_records: None,
         fail_spill: None,
         cancel: None,
         trace: false,
-        streaming,
+        frame_bytes,
+        input_chunk_bytes: DEFAULT_INPUT_CHUNK,
     };
     let (out, prof) = run_map_task(job, split, cfg).unwrap_or_else(|e| panic!("{e:?}"));
     assert_eq!(prof.spills.len(), 1, "{}: want one spill", job.name());
@@ -164,8 +165,8 @@ fn skipped_merge_is_an_identity() {
     for (job, split) in combiner_apps() {
         let name = job.name().to_string();
         assert!(job.has_combiner(), "{name}");
-        let plain = map_once(&job, &split, StreamingConfig::default());
-        let framed = map_once(&job, &split, StreamingConfig::streamed());
+        let plain = map_once(&job, &split, None);
+        let framed = map_once(&job, &split, Some(DEFAULT_FRAME_BYTES));
         assert!(plain.file.total_records() > 0, "{name}: empty output");
         let mut combined = 0;
         for part in 0..PARTITIONS {
@@ -181,7 +182,7 @@ fn skipped_merge_is_an_identity() {
                 raw, run,
                 "{name}: framed partition {part} holds other records"
             );
-            let mut enc = FrameEncoder::new(StreamingConfig::streamed().frame_bytes);
+            let mut enc = FrameEncoder::new(DEFAULT_FRAME_BYTES);
             let (mut pos, mut records) = (0, 0);
             while let Some((k, v)) = textmr_engine::codec::read_record(&raw, &mut pos) {
                 enc.push_record(k, v);
@@ -222,12 +223,11 @@ fn run_once_spilled(
     dfs: &SimDfs,
     inputs: &[(&str, u8)],
     workers: usize,
-    streaming: StreamingConfig,
+    budget: Option<usize>,
 ) -> JobRun {
     let root = temp_dir(&format!("job-{}-{workers}", job.name()));
-    let mut cluster = ClusterConfig::local()
-        .with_worker_threads(workers)
-        .with_streaming(streaming);
+    let mut cluster = ClusterConfig::local().with_worker_threads(workers);
+    cluster.map_budget_bytes = budget;
     cluster.spill_buffer_bytes = 8 << 20;
     cluster.temp_dir = Some(root.clone());
     let run = run_job(
@@ -257,18 +257,16 @@ fn jobs_whose_map_tasks_spill_once_match_the_reference() {
             vec![("visits", SOURCE_VISITS), ("rankings", SOURCE_RANKINGS)],
         ),
     ];
-    let formats = [
-        ("record/blob", StreamingConfig::default()),
-        ("framed streamed", StreamingConfig::streamed()),
-        ("framed materialized", StreamingConfig::materialized()),
-    ];
+    // A 16 MiB budget selects framed runs and leaves the 8 MiB buffer
+    // whole, so its map tasks spill once too.
+    let formats = [("record/blob", None), ("framed", Some(16 << 20))];
     for (job, inputs) in &jobs {
         let reference =
             flatten_sorted(&reference_run(job.as_ref(), &dfs, inputs, PARTITIONS).unwrap());
-        for (format, streaming) in formats {
+        for (format, budget) in formats {
             let what = format!("{} {format}", job.name());
-            let one = run_once_spilled(job, &dfs, inputs, 1, streaming);
-            let two = run_once_spilled(job, &dfs, inputs, 2, streaming);
+            let one = run_once_spilled(job, &dfs, inputs, 1, budget);
+            let two = run_once_spilled(job, &dfs, inputs, 2, budget);
             assert_eq!(one.sorted_pairs(), reference, "{what}: output");
             assert_eq!(one.outputs, two.outputs, "{what}: outputs at 2 workers");
             assert_eq!(

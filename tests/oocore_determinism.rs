@@ -1,10 +1,9 @@
-//! Out-of-core determinism: the streamed read path (framed windows,
-//! bounded map budget) must be observationally identical to the
-//! materialized path. `StreamingConfig::materialize_reads` only toggles
-//! *residency* — which bytes are resident when — never which bytes are
-//! produced, so outputs, per-partition bytes, and the timing-free
-//! profile signature must match at any worker count, any fetcher count,
-//! and under any deterministic fault plan.
+//! Out-of-core determinism: a map budget selects framed runs, written
+//! and read one frame at a time, and bounds each map task's tracked
+//! residency. A budgeted run must compute the reference execution's
+//! answer, and its outputs and timing-free profile signature must not
+//! move with the worker count, the fetcher count, or a deterministic
+//! fault plan — while every map task stays under the budget.
 //!
 //! Also covers the framed-run format itself through the public API:
 //! index round-trip via [`scan_frames`], and the truncation / corruption
@@ -20,9 +19,10 @@ use textmr_engine::io::dfs::SimDfs;
 use textmr_engine::io::frame::{
     decode_frame, decode_run, scan_frames, FrameEncoder, FrameError, FrameRunCursor,
 };
-use textmr_engine::io::StreamingConfig;
+use textmr_engine::reference::{flatten_sorted, reference_run};
 
 const BUDGET: usize = 96 << 10;
+const REDUCERS: usize = 5;
 
 fn corpus_dfs() -> SimDfs {
     let mut dfs = SimDfs::new(6, 32 << 10);
@@ -38,20 +38,18 @@ fn corpus_dfs() -> SimDfs {
     dfs
 }
 
-fn run_mode(
-    streaming: StreamingConfig,
-    workers: usize,
-    fetchers: usize,
-    cfg: &JobConfig,
-    dfs: &SimDfs,
-) -> JobRun {
+fn run_budgeted(workers: usize, fetchers: usize, cfg: &JobConfig, dfs: &SimDfs) -> JobRun {
     let mut cluster = ClusterConfig::local()
         .with_worker_threads(workers)
         .with_shuffle_fetchers(fetchers)
-        .with_streaming(streaming)
         .with_map_budget(BUDGET);
     cluster.spill_buffer_bytes = 128 << 10;
     run_job(&cluster, cfg, Arc::new(WordCount), dfs, &[("corpus", 0)]).unwrap()
+}
+
+/// The naive reference execution's output over `dfs`.
+fn reference(dfs: &SimDfs) -> Vec<(Vec<u8>, Vec<u8>)> {
+    flatten_sorted(&reference_run(&WordCount, dfs, &[("corpus", 0)], REDUCERS).unwrap())
 }
 
 /// Assert two runs are observationally identical: byte-identical reduce
@@ -66,45 +64,35 @@ fn assert_same(a: &JobRun, b: &JobRun, what: &str) {
     );
 }
 
+/// Assert every map task of `run` stayed under the budget.
+fn assert_under_budget(run: &JobRun, what: &str) {
+    for t in &run.profile.map_tasks {
+        assert!(
+            t.peak_buffer_bytes as usize <= BUDGET,
+            "{what}: map task peak {} exceeds budget {BUDGET}",
+            t.peak_buffer_bytes
+        );
+    }
+}
+
 #[test]
-fn streamed_matches_materialized_across_workers_and_fetchers() {
+fn budgeted_runs_match_reference_across_workers_and_fetchers() {
     let dfs = corpus_dfs();
-    let cfg = JobConfig::default().with_reducers(5);
-    let base = run_mode(StreamingConfig::materialized(), 1, 1, &cfg, &dfs);
+    let cfg = JobConfig::default().with_reducers(REDUCERS);
+    let base = run_budgeted(1, 1, &cfg, &dfs);
+    assert_eq!(base.sorted_pairs(), reference(&dfs), "budgeted output");
     for workers in [1, 2, 4] {
         for fetchers in [1, 4] {
-            let streamed = run_mode(StreamingConfig::streamed(), workers, fetchers, &cfg, &dfs);
-            assert_same(
-                &base,
-                &streamed,
-                &format!("streamed w={workers} f={fetchers}"),
-            );
-            // Budget actually binds on the streamed side.
-            for t in &streamed.profile.map_tasks {
-                assert!(
-                    t.peak_buffer_bytes as usize <= BUDGET,
-                    "map task peak {} exceeds budget {BUDGET} at w={workers} f={fetchers}",
-                    t.peak_buffer_bytes
-                );
-            }
-            let materialized = run_mode(
-                StreamingConfig::materialized(),
-                workers,
-                fetchers,
-                &cfg,
-                &dfs,
-            );
-            assert_same(
-                &base,
-                &materialized,
-                &format!("materialized w={workers} f={fetchers}"),
-            );
+            let what = format!("budgeted w={workers} f={fetchers}");
+            let run = run_budgeted(workers, fetchers, &cfg, &dfs);
+            assert_same(&base, &run, &what);
+            assert_under_budget(&run, &what);
         }
     }
 }
 
 #[test]
-fn streamed_matches_materialized_under_seeded_faults() {
+fn budgeted_runs_match_reference_under_seeded_faults() {
     let dfs = corpus_dfs();
     // One map retry, one shuffle retry, one reduce retry, one slow node:
     // every recovery path crosses the framed intermediate format.
@@ -113,20 +101,21 @@ fn streamed_matches_materialized_under_seeded_faults() {
         .shuffle_fail(1, 0)
         .reduce_fail_after(2, 10)
         .slow_node(1, 3);
-    let cfg = JobConfig::default().with_reducers(5).with_fault_plan(plan);
-    let base = run_mode(StreamingConfig::materialized(), 1, 1, &cfg, &dfs);
+    let cfg = JobConfig::default()
+        .with_reducers(REDUCERS)
+        .with_fault_plan(plan);
+    let base = run_budgeted(1, 1, &cfg, &dfs);
     assert!(
         !base.profile.map_tasks.is_empty(),
         "fault run produced no map profile"
     );
+    assert_eq!(base.sorted_pairs(), reference(&dfs), "faulted output");
     for workers in [1, 4] {
         for fetchers in [1, 4] {
-            let streamed = run_mode(StreamingConfig::streamed(), workers, fetchers, &cfg, &dfs);
-            assert_same(
-                &base,
-                &streamed,
-                &format!("faulted streamed w={workers} f={fetchers}"),
-            );
+            let what = format!("faulted budgeted w={workers} f={fetchers}");
+            let run = run_budgeted(workers, fetchers, &cfg, &dfs);
+            assert_same(&base, &run, &what);
+            assert_under_budget(&run, &what);
         }
     }
 }
@@ -134,16 +123,16 @@ fn streamed_matches_materialized_under_seeded_faults() {
 #[test]
 fn framed_budgeted_run_matches_legacy_output() {
     // The framed out-of-core pipeline must compute the same job answer as
-    // the legacy record-buffer path. Spill geometry differs (frames
-    // compress), so only the reduce output is compared — not signatures.
+    // the record/blob path. Spill geometry differs (frames compress), so
+    // only the reduce output is compared — not signatures.
     let dfs = corpus_dfs();
-    let cfg = JobConfig::default().with_reducers(5);
+    let cfg = JobConfig::default().with_reducers(REDUCERS);
     let legacy = {
         let mut cluster = ClusterConfig::local();
         cluster.spill_buffer_bytes = 128 << 10;
         run_job(&cluster, &cfg, Arc::new(WordCount), &dfs, &[("corpus", 0)]).unwrap()
     };
-    let framed = run_mode(StreamingConfig::streamed(), 4, 4, &cfg, &dfs);
+    let framed = run_budgeted(4, 4, &cfg, &dfs);
     assert_eq!(legacy.sorted_pairs(), framed.sorted_pairs());
 }
 
