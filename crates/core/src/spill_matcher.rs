@@ -106,10 +106,11 @@ impl SpillController for SpillMatcher {
         self.cfg.initial
     }
 
-    fn next_fraction(&mut self, obs: &SpillObservation) -> f64 {
+    fn next_fraction(&mut self, obs: &SpillObservation<'_>) -> f64 {
         let bytes = obs.bytes.max(1) as f64;
         let tp = obs.produce_ns.max(1) as f64 / bytes;
-        let tc = obs.consume_ns.max(1) as f64 / bytes;
+        // Eq. 1 needs the consume time: this waits for the spill.
+        let tc = obs.consume_ns().max(1) as f64 / bytes;
         self.tp_per_byte = Some(Self::smooth(self.tp_per_byte, tp, self.cfg.smoothing));
         self.tc_per_byte = Some(Self::smooth(self.tc_per_byte, tc, self.cfg.smoothing));
         let x = Self::equation_one(self.tp_per_byte.unwrap(), self.tc_per_byte.unwrap())
@@ -131,13 +132,8 @@ pub fn spill_matcher_factory(
 mod tests {
     use super::*;
 
-    fn obs(bytes: usize, produce_ns: u64, consume_ns: u64) -> SpillObservation {
-        SpillObservation {
-            bytes,
-            produce_ns,
-            consume_ns,
-            capacity: 1 << 20,
-        }
+    fn obs(bytes: usize, produce_ns: u64, consume_ns: u64) -> SpillObservation<'static> {
+        SpillObservation::new(bytes, produce_ns, consume_ns, 1 << 20)
     }
 
     #[test]
@@ -206,6 +202,21 @@ mod tests {
         let mut m = SpillMatcher::default();
         assert_eq!(m.initial_fraction(), 0.8);
         assert_eq!(m.history(), &[0.8]);
+    }
+
+    #[test]
+    fn asks_for_the_consume_time_at_once() {
+        // Eq. 1 reads the consume time, so the map thread waits for the
+        // spill the moment the controller runs.
+        let asked = std::cell::Cell::new(0);
+        let ask = || {
+            asked.set(asked.get() + 1);
+            1000
+        };
+        let mut m = SpillMatcher::default();
+        let x = m.next_fraction(&SpillObservation::deferred(1000, 4000, 1 << 20, &ask));
+        assert_eq!(asked.get(), 1);
+        assert!((x - 0.8).abs() < 1e-9, "x={x}");
     }
 
     #[test]

@@ -73,9 +73,12 @@ pub struct ClusterConfig {
     /// this trigger multi-pass merging through scratch disk.
     pub merge_fan_in: usize,
     /// Worker threads for *real* task execution. `1` (the default) runs
-    /// every task inline on the caller's thread, exactly as before; larger
-    /// values run map attempts and reduce tasks on a bounded pool of scoped
-    /// threads. Outputs and timing-free profile counters
+    /// the tasks one at a time on the caller's thread; larger values run
+    /// map attempts and reduce tasks on a bounded pool of scoped threads.
+    /// Either way a map attempt that spills before its input ends sorts,
+    /// combines and writes those spills on a support thread of its own,
+    /// joined before the attempt returns (see
+    /// [`crate::task::pipeline`]). Outputs and timing-free profile counters
     /// ([`JobProfile::signature`](crate::metrics::JobProfile::signature))
     /// are identical either way; measured virtual durations vary with real
     /// execution timing (pool contention, run-to-run jitter), as they

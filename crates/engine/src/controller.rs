@@ -23,27 +23,92 @@ use std::sync::Arc;
 
 /// What the engine observed about the previous spill; input to
 /// [`SpillController::next_fraction`].
-#[derive(Debug, Clone, Copy)]
-pub struct SpillObservation {
+///
+/// The spill's consume time is measured on the support thread, which may
+/// still be sorting, combining and writing the segment when the
+/// controller runs. [`consume_ns`](SpillObservation::consume_ns) (and
+/// [`consume_rate`](SpillObservation::consume_rate)) waits for it: a
+/// controller that asks keeps the map thread waiting for the spill, one
+/// that does not lets it go on producing.
+#[derive(Clone, Copy)]
+pub struct SpillObservation<'a> {
     /// Size of the spill segment in buffer-accounted bytes.
     pub bytes: usize,
     /// Measured time the map thread took to produce the segment (ns).
     pub produce_ns: u64,
-    /// Measured time the support thread took to consume it (ns).
-    pub consume_ns: u64,
     /// Spill buffer capacity M in bytes.
     pub capacity: usize,
+    /// Measured time the support thread took to consume the segment (ns).
+    consume: ConsumeTime<'a>,
 }
 
-impl SpillObservation {
+/// A spill's consume time: known, or waited for when asked.
+#[derive(Clone, Copy)]
+enum ConsumeTime<'a> {
+    Known(u64),
+    Ask(&'a dyn Fn() -> u64),
+}
+
+impl SpillObservation<'static> {
+    /// An observation whose consume time is known.
+    pub fn new(bytes: usize, produce_ns: u64, consume_ns: u64, capacity: usize) -> Self {
+        SpillObservation {
+            bytes,
+            produce_ns,
+            capacity,
+            consume: ConsumeTime::Known(consume_ns),
+        }
+    }
+}
+
+impl<'a> SpillObservation<'a> {
+    /// An observation whose consume time `ask` returns, waiting for it;
+    /// `ask` must return the same time on every call.
+    pub fn deferred(
+        bytes: usize,
+        produce_ns: u64,
+        capacity: usize,
+        ask: &'a dyn Fn() -> u64,
+    ) -> Self {
+        SpillObservation {
+            bytes,
+            produce_ns,
+            capacity,
+            consume: ConsumeTime::Ask(ask),
+        }
+    }
+
+    /// Measured time the support thread took to consume the segment (ns);
+    /// waits for the spill to finish if it has not.
+    pub fn consume_ns(&self) -> u64 {
+        match self.consume {
+            ConsumeTime::Known(ns) => ns,
+            ConsumeTime::Ask(ask) => ask(),
+        }
+    }
+
     /// Produce rate `p` in bytes/sec.
     pub fn produce_rate(&self) -> f64 {
         self.bytes as f64 / (self.produce_ns.max(1) as f64 / 1e9)
     }
 
-    /// Consume rate `c` in bytes/sec.
+    /// Consume rate `c` in bytes/sec; waits like
+    /// [`consume_ns`](SpillObservation::consume_ns).
     pub fn consume_rate(&self) -> f64 {
-        self.bytes as f64 / (self.consume_ns.max(1) as f64 / 1e9)
+        self.bytes as f64 / (self.consume_ns().max(1) as f64 / 1e9)
+    }
+}
+
+impl std::fmt::Debug for SpillObservation<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("SpillObservation");
+        d.field("bytes", &self.bytes)
+            .field("produce_ns", &self.produce_ns);
+        match self.consume {
+            ConsumeTime::Known(ns) => d.field("consume_ns", &ns),
+            ConsumeTime::Ask(_) => d.field("consume_ns", &"asked for"),
+        };
+        d.field("capacity", &self.capacity).finish()
     }
 }
 
@@ -52,8 +117,10 @@ pub trait SpillController: Send {
     /// Fraction used for the first spill (no observation yet).
     fn initial_fraction(&mut self) -> f64;
 
-    /// Fraction for the next spill given the previous spill's observation.
-    fn next_fraction(&mut self, obs: &SpillObservation) -> f64;
+    /// Fraction for the next spill given the previous spill's
+    /// observation. A policy that reads the consume time waits for the
+    /// spill; one that needs only bytes lets the map thread run on.
+    fn next_fraction(&mut self, obs: &SpillObservation<'_>) -> f64;
 }
 
 /// Hadoop's default policy: a fixed spill percentage (default 0.8).
@@ -71,7 +138,7 @@ impl SpillController for FixedSpill {
         self.0
     }
 
-    fn next_fraction(&mut self, _obs: &SpillObservation) -> f64 {
+    fn next_fraction(&mut self, _obs: &SpillObservation<'_>) -> f64 {
         self.0
     }
 }
@@ -134,7 +201,7 @@ impl SpillController for AdaptiveBudget {
         self.cur
     }
 
-    fn next_fraction(&mut self, obs: &SpillObservation) -> f64 {
+    fn next_fraction(&mut self, obs: &SpillObservation<'_>) -> f64 {
         // Bytes-only: overshoot is measured against the threshold the
         // current fraction implied. 5/4 tolerates the record that tips
         // the buffer past the threshold plus modest drain-lag growth.
@@ -253,23 +320,14 @@ mod tests {
     fn fixed_spill_never_adapts() {
         let mut c = FixedSpill(0.8);
         assert_eq!(c.initial_fraction(), 0.8);
-        let obs = SpillObservation {
-            bytes: 100,
-            produce_ns: 10,
-            consume_ns: 90,
-            capacity: 1000,
-        };
+        let obs = SpillObservation::new(100, 10, 90, 1000);
         assert_eq!(c.next_fraction(&obs), 0.8);
     }
 
     #[test]
     fn observation_rates() {
-        let obs = SpillObservation {
-            bytes: 1_000_000,
-            produce_ns: 1_000_000_000, // 1 s
-            consume_ns: 500_000_000,   // 0.5 s
-            capacity: 10_000_000,
-        };
+        // 1 MB produced in 1 s and consumed in 0.5 s.
+        let obs = SpillObservation::new(1_000_000, 1_000_000_000, 500_000_000, 10_000_000);
         assert!((obs.produce_rate() - 1e6).abs() < 1.0);
         assert!((obs.consume_rate() - 2e6).abs() < 1.0);
     }
@@ -279,22 +337,16 @@ mod tests {
         let mut c = AdaptiveBudget::new();
         assert_eq!(c.initial_fraction(), 0.5);
         let cap = 1000;
-        let over = SpillObservation {
-            bytes: 700, // > 0.5 * 1000 * 1.25
-            produce_ns: 0,
-            consume_ns: 0,
-            capacity: cap,
-        };
-        assert_eq!(c.next_fraction(&over), 0.25);
+        let obs = |bytes| SpillObservation::new(bytes, 0, 0, cap);
+        // 700 > 0.5 * 1000 * 1.25.
+        assert_eq!(c.next_fraction(&obs(700)), 0.25);
         // Keep overshooting: halves to the floor and stays there.
-        let over2 = SpillObservation { bytes: 400, ..over };
-        assert_eq!(c.next_fraction(&over2), 0.125);
-        assert_eq!(c.next_fraction(&over2), 0.125);
+        assert_eq!(c.next_fraction(&obs(400)), 0.125);
+        assert_eq!(c.next_fraction(&obs(400)), 0.125);
         // Three calm spills grow the fraction back by 1.25×.
-        let calm = SpillObservation { bytes: 100, ..over };
-        c.next_fraction(&calm);
-        c.next_fraction(&calm);
-        let grown = c.next_fraction(&calm);
+        c.next_fraction(&obs(100));
+        c.next_fraction(&obs(100));
+        let grown = c.next_fraction(&obs(100));
         assert!((grown - 0.15625).abs() < 1e-9);
     }
 
@@ -307,20 +359,33 @@ mod tests {
         a.initial_fraction();
         b.initial_fraction();
         for (i, &bytes) in [700usize, 100, 200, 90, 800, 50].iter().enumerate() {
-            let fast = SpillObservation {
-                bytes,
-                produce_ns: 1,
-                consume_ns: 1,
-                capacity: 1000,
-            };
-            let slow = SpillObservation {
-                bytes,
-                produce_ns: 1_000_000_000 * (i as u64 + 1),
-                consume_ns: 77_000_000,
-                capacity: 1000,
-            };
+            let fast = SpillObservation::new(bytes, 1, 1, 1000);
+            let slow =
+                SpillObservation::new(bytes, 1_000_000_000 * (i as u64 + 1), 77_000_000, 1000);
             assert_eq!(a.next_fraction(&fast), b.next_fraction(&slow));
         }
+    }
+
+    #[test]
+    fn byte_only_policies_never_ask_for_the_consume_time() {
+        let ask = || -> u64 { panic!("asked for the consume time") };
+        let mut fixed = FixedSpill(0.8);
+        let mut budget = AdaptiveBudget::new();
+        budget.initial_fraction();
+        for bytes in [700, 100, 100, 100, 900] {
+            let obs = SpillObservation::deferred(bytes, 5, 1000, &ask);
+            assert_eq!(fixed.next_fraction(&obs), 0.8);
+            budget.next_fraction(&obs);
+        }
+        let asked = std::cell::Cell::new(0);
+        let counting = || {
+            asked.set(asked.get() + 1);
+            42
+        };
+        let obs = SpillObservation::deferred(100, 5, 1000, &counting);
+        assert_eq!(asked.get(), 0);
+        assert_eq!(obs.consume_ns(), 42);
+        assert_eq!(asked.get(), 1);
     }
 
     #[test]

@@ -33,48 +33,86 @@ fn hash4(bytes: &[u8]) -> usize {
 
 /// Compress `input` into a fresh buffer.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut lit_start = 0usize;
-
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let cand = table[h];
-        table[h] = pos;
-        if cand != usize::MAX
-            && pos - cand <= WINDOW
-            && input[cand..cand + MIN_MATCH] == input[pos..pos + MIN_MATCH]
-        {
-            // Extend the match.
-            let mut len = MIN_MATCH;
-            while pos + len < input.len() && input[cand + len] == input[pos + len] {
-                len += 1;
-            }
-            // Emit pending literals + the match token.
-            write_varint(&mut out, (pos - lit_start) as u64);
-            out.extend_from_slice(&input[lit_start..pos]);
-            write_varint(&mut out, (pos - cand) as u64);
-            write_varint(&mut out, (len - MIN_MATCH) as u64);
-            // Index a few positions inside the match so later data can
-            // refer back into it.
-            let step = (len / 8).max(1);
-            let mut p = pos + 1;
-            while p + MIN_MATCH <= input.len() && p < pos + len {
-                table[hash4(&input[p..])] = p;
-                p += step;
-            }
-            pos += len;
-            lit_start = pos;
-        } else {
-            pos += 1;
-        }
-    }
-    // Trailing literals + end marker.
-    write_varint(&mut out, (input.len() - lit_start) as u64);
-    out.extend_from_slice(&input[lit_start..]);
-    write_varint(&mut out, 0);
+    let mut out = Vec::new();
+    Compressor::default().compress_into(input, &mut out);
     out
+}
+
+/// A compressor that keeps its match table from call to call: a framed
+/// writer seals every frame through one, instead of allocating and filling
+/// a table per frame. Its output is [`compress`]'s, byte for byte.
+///
+/// The table holds positions offset by a base that grows past each input,
+/// so an entry left by an earlier call sits below the base and reads as
+/// empty; the table is cleared only when the base would overflow.
+#[derive(Debug, Default)]
+pub struct Compressor {
+    /// `base + position` of the last 4-byte prefix with each hash (empty
+    /// until the first call).
+    table: Vec<u32>,
+    /// Offset of this call's positions in `table`; entries below it are
+    /// stale.
+    base: u32,
+}
+
+impl Compressor {
+    /// Append the compressed form of `input` to `out`.
+    ///
+    /// # Panics
+    /// Panics if `input` is `u32::MAX` (4 GiB − 1) bytes or longer.
+    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        let len = u32::try_from(input.len())
+            .ok()
+            .filter(|&n| n < u32::MAX)
+            .expect("compress input under 4 GiB");
+        if self.table.is_empty() || self.base.checked_add(len).is_none() {
+            self.table.clear();
+            self.table.resize(1 << HASH_BITS, 0);
+            self.base = 1;
+        }
+        let base = self.base as usize;
+        let table = &mut self.table[..];
+        out.reserve(input.len() / 2 + 16);
+        let mut pos = 0usize;
+        let mut lit_start = 0usize;
+
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(&input[pos..]);
+            let cand = (table[h] as usize).checked_sub(base);
+            table[h] = (base + pos) as u32;
+            if let Some(cand) = cand.filter(|&c| {
+                pos - c <= WINDOW && input[c..c + MIN_MATCH] == input[pos..pos + MIN_MATCH]
+            }) {
+                // Extend the match.
+                let mut len = MIN_MATCH;
+                while pos + len < input.len() && input[cand + len] == input[pos + len] {
+                    len += 1;
+                }
+                // Emit pending literals + the match token.
+                write_varint(out, (pos - lit_start) as u64);
+                out.extend_from_slice(&input[lit_start..pos]);
+                write_varint(out, (pos - cand) as u64);
+                write_varint(out, (len - MIN_MATCH) as u64);
+                // Index a few positions inside the match so later data can
+                // refer back into it.
+                let step = (len / 8).max(1);
+                let mut p = pos + 1;
+                while p + MIN_MATCH <= input.len() && p < pos + len {
+                    table[hash4(&input[p..])] = (base + p) as u32;
+                    p += step;
+                }
+                pos += len;
+                lit_start = pos;
+            } else {
+                pos += 1;
+            }
+        }
+        // Trailing literals + end marker.
+        write_varint(out, (input.len() - lit_start) as u64);
+        out.extend_from_slice(&input[lit_start..]);
+        write_varint(out, 0);
+        self.base += len;
+    }
 }
 
 /// Output bound of [`decompress`], which has no length to check against.
@@ -259,6 +297,22 @@ mod tests {
         write_varint(&mut b, u64::MAX);
         assert_eq!(decompress_into(&b, usize::MAX), None);
         assert_eq!(decompress(&b), None);
+    }
+
+    #[test]
+    fn a_base_near_overflow_clears_the_table() {
+        let data = b"abcdabcdabcdabcd-abcdabcdabcd".repeat(20);
+        let mut c = Compressor::default();
+        let mut first = Vec::new();
+        c.compress_into(&data, &mut first);
+        assert_eq!(first, compress(&data));
+        // The next input would run past `u32::MAX`: the table is cleared,
+        // so no stale entry survives the wrap.
+        c.base = u32::MAX - 10;
+        let mut again = Vec::new();
+        c.compress_into(&data, &mut again);
+        assert_eq!(again, first);
+        assert_eq!(c.base, 1 + data.len() as u32);
     }
 
     #[test]

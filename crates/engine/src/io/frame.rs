@@ -27,7 +27,7 @@
 //! without scanning.
 
 use crate::codec::{read_varint, write_record, write_varint};
-use crate::io::compress::{compress, decompress_into};
+use crate::io::compress::{decompress_into, Compressor};
 use crate::io::store::Store;
 use std::io;
 use std::sync::Arc;
@@ -96,6 +96,10 @@ pub(crate) struct OpenFrame {
     raw: Vec<u8>,
     records: u32,
     header: Vec<u8>,
+    /// The writer's compressor and its output buffer, kept from frame to
+    /// frame.
+    compressor: Compressor,
+    packed: Vec<u8>,
     /// Most bytes held at once: the raw frame and its compressed copy
     /// while it seals.
     pub(crate) peak: usize,
@@ -109,6 +113,8 @@ impl OpenFrame {
             raw: Vec::new(),
             records: 0,
             header: Vec::new(),
+            compressor: Compressor::default(),
+            packed: Vec::new(),
             peak: 0,
         }
     }
@@ -131,10 +137,12 @@ impl OpenFrame {
         if self.raw.is_empty() {
             return None;
         }
-        let packed = compress(&self.raw);
+        self.packed.clear();
+        self.compressor.compress_into(&self.raw, &mut self.packed);
+        let packed = &self.packed;
         self.peak = self.peak.max(self.raw.len() + packed.len());
         let (flags, payload): (u8, &[u8]) = if packed.len() < self.raw.len() {
-            (FRAME_COMPRESSED, &packed)
+            (FRAME_COMPRESSED, packed)
         } else {
             (FRAME_RAW, &self.raw)
         };

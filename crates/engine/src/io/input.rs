@@ -235,7 +235,7 @@ impl DiskWindow {
         }
         loop {
             let rel = start - self.base;
-            if let Some(i) = self.buf[rel..].iter().position(|&b| b == b'\n') {
+            if let Some(i) = find_newline(&self.buf[rel..]) {
                 return Ok((rel, rel + i, start + i + 1));
             }
             if self.base + self.buf.len() >= self.file_len {
@@ -298,12 +298,10 @@ impl<'a> SplitReader<'a> {
         let src = match &split.data {
             SplitBytes::Mem(data) => {
                 let data: &'a [u8] = data;
-                if !split.framed && pos > 0 {
+                if !split.framed && pos > 0 && pos < data.len() {
                     // Skip the partial first line: it belongs to the
                     // previous split.
-                    while pos < data.len() && data[pos - 1] != b'\n' {
-                        pos += 1;
-                    }
+                    pos = find_newline(&data[pos - 1..]).map_or(data.len(), |i| pos + i);
                 }
                 Source::Mem(data)
             }
@@ -378,10 +376,7 @@ impl<'a> SplitReader<'a> {
                 }
                 // A line is read by the split containing its first byte.
                 let line_start = self.pos;
-                let mut i = self.pos;
-                while i < data.len() && data[i] != b'\n' {
-                    i += 1;
-                }
+                let i = find_newline(&data[line_start..]).map_or(data.len(), |n| line_start + n);
                 let line = &data[line_start..i];
                 self.pos = if i < data.len() { i + 1 } else { i };
                 self.key_buf = encode_u64(line_start as u64);
@@ -411,6 +406,26 @@ impl<'a> SplitReader<'a> {
             }
         }
     }
+}
+
+/// Index of the first `\n` in `bytes`, compared 8 bytes at a time: a
+/// word XORed with eight newlines has a zero byte exactly where the word
+/// holds one, and `(w − 0x01…01) & !w & 0x80…80` marks the first zero byte
+/// of `w` with its lowest set bit (a borrow can only mark bytes after it).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut at = 0;
+    while let Some(word) = bytes[at..].first_chunk::<8>() {
+        let w = u64::from_le_bytes(*word) ^ NEWLINES;
+        let marks = w.wrapping_sub(ONES) & !w & HIGHS;
+        if marks != 0 {
+            return Some(at + (marks.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|&b| b == b'\n').map(|i| at + i)
 }
 
 /// `e`, with its message naming the split's backing file.
@@ -599,6 +614,96 @@ mod tests {
                 m.digest_content(1234).unwrap(),
                 d.digest_content(1234).unwrap()
             );
+        }
+    }
+
+    /// Every line as a byte-at-a-time scan finds it: `(offset, line)`.
+    fn byte_loop_lines(text: &[u8]) -> Vec<(u64, Vec<u8>)> {
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while start < text.len() {
+            let mut i = start;
+            while i < text.len() && text[i] != b'\n' {
+                i += 1;
+            }
+            lines.push((start as u64, text[start..i].to_vec()));
+            start = i + 1;
+        }
+        lines
+    }
+
+    fn read_records(split: &InputSplit, chunk: usize) -> Vec<(u64, Vec<u8>)> {
+        let mut r = SplitReader::with_chunk(split, chunk);
+        let mut out = Vec::new();
+        while let Some(rec) = r.next() {
+            out.push((
+                crate::codec::decode_u64(rec.key).unwrap(),
+                rec.value.to_vec(),
+            ));
+        }
+        assert!(r.take_error().is_none());
+        out
+    }
+
+    /// Bytes next to `\n` in value or bit pattern, and `\n` itself.
+    fn near_newline() -> impl proptest::strategy::Strategy<Value = u8> {
+        proptest::prop_oneof![
+            Just(b'\n'),
+            Just(b'\r'),
+            Just(b'a'),
+            Just(0x0b),
+            Just(0x09),
+            Just(0x8a),
+            Just(0xff),
+            Just(0x00),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The word-at-a-time search finds what the byte loop finds, from
+        /// every start offset (so at every alignment mod 8).
+        #[test]
+        fn find_newline_matches_the_byte_loop(
+            bytes in proptest::collection::vec(near_newline(), 0..80),
+        ) {
+            for start in 0..=bytes.len() {
+                let tail = &bytes[start..];
+                prop_assert_eq!(find_newline(tail), tail.iter().position(|&b| b == b'\n'));
+            }
+        }
+
+        /// Readers over resident and disk-backed splits, whole or cut into
+        /// blocks, with 1 KiB windows that long lines straddle, yield the
+        /// byte loop's lines: empty lines, `\r\n` endings and a last line
+        /// without a newline included.
+        #[test]
+        fn readers_yield_the_byte_loop_lines(
+            lines in proptest::collection::vec(
+                proptest::collection::vec(prop_oneof![Just(b'x'), Just(b'\r'), Just(b'\t')], 0..700),
+                0..12),
+            trailing in any::<bool>(),
+            block in 1usize..900,
+        ) {
+            let mut text = lines.join(&b'\n');
+            if trailing && !text.is_empty() {
+                text.push(b'\n');
+            }
+            let want = byte_loop_lines(&text);
+            let text = String::from_utf8(text).unwrap();
+            let whole = text.len().max(1);
+            for splits in [
+                splits_of(&text, whole, 1),
+                splits_of(&text, block, 2),
+                disk_splits_of(&text, whole, 1),
+                disk_splits_of(&text, block, 2),
+            ] {
+                let got: Vec<_> = splits.iter().flat_map(|s| read_records(s, 1)).collect();
+                prop_assert_eq!(&got, &want);
+            }
         }
     }
 

@@ -9,11 +9,11 @@
 //! * a simulated DFS with block placement and Hadoop's exact input-split
 //!   line protocol ([`io::dfs`], [`io::input`]);
 //! * the map-side pipeline: spill buffer, sort, combine, on-disk spills,
-//!   k-way merge ([`task`]); the producer/consumer overlap between the map
-//!   thread and the support thread is advanced in *virtual time*
-//!   ([`task::pipeline`]) while all work executes for real and is measured —
-//!   see DESIGN.md for why (single-core determinism, faithful to the
-//!   paper's Section IV-C model);
+//!   k-way merge ([`task`]); the map thread and the support thread run for
+//!   real, and their producer/consumer overlap is advanced in *virtual
+//!   time* ([`task::pipeline`]) from the measured cost of every piece of
+//!   work — see DESIGN.md for why (determinism independent of the host's
+//!   cores, faithful to the paper's Section IV-C model);
 //! * a shuffle subsystem ([`shuffle`]) with a pooled parallel fetcher per
 //!   reduce task and a contention-aware per-node NIC model over the
 //!   bandwidth/latency network config ([`net`]), feeding sort-merge reduce

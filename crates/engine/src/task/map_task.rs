@@ -8,25 +8,27 @@
 //! every emitted pair before the spill path, and a [`SpillController`]
 //! (spill-matcher) picks the spill fraction after every spill.
 
-use crate::controller::{EmitFilter, SpillController, SpillObservation};
+use crate::controller::{EmitFilter, FixedSpill, SpillController, SpillObservation};
 use crate::io::frame::FrameRunCursor;
 use crate::io::input::{InputSplit, SplitReader};
 use crate::io::spill_file::SpillFile;
 use crate::io::store::Store;
 use crate::job::{Emit, Job};
-use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile};
+use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile, VNanos};
 use crate::task::merge::{
     merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in, CursorSource, Grouper,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
-use crate::task::spill::spill_segment_into;
+use crate::task::spill::SpillOutcome;
+use crate::task::support::Support;
 use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 
 /// Lower clamp for controller-proposed spill fractions; guards against a
 /// degenerate controller melting the task into per-record spills.
@@ -87,35 +89,43 @@ pub struct MapOutput {
     pub framed: bool,
 }
 
-/// The spill path: active segment + virtual pipeline + spill files, all
-/// appended to one store (`t{task}.spills`) that the first spill creates.
-/// Implements [`Emit`] so it can serve directly as the filter's flush sink.
-struct SpillPath<'a> {
+/// The spill path: active segment + virtual pipeline + the support
+/// thread that sorts, combines and writes each full segment into one store
+/// (`t{task}.spills`, created by the first spill). Implements [`Emit`] so
+/// it can serve directly as the filter's flush sink.
+struct SpillPath<'a, 's> {
     job: &'a dyn Job,
-    /// The attempt's combiner and merge order, for spills and the merge.
-    grouper: Grouper<'a>,
     num_partitions: usize,
     pipeline: Pipeline,
     seg: Segment,
+    /// The other half of the double buffer: the segment last back from
+    /// the support thread, cleared.
+    spare: Segment,
     controller: Box<dyn SpillController>,
+    /// Where full segments are spilled, and the attempt's grouper.
+    support: Support<'s, 'a>,
+    /// The spill handed over and not back yet.
+    in_flight: Option<Handover>,
     spills: Vec<SpillFile>,
     stats: Vec<SpillStat>,
     ops: OpTimes,
-    spill_dir: &'a Path,
     task_id: usize,
-    /// Support-thread (consume) work performed inside the current emit
-    /// call; the producer's measured time must exclude it.
-    consume_pending_ns: u64,
+    /// Time the map thread spent blocked on the support thread inside the
+    /// current emit call; the producer's measured time must exclude it.
+    blocked_ns: u64,
     /// Deferred I/O error (the `Emit` trait is infallible).
     io_error: Option<io::Error>,
     /// Injected spill fault: fail the spill write with this index.
     fail_spill: Option<usize>,
-    /// Target uncompressed bytes per frame of framed spills; `None`
-    /// writes record/blob spills.
-    frame_bytes: Option<usize>,
     /// Most bytes a framed spill held at once: its segment and its
     /// writer's frame.
     spill_peak: usize,
+    /// Most input-window bytes seen since the last handover: a spill's
+    /// bytes count as resident from its handover on, whenever its outcome
+    /// arrives.
+    window_since_handover: usize,
+    /// High-water mark of tracked buffer residency (see `TaskProfile`).
+    peak_buffer_bytes: u64,
     /// Set when `io_error` came from an injected fault, so the task is
     /// reported as `Injected` (retryable) instead of a hard I/O failure.
     injected: bool,
@@ -123,25 +133,130 @@ struct SpillPath<'a> {
     trace: Option<Box<MapTraceRecorder>>,
 }
 
-impl<'a> SpillPath<'a> {
-    fn append(&mut self, key: &[u8], value: &[u8]) {
-        let part = self.job.partition(key, self.num_partitions);
-        let cost = Segment::record_cost(key, value);
-        if self.pipeline.admit(cost) == Admission::SpillThenAppend {
-            self.do_spill();
-        }
-        self.seg.push(part, key, value);
-        self.pipeline.appended(cost);
-        if self.pipeline.should_spill() {
-            self.do_spill();
+/// What the map thread keeps of a segment it handed over.
+struct Handover {
+    bytes: usize,
+    produce_ns: u64,
+    fraction: f64,
+    /// Producer clock at the handover: the consumer starts then.
+    at: VNanos,
+}
+
+impl<'a, 's> SpillPath<'a, 's> {
+    fn new(
+        job: &'a dyn Job,
+        cfg: &MapTaskConfig,
+        mut controller: Box<dyn SpillController>,
+        scope: &'s Scope<'s, 'a>,
+    ) -> Self {
+        let initial = controller.initial_fraction().clamp(MIN_FRACTION, 1.0);
+        let store = Store::create(cfg.spill_dir.join(format!("t{}.spills", cfg.task_id)));
+        let grouper = Grouper::new(job, job.has_combiner());
+        SpillPath {
+            job,
+            num_partitions: cfg.num_partitions,
+            pipeline: Pipeline::new(cfg.buffer_capacity, initial),
+            seg: Segment::new(),
+            spare: Segment::new(),
+            controller,
+            support: Support::new(scope, store, cfg.frame_bytes, grouper),
+            in_flight: None,
+            spills: Vec::new(),
+            stats: Vec::new(),
+            ops: OpTimes::new(),
+            task_id: cfg.task_id,
+            blocked_ns: 0,
+            io_error: None,
+            fail_spill: cfg.fail_spill,
+            spill_peak: 0,
+            window_since_handover: 0,
+            peak_buffer_bytes: 0,
+            injected: false,
+            trace: cfg.trace.then(|| Box::new(MapTraceRecorder::new())),
         }
     }
 
-    /// Sort/combine/write the active segment and advance the virtual
-    /// pipeline. No-op on an empty segment.
-    fn do_spill(&mut self) {
-        if self.seg.is_empty() || self.io_error.is_some() {
+    fn append(&mut self, key: &[u8], value: &[u8]) {
+        let part = self.job.partition(key, self.num_partitions);
+        let cost = Segment::record_cost(key, value);
+        if self.admit(cost) == Admission::SpillThenAppend {
+            self.hand_over();
+        }
+        self.seg.push(part, key, value);
+        self.pipeline.appended(cost);
+        if self.should_spill() {
+            self.hand_over();
+        }
+    }
+
+    /// [`Pipeline::admit`], waiting for the spill in flight only when the
+    /// answer depends on its consume time.
+    fn admit(&mut self, cost: usize) -> Admission {
+        self.pipeline.admit(cost).unwrap_or_else(|| {
+            self.settle();
+            self.pipeline
+                .admit(cost)
+                .expect("nothing pending once settled")
+        })
+    }
+
+    /// [`Pipeline::should_spill`], waiting like [`SpillPath::admit`].
+    fn should_spill(&mut self) -> bool {
+        self.pipeline.should_spill().unwrap_or_else(|| {
+            self.settle();
+            self.pipeline
+                .should_spill()
+                .expect("nothing pending once settled")
+        })
+    }
+
+    /// Hand the active segment to the support thread and go on producing
+    /// into the spare; the spill before it must be back first. No-op on an
+    /// empty segment.
+    fn hand_over(&mut self) {
+        let Some((bytes, produce_ns)) = self.begin_spill() else {
             return;
+        };
+        let full = std::mem::replace(&mut self.seg, std::mem::take(&mut self.spare));
+        self.support.hand_over(full);
+        let support = &self.support;
+        let ask = || support.consume_ns();
+        let obs = SpillObservation::deferred(bytes, produce_ns, self.pipeline.capacity(), &ask);
+        let next = self.controller.next_fraction(&obs).clamp(MIN_FRACTION, 1.0);
+        self.pipeline.set_fraction(next);
+        // A controller that asked for the consume time has waited for the
+        // spill already: take it in now, as if it had run here.
+        if self.support.has_arrived() {
+            self.settle();
+        }
+    }
+
+    /// The last segment, after the drain barrier: spilled on the map
+    /// thread, the support thread (if one ran) joined first.
+    fn spill_last(&mut self) {
+        let Some((bytes, produce_ns)) = self.begin_spill() else {
+            return;
+        };
+        let outcome = self.support.spill_here(&self.seg);
+        self.seg.clear();
+        let consume_ns = outcome.as_ref().map_or(0, SpillOutcome::consume_ns);
+        self.arrive(outcome);
+        let obs = SpillObservation::new(bytes, produce_ns, consume_ns, self.pipeline.capacity());
+        let next = self.controller.next_fraction(&obs).clamp(MIN_FRACTION, 1.0);
+        self.pipeline.set_fraction(next);
+    }
+
+    /// Settle the spill in flight, then hand the active segment over in
+    /// the virtual pipeline; its `(bytes, produce_ns)`. `None` when there
+    /// is nothing to spill or the attempt failed (an injected spill fault
+    /// fails it here).
+    fn begin_spill(&mut self) -> Option<(usize, u64)> {
+        if self.seg.is_empty() || self.io_error.is_some() {
+            return None;
+        }
+        self.settle();
+        if self.io_error.is_some() {
+            return None;
         }
         if self.fail_spill == Some(self.spills.len()) {
             self.injected = true;
@@ -150,61 +265,116 @@ impl<'a> SpillPath<'a> {
                 self.spills.len(),
                 self.task_id
             )));
+            return None;
+        }
+        let fraction = self.pipeline.fraction();
+        let at = self.pipeline.producer_clock();
+        let (bytes, produce_ns) = self.pipeline.handover();
+        self.in_flight = Some(Handover {
+            bytes,
+            produce_ns,
+            fraction,
+            at,
+        });
+        self.window_since_handover = 0;
+        Some((bytes, produce_ns))
+    }
+
+    /// Wait for the spill in flight, if any, and take in its outcome.
+    fn settle(&mut self) {
+        if self.in_flight.is_none() {
             return;
         }
-        let store = match self.spills.first() {
-            Some(first) => Arc::clone(first.store()),
-            None => Store::create(self.spill_dir.join(format!("t{}.spills", self.task_id))),
-        };
-        match spill_segment_into(&self.seg, &mut self.grouper, &store, self.frame_bytes) {
-            Ok(out) => {
-                self.ops.add_nanos(Op::Sort, out.sort_ns);
-                self.ops.add_nanos(Op::Combine, out.combine_ns);
-                self.ops.add_nanos(Op::SpillWrite, out.write_ns);
-                let consume_ns = out.consume_ns();
-                let fraction = self.pipeline.fraction();
-                // The consumer is idle at handover, so it starts at the
-                // producer's clock — capture it for the support-lane span.
-                let handover_at = self.pipeline.producer_clock();
-                let (bytes, produce_ns) = self.pipeline.handover(consume_ns);
-                // Only a framed spill's writer holds bytes besides the
-                // segment; record/blob peaks stay the per-record samples.
-                if out.held_bytes > 0 {
-                    self.spill_peak = self.spill_peak.max(bytes + out.held_bytes as usize);
-                }
-                if let Some(tr) = &mut self.trace {
-                    tr.on_spill(handover_at, out.sort_ns, out.combine_ns, out.write_ns);
-                }
-                self.stats.push(SpillStat {
-                    bytes,
-                    records: out.records_in as usize,
-                    records_after_combine: out.records_out as usize,
-                    produce_ns,
-                    consume_ns,
-                    fraction,
-                });
-                let obs = SpillObservation {
-                    bytes,
-                    produce_ns,
-                    consume_ns,
-                    capacity: self.pipeline.capacity(),
-                };
-                let next = self.controller.next_fraction(&obs).clamp(MIN_FRACTION, 1.0);
-                self.pipeline.set_fraction(next);
-                self.consume_pending_ns = self.consume_pending_ns.saturating_add(consume_ns);
-                self.seg.clear();
-                self.spills.push(out.file);
+        let back = self.support.wait();
+        self.blocked_ns = self
+            .blocked_ns
+            .saturating_add(self.support.take_blocked_ns());
+        self.spare = back.seg;
+        self.arrive(back.outcome);
+    }
+
+    /// The in-flight spill's outcome: its consume time resolves the virtual
+    /// pipeline, and its ops, stat, peak, trace spans and file are
+    /// recorded.
+    fn arrive(&mut self, outcome: io::Result<SpillOutcome>) {
+        let spill = self.in_flight.take().expect("a spill in flight");
+        let out = match outcome {
+            Ok(out) => out,
+            Err(e) => {
+                self.io_error = Some(e);
+                self.pipeline.resolve(0);
+                return;
             }
-            Err(e) => self.io_error = Some(e),
+        };
+        self.ops.add_nanos(Op::Sort, out.sort_ns);
+        self.ops.add_nanos(Op::Combine, out.combine_ns);
+        self.ops.add_nanos(Op::SpillWrite, out.write_ns);
+        let consume_ns = out.consume_ns();
+        let late_wait = self.pipeline.resolve(consume_ns);
+        // Only a framed spill's writer holds bytes besides the segment;
+        // record/blob peaks stay the per-record samples.
+        if out.held_bytes > 0 {
+            let held = spill.bytes + out.held_bytes as usize;
+            self.spill_peak = self.spill_peak.max(held);
+            let resident = (held + self.window_since_handover) as u64;
+            self.peak_buffer_bytes = self.peak_buffer_bytes.max(resident);
+        }
+        if let Some(tr) = &mut self.trace {
+            if let Some(wait) = late_wait {
+                tr.on_late_wait(wait);
+            }
+            tr.on_spill(spill.at, out.sort_ns, out.combine_ns, out.write_ns);
+        }
+        self.stats.push(SpillStat {
+            bytes: spill.bytes,
+            records: out.records_in as usize,
+            records_after_combine: out.records_out as usize,
+            produce_ns: spill.produce_ns,
+            consume_ns,
+            fraction: spill.fraction,
+        });
+        self.spills.push(out.file);
+    }
+
+    /// One producer record ended with the reader holding `window` bytes:
+    /// raise the residency high-water mark, and trace the record.
+    fn end_record(&mut self, window: usize, read: u64, map: u64, emit: u64, combine: u64) {
+        self.window_since_handover = self.window_since_handover.max(window);
+        let held = self.pipeline.active_bytes().max(self.spill_peak);
+        self.peak_buffer_bytes = self.peak_buffer_bytes.max((held + window) as u64);
+        self.trace_record(read, map, emit, combine);
+    }
+
+    /// When tracing, lay a producer record on the map lane after the wait
+    /// that preceded it.
+    fn trace_record(&mut self, read: u64, map: u64, emit: u64, combine: u64) {
+        if let Some(tr) = &mut self.trace {
+            match self.pipeline.end_record() {
+                (wait, false) => tr.on_record(wait, read, map, emit, combine),
+                (wait, true) => tr.on_blocked_record(wait, read, map, emit, combine),
+            }
         }
     }
 
-    fn take_consume_pending(&mut self) -> u64 {
-        std::mem::take(&mut self.consume_pending_ns)
+    fn take_blocked_ns(&mut self) -> u64 {
+        std::mem::take(&mut self.blocked_ns)
+    }
+
+    /// The attempt's failure as its error, once the spill in flight is
+    /// back: an I/O error, or an injected fault (a spill write's, or the
+    /// record budget's) with the virtual time the attempt consumed.
+    fn fail(&mut self) -> TaskError {
+        self.settle();
+        match self.io_error.take() {
+            Some(e) if !self.injected => e.into(),
+            _ => TaskError::Injected {
+                virtual_elapsed: self.pipeline.pipeline_end(),
+            },
+        }
     }
 }
 
-impl<'a> Emit for SpillPath<'a> {
+impl<'a, 's> Emit for SpillPath<'a, 's> {
     fn emit(&mut self, key: &[u8], value: &[u8]) {
         self.append(key, value);
     }
@@ -213,15 +383,15 @@ impl<'a> Emit for SpillPath<'a> {
 /// The emitter handed to user `map()` code: routes pairs through the
 /// optional filter, keeps producer-time bookkeeping, and times a counter-
 /// chosen sample of emits (see [`SampledCost`]).
-struct MapEmitter<'a> {
-    path: SpillPath<'a>,
+struct MapEmitter<'a, 's> {
+    path: SpillPath<'a, 's>,
     filter: Option<Box<dyn EmitFilter>>,
     emit_cost: SampledCost,
-    handover_ns: u64,
+    blocked_ns: u64,
     emitted: u64,
 }
 
-impl<'a> Emit for MapEmitter<'a> {
+impl<'a, 's> Emit for MapEmitter<'a, 's> {
     fn emit(&mut self, key: &[u8], value: &[u8]) {
         self.emitted += 1;
         let sw = SampledCost::start(self.emitted);
@@ -232,11 +402,11 @@ impl<'a> Emit for MapEmitter<'a> {
         if !absorbed {
             self.path.append(key, value);
         }
-        let consumed = self.path.take_consume_pending();
-        self.handover_ns = self.handover_ns.saturating_add(consumed);
+        let blocked = self.path.take_blocked_ns();
+        self.blocked_ns = self.blocked_ns.saturating_add(blocked);
         if let Some(sw) = sw {
             self.emit_cost
-                .record(sw.elapsed_ns().saturating_sub(consumed));
+                .record(sw.elapsed_ns().saturating_sub(blocked));
         }
     }
 }
@@ -285,52 +455,40 @@ fn is_cancelled(cancel: &Option<Arc<AtomicBool>>) -> bool {
     cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
 }
 
-/// Run one map task over `split`.
+/// Run one map task over `split`. Spills made before the input ends run
+/// on a support thread of the attempt's own, joined before this returns.
 pub fn run_map_task(
     job: &Arc<dyn Job>,
     split: &InputSplit,
     cfg: MapTaskConfig,
 ) -> Result<(MapOutput, TaskProfile), TaskError> {
-    let mut controller = cfg.controller;
-    let initial = controller.initial_fraction().clamp(MIN_FRACTION, 1.0);
-    let path = SpillPath {
-        job: job.as_ref(),
-        grouper: Grouper::new(job.as_ref(), job.has_combiner()),
-        num_partitions: cfg.num_partitions,
-        pipeline: Pipeline::new(cfg.buffer_capacity, initial),
-        seg: Segment::new(),
-        controller,
-        spills: Vec::new(),
-        stats: Vec::new(),
-        ops: OpTimes::new(),
-        spill_dir: &cfg.spill_dir,
-        task_id: cfg.task_id,
-        consume_pending_ns: 0,
-        io_error: None,
-        fail_spill: cfg.fail_spill,
-        frame_bytes: cfg.frame_bytes,
-        spill_peak: 0,
-        injected: false,
-        trace: cfg.trace.then(|| Box::new(MapTraceRecorder::new())),
-    };
+    std::thread::scope(|scope| run_attempt(job.as_ref(), split, cfg, scope))
+}
+
+fn run_attempt<'a, 's>(
+    job: &'a dyn Job,
+    split: &InputSplit,
+    cfg: MapTaskConfig,
+    scope: &'s Scope<'s, 'a>,
+) -> Result<(MapOutput, TaskProfile), TaskError> {
+    // The controller moves into the spill path; `cfg` keeps a stand-in.
+    let mut cfg = cfg;
+    let controller = std::mem::replace(&mut cfg.controller, Box::new(FixedSpill::default()));
     let mut emitter = MapEmitter {
-        path,
-        filter: cfg.filter,
+        path: SpillPath::new(job, &cfg, controller, scope),
+        filter: cfg.filter.take(),
         emit_cost: SampledCost::default(),
-        handover_ns: 0,
+        blocked_ns: 0,
         emitted: 0,
     };
 
     // ---- producer loop: read → map → emit ---------------------------------
     let mut reader = SplitReader::with_chunk(split, cfg.input_chunk_bytes);
-    // High-water mark of tracked buffer residency: the input chunk window
-    // plus spill-buffer bytes, or a spill's segment and its writer's
-    // frame, and (during the merge) cursor windows and the writer's frame.
-    // This is the quantity a RAM budget bounds; see `TaskProfile`.
-    let mut peak_buffer_bytes = 0u64;
-    // Producer-wait watermark for the trace: the delta per record is the
-    // blocked-on-full-buffer time that preceded the record's busy time.
-    let mut last_pw = 0u64;
+    // The path keeps the high-water mark of tracked buffer residency: the
+    // input chunk window plus spill-buffer bytes, or a spill's segment and
+    // its writer's frame, and (during the merge) cursor windows and the
+    // writer's frame. This is the quantity a RAM budget bounds; see
+    // `TaskProfile`.
     let mut clock = RecordClock::start();
     loop {
         let emitted_before = emitter.emitted;
@@ -347,7 +505,7 @@ pub fn run_map_task(
         // record's total is measured, so the estimates only move time
         // between `read`, `emit` and `map`.
         let emit_ns = emitter.emit_cost.estimate(emitter.emitted - emitted_before);
-        let handover_ns = std::mem::take(&mut emitter.handover_ns);
+        let blocked_ns = std::mem::take(&mut emitter.blocked_ns);
         // Combine work performed inside the filter is user code: report it
         // under `combine`, not `emit` (it remains producer-side time).
         let filter_combine_ns = emitter
@@ -358,45 +516,27 @@ pub fn run_map_task(
         // Decompose the record's producer time as a clamped cascade so the
         // components sum to `produce_ns` *exactly* (the trace's map-lane
         // spans must tile the producer's busy time).
-        let produce_ns = total_ns.saturating_sub(handover_ns);
+        let produce_ns = total_ns.saturating_sub(blocked_ns);
         let read_c = read_ns.min(produce_ns);
         let emit_c = emit_ns.min(produce_ns - read_c);
         let map_c = produce_ns - read_c - emit_c;
         let combine_c = filter_combine_ns.min(emit_c);
-        let ops = &mut emitter.path.ops;
-        ops.add_nanos(Op::Read, read_c);
-        ops.add_nanos(Op::Emit, emit_c - combine_c);
-        ops.add_nanos(Op::Combine, combine_c);
-        ops.add_nanos(Op::Map, map_c);
-        emitter.path.pipeline.produce(produce_ns);
-        let held = emitter
-            .path
-            .pipeline
-            .active_bytes()
-            .max(emitter.path.spill_peak);
-        let resident = held + reader.window_bytes();
-        peak_buffer_bytes = peak_buffer_bytes.max(resident as u64);
-        if emitter.path.trace.is_some() {
-            let pw = emitter.path.pipeline.producer_wait;
-            let wait = pw - last_pw;
-            last_pw = pw;
-            if let Some(tr) = &mut emitter.path.trace {
-                tr.on_record(wait, read_c, map_c, emit_c - combine_c, combine_c);
-            }
-        }
+        let path = &mut emitter.path;
+        path.ops.add_nanos(Op::Read, read_c);
+        path.ops.add_nanos(Op::Emit, emit_c - combine_c);
+        path.ops.add_nanos(Op::Combine, combine_c);
+        path.ops.add_nanos(Op::Map, map_c);
+        path.pipeline.produce(produce_ns);
+        path.end_record(
+            reader.window_bytes(),
+            read_c,
+            map_c,
+            emit_c - combine_c,
+            combine_c,
+        );
 
-        if let Some(e) = emitter.path.io_error.take() {
-            if emitter.path.injected {
-                return Err(TaskError::Injected {
-                    virtual_elapsed: emitter.path.pipeline.pipeline_end(),
-                });
-            }
-            return Err(e.into());
-        }
-        if cfg.fail_after_records == Some(clock.records) {
-            return Err(TaskError::Injected {
-                virtual_elapsed: emitter.path.pipeline.pipeline_end(),
-            });
+        if path.io_error.is_some() || cfg.fail_after_records == Some(clock.records) {
+            return Err(path.fail());
         }
         if is_cancelled(&cfg.cancel) {
             return Err(TaskError::Cancelled);
@@ -423,43 +563,31 @@ pub fn run_map_task(
         let sw = Stopwatch::start();
         f.finish(&mut emitter.path);
         let total = sw.elapsed_ns();
-        let consumed = emitter.path.take_consume_pending();
-        let produce = total.saturating_sub(consumed);
+        let blocked = emitter.path.take_blocked_ns();
+        let produce = total.saturating_sub(blocked);
         let combine = f.take_user_combine_ns().min(produce);
         emitter.path.ops.add_nanos(Op::Emit, produce - combine);
         emitter.path.ops.add_nanos(Op::Combine, combine);
         emitter.path.pipeline.produce(produce);
-        if emitter.path.trace.is_some() {
-            let pw = emitter.path.pipeline.producer_wait;
-            let wait = pw - last_pw;
-            last_pw = pw;
-            if let Some(tr) = &mut emitter.path.trace {
-                tr.on_record(wait, 0, 0, produce - combine, combine);
-            }
-        }
+        emitter.path.trace_record(0, 0, produce - combine, combine);
         freq_absorbed = f.absorbed();
     }
 
     // ---- final spill ---------------------------------------------------------
     let mut path = emitter.path;
+    path.settle();
     path.pipeline.drain_barrier();
-    if path.trace.is_some() {
-        let wait = path.pipeline.producer_wait - last_pw;
-        if let Some(tr) = &mut path.trace {
-            tr.on_barrier(wait);
-        }
+    if let Some(tr) = &mut path.trace {
+        tr.on_barrier(path.pipeline.end_record().0);
     }
-    path.do_spill();
-    if let Some(e) = path.io_error.take() {
-        if path.injected {
-            return Err(TaskError::Injected {
-                virtual_elapsed: path.pipeline.pipeline_end(),
-            });
-        }
-        return Err(e.into());
+    path.spill_last();
+    if path.io_error.is_some() {
+        return Err(path.fail());
     }
     let pipeline_end = path.pipeline.pipeline_end();
-    peak_buffer_bytes = peak_buffer_bytes.max((path.spill_peak + reader.window_bytes()) as u64);
+    let mut peak_buffer_bytes = path
+        .peak_buffer_bytes
+        .max((path.spill_peak + reader.window_bytes()) as u64);
 
     // ---- spills → the map output ----------------------------------------------
     if is_cancelled(&cfg.cancel) {
@@ -476,7 +604,7 @@ pub fn run_map_task(
     } else {
         let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
         let merge = SpillMerge {
-            grouper: &mut path.grouper,
+            grouper: path.support.grouper(),
             spills: &path.spills,
             num_partitions: cfg.num_partitions,
             fan_in: cfg.merge_fan_in,
@@ -633,6 +761,7 @@ mod tests {
     use crate::io::frame::DEFAULT_FRAME_BYTES;
     use crate::io::input::DEFAULT_INPUT_CHUNK;
     use crate::job::{Record, ValueCursor, ValueSink};
+    use std::path::Path;
 
     struct WordSum;
     impl Job for WordSum {
@@ -919,36 +1048,6 @@ mod tests {
         );
     }
 
-    /// An emitter over `job` with a large buffer and no filter.
-    fn emitter<'a>(job: &'a dyn Job, dir: &'a Path, task_id: usize) -> MapEmitter<'a> {
-        MapEmitter {
-            path: SpillPath {
-                job,
-                grouper: Grouper::new(job, job.has_combiner()),
-                num_partitions: 2,
-                pipeline: Pipeline::new(1 << 20, 0.8),
-                seg: Segment::new(),
-                controller: Box::new(FixedSpill(0.8)),
-                spills: Vec::new(),
-                stats: Vec::new(),
-                ops: OpTimes::new(),
-                spill_dir: dir,
-                task_id,
-                consume_pending_ns: 0,
-                io_error: None,
-                fail_spill: None,
-                frame_bytes: None,
-                spill_peak: 0,
-                injected: false,
-                trace: None,
-            },
-            filter: None,
-            emit_cost: SampledCost::default(),
-            handover_ns: 0,
-            emitted: 0,
-        }
-    }
-
     #[test]
     fn repeated_runs_sample_the_same_emits() {
         let text: String = (0..300).map(|i| format!("w{} b c d\n", i % 31)).collect();
@@ -962,16 +1061,25 @@ mod tests {
         assert_eq!(run(21).signature(), run(22).signature());
         // The emitter times the emits whose counter is a multiple of the
         // sampling period, whatever the clock reads.
-        let dir = tmpdir();
         let samples: Vec<u64> = (23..25)
             .map(|task_id| {
-                let mut e = emitter(job.as_ref(), &dir, task_id);
-                let mut reader = SplitReader::new(&split);
-                while let Some(rec) = reader.next() {
-                    job.map(&rec, &mut e);
-                }
-                assert_eq!(e.emitted, 1200);
-                e.emit_cost.samples()
+                let mut c = cfg(1 << 20);
+                c.task_id = task_id;
+                std::thread::scope(|scope| {
+                    let mut e = MapEmitter {
+                        path: SpillPath::new(job.as_ref(), &c, Box::new(FixedSpill(0.8)), scope),
+                        filter: None,
+                        emit_cost: SampledCost::default(),
+                        blocked_ns: 0,
+                        emitted: 0,
+                    };
+                    let mut reader = SplitReader::new(&split);
+                    while let Some(rec) = reader.next() {
+                        job.map(&rec, &mut e);
+                    }
+                    assert_eq!(e.emitted, 1200);
+                    e.emit_cost.samples()
+                })
             })
             .collect();
         assert_eq!(samples, vec![1200 / 16; 2]);

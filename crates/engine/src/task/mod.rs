@@ -11,6 +11,7 @@ pub mod pipeline;
 pub mod reduce_task;
 pub mod segment;
 pub mod spill;
+mod support;
 
 /// Why a map or reduce attempt did not complete.
 #[derive(Debug)]

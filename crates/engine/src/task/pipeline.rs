@@ -14,11 +14,21 @@
 //! * consumer idle gaps between handovers are the support thread's wait
 //!   time; producer blocking is the map thread's wait time (Table II).
 //!
-//! Work is executed for real and *measured*; this module only advances
-//! virtual clocks, so pipeline overlap is modelled faithfully even on a
-//! single-core host. The recurrence in `textmr-core::model` is the
-//! closed-form special case of this machine under constant rates, and the
-//! property tests cross-validate the two.
+//! Work is executed for real and *measured*; this module advances the
+//! virtual clocks from those measurements. The map task runs the two
+//! threads for real as well, so a handover's consume time is known only
+//! when the support thread finishes the segment: [`Pipeline::handover`]
+//! leaves it *pending* and [`Pipeline::resolve`] delivers it. Until then
+//! every decision that does not depend on it goes ahead: a buffer-full
+//! block is recorded at the producer's clock and charged on arrival as
+//! `max(0, busy_until − v_at_block)`, which is what the wait would have
+//! been had the time been known at once. Only a decision that does depend
+//! on it — a spill-threshold check made before the buffer-full point —
+//! answers `None`, and the caller resolves and asks again. Resolving at
+//! once or as late as that allows gives the same admissions, clocks and
+//! waits. The recurrence in `textmr-core::model` is the closed-form
+//! special case of this machine under constant rates, and the property
+//! tests cross-validate the two.
 
 use crate::metrics::VNanos;
 
@@ -50,7 +60,8 @@ pub struct Pipeline {
     threshold: usize,
     /// Producer virtual clock.
     v_producer: VNanos,
-    /// Virtual time at which the consumer finishes its current segment.
+    /// Virtual time at which the consumer finishes its current segment
+    /// (stale while a handover is pending).
     consumer_busy_until: VNanos,
     /// Accounted bytes of the segment currently being consumed.
     in_flight: usize,
@@ -68,6 +79,23 @@ pub struct Pipeline {
     /// Producer busy time when the active segment started (for per-spill
     /// produce-time observations).
     segment_produce_start: VNanos,
+    /// The last handover, while its consume time has not arrived.
+    pending: Option<Pending>,
+    /// Producer wait charged when the last record ended
+    /// ([`end_record`](Pipeline::end_record)).
+    waited_at: VNanos,
+    /// A record ended blocked for a wait still pending.
+    record_held: bool,
+}
+
+/// A handover whose consume time has not arrived.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Producer clock at the handover: the consumer starts then.
+    at: VNanos,
+    /// Producer clock at which a full buffer blocked the producer, if it
+    /// did; the producer resumes once the consumer is done.
+    blocked_at: Option<VNanos>,
 }
 
 impl Pipeline {
@@ -95,6 +123,9 @@ impl Pipeline {
             producer_wait: 0,
             consumer_wait: 0,
             segment_produce_start: 0,
+            pending: None,
+            waited_at: 0,
+            record_held: false,
         }
     }
 
@@ -135,8 +166,30 @@ impl Pipeline {
     }
 
     /// Decide how to admit a record of accounted size `cost`. May advance
-    /// the producer clock (blocking on a full buffer).
-    pub fn admit(&mut self, cost: usize) -> Admission {
+    /// the producer clock (blocking on a full buffer). `None` while a
+    /// handover is pending and the answer depends on its consume time:
+    /// [`resolve`](Pipeline::resolve) it and ask again (nothing changed).
+    pub fn admit(&mut self, cost: usize) -> Option<Admission> {
+        if let Some(p) = &mut self.pending {
+            if p.blocked_at.is_none() {
+                if self.active_bytes + cost + self.in_flight <= self.capacity {
+                    // The threshold hands over only if the consumer is done.
+                    return (self.active_bytes < self.threshold).then_some(Admission::Append);
+                }
+                // Buffer full: block until the consumer frees its segment
+                // (charged when its time arrives; nothing if already done).
+                p.blocked_at = Some(self.v_producer);
+                self.in_flight = 0;
+            }
+            // Blocked: the consumer is idle once the producer resumes.
+            let spill = (self.active_bytes + cost > self.capacity && self.active_bytes > 0)
+                || self.active_bytes >= self.threshold;
+            return Some(if spill {
+                Admission::SpillThenAppend
+            } else {
+                Admission::Append
+            });
+        }
         self.reap();
         // Would the buffer overflow?
         if self.active_bytes + cost + self.in_flight > self.capacity {
@@ -152,7 +205,7 @@ impl Pipeline {
             // The active segment alone no longer fits (threshold ≈ 1, or an
             // oversized record): it must be spilled to make room.
             if self.active_bytes + cost > self.capacity && self.active_bytes > 0 {
-                return Admission::SpillThenAppend;
+                return Some(Admission::SpillThenAppend);
             }
             // Oversized single record with an empty buffer: append anyway;
             // it will exceed the threshold and spill on the next check.
@@ -160,9 +213,9 @@ impl Pipeline {
         // Reaching the spill threshold hands over only if the consumer is
         // idle; otherwise the segment keeps growing (Eq. 2).
         if self.active_bytes >= self.threshold && self.v_producer >= self.consumer_busy_until {
-            return Admission::SpillThenAppend;
+            return Some(Admission::SpillThenAppend);
         }
-        Admission::Append
+        Some(Admission::Append)
     }
 
     /// Record that `cost` accounted bytes were appended to the active
@@ -173,21 +226,39 @@ impl Pipeline {
     }
 
     /// Should the active segment spill right now? Checked after appends:
-    /// true when the threshold is reached and the consumer is idle.
-    pub fn should_spill(&mut self) -> bool {
+    /// true when the threshold is reached and the consumer is idle. `None`
+    /// when that depends on a pending consume time, as for
+    /// [`admit`](Pipeline::admit).
+    pub fn should_spill(&mut self) -> Option<bool> {
+        if self.active_bytes < self.threshold {
+            return Some(false);
+        }
+        if let Some(p) = &self.pending {
+            return p.blocked_at.map(|_| true);
+        }
         self.reap();
-        self.active_bytes >= self.threshold && self.v_producer >= self.consumer_busy_until
+        Some(self.v_producer >= self.consumer_busy_until)
+    }
+
+    /// Whether the producer blocked on a full buffer for a time that is
+    /// not known yet (it arrives with the pending consume time).
+    fn is_blocked_pending(&self) -> bool {
+        self.pending.is_some_and(|p| p.blocked_at.is_some())
     }
 
     /// Hand the active segment (its size is tracked internally) to the
-    /// consumer. `consume_ns` is the *measured* cost of sorting, combining
-    /// and writing it. Returns the per-spill observation inputs
-    /// `(segment_bytes, produce_ns_for_segment)`.
+    /// consumer, whose cost of sorting, combining and writing it arrives
+    /// later through [`resolve`](Pipeline::resolve). Returns the per-spill
+    /// observation inputs `(segment_bytes, produce_ns_for_segment)`.
     ///
     /// The consumer must be idle (callers only spill under that condition);
     /// its idle gap since finishing the previous segment is accounted as
     /// consumer wait.
-    pub fn handover(&mut self, consume_ns: u64) -> (usize, u64) {
+    ///
+    /// # Panics
+    /// Panics if the previous handover is still pending.
+    pub fn handover(&mut self) -> (usize, u64) {
+        assert!(self.pending.is_none(), "handover before the last resolved");
         debug_assert!(
             self.v_producer >= self.consumer_busy_until,
             "handover while consumer busy"
@@ -195,18 +266,59 @@ impl Pipeline {
         let seg_bytes = self.active_bytes;
         let produce_ns = self.produce_busy - self.segment_produce_start;
         self.consumer_wait += self.v_producer - self.consumer_busy_until;
-        self.consumer_busy_until = self.v_producer + consume_ns;
-        self.consume_busy += consume_ns;
+        self.pending = Some(Pending {
+            at: self.v_producer,
+            blocked_at: None,
+        });
         self.in_flight = seg_bytes;
         self.active_bytes = 0;
         self.segment_produce_start = self.produce_busy;
         (seg_bytes, produce_ns)
     }
 
+    /// The pending handover's *measured* consume time arrived: the consumer
+    /// is busy until handover + `consume_ns`, and a producer that blocked
+    /// meanwhile resumes then. Returns the rest of a record's wait when
+    /// [`end_record`](Pipeline::end_record) left one to come.
+    ///
+    /// # Panics
+    /// Panics if no handover is pending.
+    pub fn resolve(&mut self, consume_ns: u64) -> Option<VNanos> {
+        let p = self.pending.take().expect("no handover pending");
+        self.consumer_busy_until = p.at + consume_ns;
+        self.consume_busy += consume_ns;
+        if let Some(at) = p.blocked_at {
+            let wait = self.consumer_busy_until.saturating_sub(at);
+            self.producer_wait += wait;
+            self.v_producer += wait;
+        }
+        std::mem::take(&mut self.record_held).then(|| self.end_record().0)
+    }
+
+    /// End one producer record: the producer wait charged since the last
+    /// record ended (it precedes this record's work), and whether the
+    /// record also blocked for a wait still pending, whose rest
+    /// [`resolve`](Pipeline::resolve) returns. Traces call this to put
+    /// each wait before the record that blocked.
+    pub fn end_record(&mut self) -> (VNanos, bool) {
+        let wait = self.producer_wait - self.waited_at;
+        self.waited_at = self.producer_wait;
+        let held = self.is_blocked_pending() && !self.record_held;
+        self.record_held |= held;
+        (wait, held)
+    }
+
     /// End of input: if the consumer is still busy, the map thread waits
     /// for it (the flush barrier before the final spill / merge). Advances
     /// the producer clock to the consumer's completion.
+    ///
+    /// # Panics
+    /// Panics if a handover is pending.
     pub fn drain_barrier(&mut self) {
+        assert!(
+            self.pending.is_none(),
+            "drain barrier before the last resolved"
+        );
         if self.consumer_busy_until > self.v_producer {
             self.producer_wait += self.consumer_busy_until - self.v_producer;
             self.v_producer = self.consumer_busy_until;
@@ -219,12 +331,15 @@ impl Pipeline {
         self.active_bytes
     }
 
-    /// Virtual time at which the pipelined portion ends (both threads done).
+    /// Virtual time at which the pipelined portion ends (both threads
+    /// done), once no handover is pending.
     pub fn pipeline_end(&self) -> VNanos {
+        debug_assert!(self.pending.is_none(), "pipeline end while pending");
         self.v_producer.max(self.consumer_busy_until)
     }
 
-    /// Producer's current virtual clock.
+    /// Producer's current virtual clock (exact once no blocked wait is
+    /// pending).
     pub fn producer_clock(&self) -> VNanos {
         self.v_producer
     }
@@ -235,8 +350,8 @@ mod tests {
     use super::*;
 
     /// Drive the pipeline with constant produce cost per byte and constant
-    /// consume cost per byte; returns (producer_wait, consumer_wait,
-    /// spill sizes).
+    /// consume cost per byte, each consume time arriving at the handover;
+    /// returns (producer_wait, consumer_wait, spill sizes).
     fn drive(
         capacity: usize,
         fraction: f64,
@@ -247,25 +362,24 @@ mod tests {
     ) -> (u64, u64, Vec<usize>) {
         let mut p = Pipeline::new(capacity, fraction);
         let mut spills = Vec::new();
+        let mut spill = |p: &mut Pipeline| {
+            let (b, _) = p.handover();
+            p.resolve(b as u64 * consume_ns_per_byte);
+            spills.push(b);
+        };
         for _ in 0..records {
-            if p.admit(record_cost) == Admission::SpillThenAppend {
-                let bytes = p.active_bytes();
-                let (b, _) = p.handover(bytes as u64 * consume_ns_per_byte);
-                spills.push(b);
+            if p.admit(record_cost) == Some(Admission::SpillThenAppend) {
+                spill(&mut p);
             }
             p.appended(record_cost);
             p.produce(produce_ns_per_rec);
-            if p.should_spill() {
-                let bytes = p.active_bytes();
-                let (b, _) = p.handover(bytes as u64 * consume_ns_per_byte);
-                spills.push(b);
+            if p.should_spill() == Some(true) {
+                spill(&mut p);
             }
         }
         p.drain_barrier();
         if p.active_bytes() > 0 {
-            let bytes = p.active_bytes();
-            let (b, _) = p.handover(bytes as u64 * consume_ns_per_byte);
-            spills.push(b);
+            spill(&mut p);
         }
         (p.producer_wait, p.consumer_wait, spills)
     }
@@ -342,10 +456,10 @@ mod tests {
     #[test]
     fn oversized_record_is_admitted_alone() {
         let mut p = Pipeline::new(100, 0.8);
-        assert_eq!(p.admit(500), Admission::Append);
+        assert_eq!(p.admit(500), Some(Admission::Append));
         p.appended(500);
-        assert!(p.should_spill());
-        let (b, _) = p.handover(10);
+        assert_eq!(p.should_spill(), Some(true));
+        let (b, _) = p.handover();
         assert_eq!(b, 500);
     }
 
@@ -359,6 +473,59 @@ mod tests {
         assert_eq!(total, 400 * 50);
         // At least one of the threads must have waited (rates differ).
         assert!(pw + cw > 0);
+    }
+
+    #[test]
+    fn a_block_before_the_consume_time_is_charged_when_it_arrives() {
+        // x = 0.8 over 1000 bytes: the second segment fills the buffer
+        // before its threshold, so the block is decided without the time.
+        let mut p = Pipeline::new(1000, 0.8);
+        for _ in 0..8 {
+            assert_eq!(p.admit(100), Some(Admission::Append));
+            p.appended(100);
+            p.produce(10);
+        }
+        assert_eq!(p.should_spill(), Some(true));
+        assert_eq!(p.handover(), (800, 80));
+        for _ in 0..2 {
+            assert_eq!(p.admit(100), Some(Admission::Append));
+            p.appended(100);
+            p.produce(10);
+            assert_eq!(p.should_spill(), Some(false));
+        }
+        assert!(!p.is_blocked_pending());
+        // Full: the producer blocks at 100 ns, for a time still unknown.
+        assert_eq!(p.admit(100), Some(Admission::Append));
+        assert!(p.is_blocked_pending());
+        p.appended(100);
+        p.produce(10);
+        assert_eq!(p.end_record(), (0, true));
+        // The consumer took 500 ns from 80: the producer waited 480 − 100.
+        assert_eq!(p.resolve(500), Some(480));
+        assert_eq!((p.producer_wait, p.producer_clock()), (480, 590));
+    }
+
+    #[test]
+    fn a_threshold_before_the_buffer_fills_waits_for_the_consume_time() {
+        // x = 0.3: the threshold comes first, and whether it hands over
+        // depends on whether the consumer is done.
+        let mut p = Pipeline::new(1000, 0.3);
+        for _ in 0..3 {
+            p.admit(100);
+            p.appended(100);
+            p.produce(10);
+        }
+        assert_eq!(p.should_spill(), Some(true));
+        p.handover();
+        for _ in 0..3 {
+            assert_eq!(p.admit(100), Some(Admission::Append));
+            p.appended(100);
+            p.produce(10);
+        }
+        assert_eq!(p.should_spill(), None);
+        assert_eq!(p.admit(100), None);
+        assert_eq!(p.resolve(10), None);
+        assert_eq!(p.should_spill(), Some(true));
     }
 
     #[test]

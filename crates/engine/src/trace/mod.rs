@@ -377,6 +377,10 @@ pub struct MapTraceRecorder {
     map: Option<(LaneBuilder, LaneBuilder)>,
     /// Pending (read, map, emit, combine) nanoseconds not yet flushed.
     pending: [u64; 4],
+    /// A record that blocked for a wait not known yet: the wait so far,
+    /// and the bucket from before it (`pending` holds the record's own
+    /// ops and those of the records after it).
+    held: Option<(u64, [u64; 4])>,
 }
 
 const PENDING_OPS: [Op; 4] = [Op::Read, Op::Map, Op::Emit, Op::Combine];
@@ -390,6 +394,7 @@ impl MapTraceRecorder {
                 LaneBuilder::new(LaneRole::Support),
             )),
             pending: [0; 4],
+            held: None,
         }
     }
 
@@ -410,11 +415,44 @@ impl MapTraceRecorder {
     /// it precedes the record's own produce time in virtual order.
     pub fn on_record(&mut self, wait_ns: u64, read: u64, map: u64, emit: u64, combine: u64) {
         if wait_ns > 0 {
+            debug_assert!(self.held.is_none(), "a second wait while one is held");
             self.flush();
             self.lanes()
                 .0
                 .push(wait_ns, SpanKind::Idle(IdleKind::BufferFull));
         }
+        self.add(read, map, emit, combine);
+    }
+
+    /// [`on_record`](Self::on_record) for a record that also blocked for
+    /// a wait not known yet: `wait_ns` is the wait so far, and the rest
+    /// arrives through [`on_late_wait`](Self::on_late_wait) before the
+    /// lane goes on.
+    pub fn on_blocked_record(
+        &mut self,
+        wait_ns: u64,
+        read: u64,
+        map: u64,
+        emit: u64,
+        combine: u64,
+    ) {
+        debug_assert!(self.held.is_none(), "a second record held");
+        self.held = Some((wait_ns, std::mem::take(&mut self.pending)));
+        self.add(read, map, emit, combine);
+    }
+
+    /// The rest of the held record's wait arrived: the whole wait goes
+    /// before that record, as [`on_record`](Self::on_record) would have
+    /// put it.
+    pub fn on_late_wait(&mut self, late_ns: u64) {
+        let Some((wait, before)) = self.held.take() else {
+            return;
+        };
+        let since = std::mem::replace(&mut self.pending, before);
+        self.on_record(wait + late_ns, since[0], since[1], since[2], since[3]);
+    }
+
+    fn add(&mut self, read: u64, map: u64, emit: u64, combine: u64) {
         self.pending[0] += read;
         self.pending[1] += map;
         self.pending[2] += emit;
@@ -434,6 +472,7 @@ impl MapTraceRecorder {
     /// The producer hit the end-of-input drain barrier, waiting `wait_ns`
     /// for in-flight spills.
     pub fn on_barrier(&mut self, wait_ns: u64) {
+        debug_assert!(self.held.is_none(), "barrier with a wait held");
         self.flush();
         self.lanes()
             .0

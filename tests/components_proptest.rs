@@ -4,9 +4,11 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use textmr_core::{FreqBufferConfig, FrequencyBuffer, FrequentKeyRegistry};
+use textmr_core::{FreqBufferConfig, FrequencyBuffer, FrequentKeyRegistry, SpillMatcher};
 use textmr_engine::codec;
-use textmr_engine::controller::{EmitFilter, FilterCtx, TaskCtx};
+use textmr_engine::controller::{
+    AdaptiveBudget, EmitFilter, FilterCtx, FixedSpill, SpillController, SpillObservation, TaskCtx,
+};
 use textmr_engine::io::compress;
 use textmr_engine::io::frame::{FrameEncoder, RunHandle};
 use textmr_engine::io::store::Store;
@@ -15,6 +17,7 @@ use textmr_engine::task::merge::{
     merge_grouped, merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in,
     reduce_to_fan_in, reduce_to_fan_in_with, CursorSource, Grouper, MergeOrder,
 };
+use textmr_engine::task::pipeline::{Admission, Pipeline};
 use textmr_engine::task::segment::Segment;
 use textmr_engine::task::spill::sort_indices;
 use textmr_nlp::tokenizer::{self, Token};
@@ -371,6 +374,157 @@ fn model_optimize_stage(
     (out, absorbed)
 }
 
+/// What one drive of a [`Pipeline`] decided and charged: each record's
+/// admission, each spill's `(bytes, produce_ns, fraction)`, the wait
+/// before each record and at the drain barrier, and the end clocks and
+/// busy/wait totals.
+#[derive(Debug, PartialEq)]
+struct PipelineRun {
+    admissions: Vec<Admission>,
+    spills: Vec<(usize, u64, u64)>,
+    waits: Vec<u64>,
+    barrier_wait: u64,
+    end: (u64, u64),
+    totals: [u64; 4],
+}
+
+/// Drive a pipeline over `records` (`(cost, produce_ns)` each) the way a
+/// map task does, spill `i` taking `bytes × consume_per_byte[i % len]`
+/// to consume. `deferred` delivers each consume time as late as the
+/// pipeline allows: when a decision returns `None`, at the next handover,
+/// at the drain barrier, or when the controller asks for it. Otherwise it
+/// is delivered at the handover itself.
+fn drive_pipeline(
+    records: &[(usize, u64)],
+    capacity: usize,
+    consume_per_byte: &[u64],
+    mut controller: Box<dyn SpillController>,
+    deferred: bool,
+) -> PipelineRun {
+    struct Driver {
+        p: Pipeline,
+        pending: Option<u64>,
+        held: Option<usize>,
+        waits: Vec<u64>,
+    }
+    impl Driver {
+        fn resolve(&mut self) {
+            if let Some(ns) = self.pending.take() {
+                if let Some(late) = self.p.resolve(ns) {
+                    self.waits[self.held.take().expect("a held record")] += late;
+                }
+            }
+        }
+    }
+    let mut spills = Vec::new();
+    let mut spill = |d: &mut Driver, controller: &mut Box<dyn SpillController>| {
+        d.resolve();
+        let fraction = d.p.fraction();
+        let (bytes, produce_ns) = d.p.handover();
+        let ns = bytes as u64 * consume_per_byte[spills.len() % consume_per_byte.len()];
+        spills.push((bytes, produce_ns, fraction.to_bits()));
+        d.pending = Some(ns);
+        if !deferred {
+            d.resolve();
+        }
+        let asked = std::cell::Cell::new(false);
+        let ask = || {
+            asked.set(true);
+            ns
+        };
+        let obs = SpillObservation::deferred(bytes, produce_ns, d.p.capacity(), &ask);
+        let next = controller.next_fraction(&obs).clamp(0.01, 1.0);
+        d.p.set_fraction(next);
+        if asked.get() {
+            d.resolve();
+        }
+    };
+    let initial = controller.initial_fraction().clamp(0.01, 1.0);
+    let mut d = Driver {
+        p: Pipeline::new(capacity, initial),
+        pending: None,
+        held: None,
+        waits: Vec::new(),
+    };
+    let mut admissions = Vec::new();
+    for (i, &(cost, ns)) in records.iter().enumerate() {
+        let admission = loop {
+            match d.p.admit(cost) {
+                Some(a) => break a,
+                None => d.resolve(),
+            }
+        };
+        admissions.push(admission);
+        if admission == Admission::SpillThenAppend {
+            spill(&mut d, &mut controller);
+        }
+        d.p.appended(cost);
+        d.p.produce(ns);
+        let now = loop {
+            match d.p.should_spill() {
+                Some(s) => break s,
+                None => d.resolve(),
+            }
+        };
+        if now {
+            spill(&mut d, &mut controller);
+        }
+        let (wait, held) = d.p.end_record();
+        d.waits.push(wait);
+        if held {
+            d.held = Some(i);
+        }
+    }
+    d.resolve();
+    d.p.drain_barrier();
+    let barrier_wait = d.p.end_record().0;
+    if d.p.active_bytes() > 0 {
+        spill(&mut d, &mut controller);
+        d.resolve();
+    }
+    PipelineRun {
+        admissions,
+        spills,
+        waits: d.waits,
+        barrier_wait,
+        end: (d.p.producer_clock(), d.p.pipeline_end()),
+        totals: [
+            d.p.produce_busy,
+            d.p.consume_busy,
+            d.p.producer_wait,
+            d.p.consumer_wait,
+        ],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A pending consume time delivered as late as the pipeline allows
+    /// gives what delivering it at once gives, record for record, under a
+    /// fixed fraction, the bytes-only budget policy and the timing-reading
+    /// spill-matcher.
+    #[test]
+    fn deferred_consume_times_change_no_decision_or_clock(
+        records in proptest::collection::vec((1usize..400, 0u64..600), 1..300),
+        capacity in 64usize..4000,
+        consume_per_byte in proptest::collection::vec(0u64..12, 1..6),
+        policy in 0u8..3,
+        fraction_pct in 5u32..101,
+    ) {
+        let controller = || -> Box<dyn SpillController> {
+            match policy {
+                0 => Box::new(FixedSpill(fraction_pct as f64 / 100.0)),
+                1 => Box::new(AdaptiveBudget::new()),
+                _ => Box::new(SpillMatcher::default()),
+            }
+        };
+        let at_once = drive_pipeline(&records, capacity, &consume_per_byte, controller(), false);
+        let late = drive_pipeline(&records, capacity, &consume_per_byte, controller(), true);
+        prop_assert_eq!(late, at_once);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -492,6 +646,22 @@ proptest! {
         }
         let c = compress::compress(&data);
         prop_assert_eq!(compress::decompress(&c), Some(data));
+    }
+
+    /// One compressor reused over many inputs (its table holding every
+    /// earlier input's positions) writes what a fresh `compress` writes.
+    #[test]
+    fn a_reused_compressor_matches_fresh_calls(
+        inputs in proptest::collection::vec(
+            proptest::collection::vec(0u8..4, 0..3000), 1..12),
+    ) {
+        let mut reused = compress::Compressor::default();
+        for input in &inputs {
+            let mut out = vec![0xAA];
+            reused.compress_into(input, &mut out);
+            prop_assert_eq!(out[0], 0xAA);
+            prop_assert_eq!(&out[1..], &compress::compress(input)[..]);
+        }
     }
 
     #[test]

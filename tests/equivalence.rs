@@ -162,16 +162,18 @@ proptest! {
 
         // Discrete pipeline.
         let mut p = Pipeline::new(capacity, x);
+        let spill = |p: &mut Pipeline| {
+            let (bytes, _) = p.handover();
+            p.resolve(bytes as u64 * consume_per_byte);
+        };
         for _ in 0..600 {
-            if p.admit(record) == Admission::SpillThenAppend {
-                let bytes = p.active_bytes();
-                p.handover(bytes as u64 * consume_per_byte);
+            if p.admit(record) == Some(Admission::SpillThenAppend) {
+                spill(&mut p);
             }
             p.appended(record);
             p.produce(produce_ns);
-            if p.should_spill() {
-                let bytes = p.active_bytes();
-                p.handover(bytes as u64 * consume_per_byte);
+            if p.should_spill() == Some(true) {
+                spill(&mut p);
             }
         }
 

@@ -3,14 +3,16 @@
 //! A framed run bound for a store (a spill, an intermediate merge pass,
 //! the map-side final merge) is sealed into the store frame by frame, so
 //! the bytes its writer holds do not grow with the run. This suite counts
-//! the bytes the calling thread has allocated and not yet freed, and
-//! checks that the high-water mark of a writing step stays far below the
-//! run it writes. A writer that buffers a whole run before writing it
-//! fails here on bytes held, whatever the clock says.
+//! the bytes the process has allocated and not yet freed — on every
+//! thread, since a map task's spills are written on its support thread —
+//! and checks that the high-water mark of a writing step stays far below
+//! the run it writes. A writer that buffers a whole run before writing it
+//! fails here on bytes held, whatever the clock says. The tests take turns
+//! so that each counts only its own bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use textmr_engine::codec::{decode_u64, encode_u64};
 use textmr_engine::controller::FixedSpill;
 use textmr_engine::io::dfs::SimDfs;
@@ -21,24 +23,19 @@ use textmr_engine::job::{Emit, Job, Record, ValueCursor, ValueSink};
 use textmr_engine::task::map_task::{run_map_task, MapTaskConfig};
 use textmr_engine::task::merge::{reduce_sources_to_fan_in, CursorSource};
 
-/// The system allocator, counting each thread's live bytes and their peak.
+/// The system allocator, counting the process's live bytes and their peak.
 struct Counting;
 
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 fn count(delta: isize) {
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() + delta;
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
+    let now = LIVE.fetch_add(delta, Ordering::SeqCst) + delta;
+    PEAK.fetch_max(now, Ordering::SeqCst);
 }
 
 // SAFETY: every call forwards to `System` unchanged; the counters are
-// const-initialized thread-locals that never allocate.
+// atomics that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
@@ -65,13 +62,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Run `f` and return its result with the most bytes it held at once
-/// beyond what the thread held when it started.
+/// Held for the whole of each test, so no other test's bytes are counted.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `f` and return its result with the most bytes the process held at
+/// once beyond what it held when `f` started.
 fn peak_held<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(start));
+    let start = LIVE.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
     let out = f();
-    let peak = PEAK.with(Cell::get);
+    let peak = PEAK.load(Ordering::SeqCst);
     (out, (peak - start).max(0) as usize)
 }
 
@@ -131,6 +134,7 @@ impl Job for WordSum {
 
 #[test]
 fn an_intermediate_pass_holds_frames_not_its_run() {
+    let _turn = one_at_a_time();
     // Four sorted runs of about 1 MiB stored, merged at fan-in 2: two
     // passes, each writing a 2 MiB run of 1 KiB frames to the store.
     let dir = scratch("pass");
@@ -155,7 +159,7 @@ fn an_intermediate_pass_holds_frames_not_its_run() {
     });
     assert_eq!(multi.passes, 2);
     // Two windows, the writer's frame and its compressed copy, the
-    // compressor's 256 KiB hash table, the store's 64 KiB append buffer
+    // compressor's 128 KiB hash table, the store's 64 KiB append buffer
     // and the frame indexes: well under the run each pass writes.
     let pass_bytes = run_bytes / 2;
     assert!(pass_bytes > 3 << 19, "passes of {pass_bytes} B");
@@ -169,6 +173,7 @@ fn an_intermediate_pass_holds_frames_not_its_run() {
 
 #[test]
 fn a_map_task_holds_frames_not_its_output() {
+    let _turn = one_at_a_time();
     // One partition of distinct keys through a 64 KiB spill buffer: dozens
     // of spills merged into an output of several MiB, in 1 KiB frames.
     let text: String = words(192 << 10, 7)
