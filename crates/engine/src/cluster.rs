@@ -104,9 +104,12 @@ pub struct ClusterConfig {
     /// tracks and the `oocore` bench asserts. Unlike the paper's fixed
     /// spill-percentage trigger, the budget composes with the adaptive
     /// controller ([`crate::controller::AdaptiveBudget`]), which moves the
-    /// spill *fraction* inside the budgeted buffer. `None` (the default)
-    /// writes record/blob runs, merged whole, which are faster when memory
-    /// is not the limit.
+    /// spill *fraction* inside the budgeted buffer. A budgeted attempt
+    /// merges its spills on the map thread alone, since a second merge
+    /// would hold another `merge_fan_in` frame windows and a frame, over
+    /// the 3B/4. `None` (the default) writes record/blob runs, merged whole
+    /// and split by bytes between the map thread and a helper thread,
+    /// which are faster when memory is not the limit.
     pub map_budget_bytes: Option<usize>,
 }
 

@@ -32,6 +32,10 @@ fn hash4(bytes: &[u8]) -> usize {
 }
 
 /// Compress `input` into a fresh buffer.
+///
+/// # Panics
+/// Panics if `input` is `u32::MAX` (4 GiB − 1) bytes or longer (see
+/// [`Compressor::compress_into`]).
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     Compressor::default().compress_into(input, &mut out);

@@ -339,7 +339,10 @@ pub struct TaskProfile {
     /// Peak tracked buffer bytes the task held at once: spill-buffer
     /// occupancy plus the input chunk window, and (framed runs) a spill
     /// writer's frame, the decoded merge windows and the merge writer's
-    /// frame. This is the quantity the `map_budget_bytes` setting bounds.
+    /// frame. A record/blob merge split over two threads counts both
+    /// threads' partition runs at once, plus the helper's merged
+    /// partitions held for writing. This is the quantity the
+    /// `map_budget_bytes` setting bounds.
     /// Deliberately **not** part of [`TaskSignature`]: it measures where
     /// bytes sat, not what the task computed.
     pub peak_buffer_bytes: u64,

@@ -3,7 +3,9 @@
 //!
 //! All user and framework work runs for real and is measured; the
 //! producer/consumer overlap between the map thread and the support thread
-//! is advanced on the virtual clocks of [`Pipeline`]. The paper's
+//! is advanced on the virtual clocks of [`Pipeline`]. An unbudgeted merge
+//! splits its partitions between the map thread and a helper thread, and
+//! is charged as the sum of both threads' work. The paper's
 //! optimizations plug in here: an [`EmitFilter`] (frequency-buffering) sees
 //! every emitted pair before the spill path, and a [`SpillController`]
 //! (spill-matcher) picks the spill fraction after every spill.
@@ -11,12 +13,13 @@
 use crate::controller::{EmitFilter, FixedSpill, SpillController, SpillObservation};
 use crate::io::frame::FrameRunCursor;
 use crate::io::input::{InputSplit, SplitReader};
-use crate::io::spill_file::SpillFile;
+use crate::io::spill_file::{SpillFile, SpillFileWriter};
 use crate::io::store::Store;
 use crate::job::{Emit, Job};
 use crate::metrics::{Op, OpTimes, SampledCost, SpillStat, Stopwatch, TaskProfile, VNanos};
 use crate::task::merge::{
     merge_grouped_cursors, merge_partition, reduce_sources_to_fan_in, CursorSource, Grouper,
+    MergeOrder,
 };
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
@@ -25,6 +28,7 @@ use crate::task::support::Support;
 use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -456,7 +460,9 @@ fn is_cancelled(cancel: &Option<Arc<AtomicBool>>) -> bool {
 }
 
 /// Run one map task over `split`. Spills made before the input ends run
-/// on a support thread of the attempt's own, joined before this returns.
+/// on a support thread of the attempt's own, and an unbudgeted merge on a
+/// helper thread beside the map thread; both are joined before this
+/// returns.
 pub fn run_map_task(
     job: &Arc<dyn Job>,
     split: &InputSplit,
@@ -595,28 +601,29 @@ fn run_attempt<'a, 's>(
     }
     let sw_merge = Stopwatch::start();
     let mut combine_in_merge_ns = 0u64;
-    let file = if path.spills.len() == 1 {
+    let (file, merge_total_ns) = if path.spills.len() == 1 {
         // A lone spill already is the map output: sorted, combined,
         // indexed by partition, and (when framed) encoded at the output's
         // frame size. Hadoop's `MapTask.mergeParts` renames it when
         // `numSpills == 1`; re-merging it would rewrite the same bytes.
-        path.spills.remove(0)
+        (path.spills.remove(0), sw_merge.elapsed_ns())
     } else {
         let out_path = cfg.spill_dir.join(format!("t{}_out.bin", cfg.task_id));
         let merge = SpillMerge {
             grouper: path.support.grouper(),
-            spills: &path.spills,
+            spills: std::mem::take(&mut path.spills).into(),
             num_partitions: cfg.num_partitions,
             fan_in: cfg.merge_fan_in,
+            frame_bytes: cfg.frame_bytes,
+            helper_store: cfg
+                .frame_bytes
+                .is_none()
+                .then(|| cfg.spill_dir.join(format!("t{}.merge", cfg.task_id))),
             combine_ns: &mut combine_in_merge_ns,
             peak_buffer_bytes: &mut peak_buffer_bytes,
         };
-        match cfg.frame_bytes {
-            Some(frame_bytes) => merge.framed(out_path, frame_bytes)?,
-            None => merge.records(out_path)?,
-        }
+        merge.run(scope, out_path)?
     };
-    let merge_total_ns = sw_merge.elapsed_ns();
     // Clamp so Merge + Combine == merge_total_ns exactly (combine time is
     // measured inside the merge stopwatch, so the clamp never bites in
     // practice; the trace's merge spans must tile the merge interval).
@@ -655,101 +662,252 @@ fn run_attempt<'a, 's>(
 }
 
 /// The merge of two or more spills (or none) into the map output, with the
-/// combiner applied again to each merged group. Intermediate passes append
-/// to the spills' store.
+/// combiner applied again to each merged group.
+///
+/// With a helper store, the partitions split into two contiguous halves
+/// balanced by spilled bytes: the map thread merges and writes the first
+/// while a helper thread merges the second with a grouper of its own, and
+/// the map thread writes the helper's partitions after its own, so the
+/// output is the one-thread merge's, byte for byte. Intermediate passes
+/// append to the spills' store, the helper's to its own.
 struct SpillMerge<'a, 'j> {
     /// The attempt's grouper.
     grouper: &'a mut Grouper<'j>,
-    spills: &'a [SpillFile],
+    spills: Arc<[SpillFile]>,
     num_partitions: usize,
     fan_in: usize,
+    /// Frame size of framed runs; `None` for record/blob partitions.
+    frame_bytes: Option<usize>,
+    /// Backing file of the helper's store; `None` merges on the map thread
+    /// alone, as a budgeted attempt must: a second framed merge would hold
+    /// another fan-in's frame windows, over the budget.
+    helper_store: Option<PathBuf>,
     /// Combiner time spent inside the merge.
     combine_ns: &'a mut u64,
-    /// The task's residency high-water mark, raised by the merge's runs.
+    /// The task's residency high-water mark, raised by the merge's runs:
+    /// both threads' at once, plus the helper's partitions held for
+    /// writing.
     peak_buffer_bytes: &'a mut u64,
 }
 
-impl SpillMerge<'_, '_> {
-    /// Record/blob spills into record/blob partitions, each merged whole
-    /// into a buffer (see [`merge_partition`]) and written as one blob.
-    fn records(self, out: PathBuf) -> io::Result<SpillFile> {
+/// One record/blob partition merged whole, from spill runs of
+/// `runs_bytes` held at once.
+struct MergedPart {
+    part: usize,
+    bytes: Vec<u8>,
+    records: u64,
+    combine_ns: u64,
+    runs_bytes: u64,
+}
+
+/// The helper's merged partitions, held for the map thread to write, and
+/// what merging them cost.
+#[derive(Default)]
+struct Half {
+    parts: Vec<MergedPart>,
+    work_ns: u64,
+    combine_ns: u64,
+    peak_bytes: u64,
+}
+
+impl<'j> SpillMerge<'_, 'j> {
+    /// Merge into a new output store at `out`, a helper (if any) running in
+    /// `scope`; the output and both threads' merge time, as one thread
+    /// would have spent it.
+    fn run<'s>(mut self, scope: &'s Scope<'s, 'j>, out: PathBuf) -> io::Result<(SpillFile, u64)> {
+        let sw = Stopwatch::start();
         let mut writer = SpillFile::create(out)?;
-        // No spills (empty input): an empty output.
-        let Some(store) = self.spills.first().map(SpillFile::store) else {
-            return writer.finish();
-        };
-        for part in 0..self.num_partitions {
-            let runs: Vec<Vec<u8>> = self
-                .spills
-                .iter()
-                .map(|s| s.read_partition(part))
-                .collect::<io::Result<_>>()?;
-            if runs.iter().all(|r| r.is_empty()) {
-                continue;
-            }
-            let resident: usize = runs.iter().map(Vec::len).sum();
-            *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident as u64);
-            // Bound the final pass's fan-in, merging through the spill store as
-            // Hadoop does when spills exceed io.sort.factor.
-            let (bytes, records, combine_ns) =
-                merge_partition(runs, self.grouper, self.fan_in, store)?;
-            *self.combine_ns = self.combine_ns.saturating_add(combine_ns);
-            writer.write_raw_partition(part, &bytes, records)?;
+        if let Some(frame_bytes) = self.frame_bytes {
+            writer = writer.framed(frame_bytes);
         }
-        writer.finish()
+        // No spills (empty input): an empty output.
+        let Some(store) = self.spills.first().map(|s| Arc::clone(s.store())) else {
+            return Ok((writer.finish()?, sw.elapsed_ns()));
+        };
+        let parts = self.num_partitions;
+        let cut = self
+            .helper_store
+            .as_ref()
+            .map_or(parts, |_| self.balanced_cut());
+        let helper = self
+            .helper_store
+            .take()
+            .filter(|_| cut < parts)
+            .map(|path| {
+                let (job, order) = (self.grouper.job(), self.grouper.order());
+                let (spills, fan_in) = (Arc::clone(&self.spills), self.fan_in);
+                scope.spawn(move || merge_half(job, order, &spills, cut..parts, fan_in, path))
+            });
+        let mut held = 0;
+        let mine: io::Result<()> = (0..cut).try_for_each(|part| {
+            held = held.max(self.merge_into(part, &mut writer, &store)?);
+            Ok(())
+        });
+        // Join before anything can return: a helper that panicked resumes
+        // its panic here.
+        let waited = Stopwatch::start();
+        let theirs = helper.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        let waited_ns = waited.elapsed_ns();
+        mine?;
+        let mut helper_ns = 0;
+        if let Some(half) = theirs.transpose()? {
+            for p in &half.parts {
+                writer.write_raw_partition(p.part, &p.bytes, p.records)?;
+            }
+            helper_ns = half.work_ns;
+            *self.combine_ns = self.combine_ns.saturating_add(half.combine_ns);
+            held += half.peak_bytes;
+        }
+        *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(held);
+        *self.combine_ns = self
+            .combine_ns
+            .saturating_add(self.grouper.take_combine_ns());
+        let file = writer.finish()?;
+        Ok((
+            file,
+            (sw.elapsed_ns() - waited_ns).saturating_add(helper_ns),
+        ))
     }
 
-    /// Framed spills into framed partitions, each merged through
-    /// one-frame windows and written a frame at a time. The final merge
-    /// orders by the comparator.
-    fn framed(self, out: PathBuf, frame_bytes: usize) -> io::Result<SpillFile> {
-        let grouper = self.grouper;
+    /// The first partition of the helper's half: the cut that best
+    /// balances the halves' spilled bytes, leaving bytes on both sides;
+    /// `num_partitions` when none does.
+    fn balanced_cut(&self) -> usize {
+        let bytes = |part| -> u64 {
+            let entries = self.spills.iter().filter_map(|s| s.part_index(part));
+            entries.map(|e| e.len).sum()
+        };
+        let total: u64 = (0..self.num_partitions).map(bytes).sum();
+        let mut first = 0;
+        (1..self.num_partitions)
+            .filter_map(|cut| {
+                first += bytes(cut - 1);
+                (first > 0 && first < total).then(|| (first.abs_diff(total - first), cut))
+            })
+            .min()
+            .map_or(self.num_partitions, |(_, cut)| cut)
+    }
+
+    /// Merge partition `part` on the map thread and write it; the bytes
+    /// the merge held at once.
+    fn merge_into(
+        &mut self,
+        part: usize,
+        writer: &mut SpillFileWriter,
+        store: &Arc<Store>,
+    ) -> io::Result<u64> {
+        let Some(frame_bytes) = self.frame_bytes else {
+            let merged = merge_records(&self.spills, part, self.grouper, self.fan_in, store)?;
+            let Some(p) = merged else { return Ok(0) };
+            writer.write_raw_partition(part, &p.bytes, p.records)?;
+            *self.combine_ns = self.combine_ns.saturating_add(p.combine_ns);
+            return Ok(p.runs_bytes);
+        };
+        // Framed runs merge through one-frame windows and are written a
+        // frame at a time; the final merge orders by the comparator.
+        if self.spills.iter().all(|s| s.frames(part).is_none()) {
+            return Ok(0);
+        }
+        let grouper = &mut *self.grouper;
         let job = grouper.job();
         let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
-        let mut writer = SpillFile::create(out)?.framed(frame_bytes);
-        // No spills (empty input): an empty output.
-        let Some(store) = self.spills.first().map(SpillFile::store) else {
-            return writer.finish();
-        };
-        for part in 0..self.num_partitions {
-            if self.spills.iter().all(|s| s.frames(part).is_none()) {
-                continue;
-            }
-            // Sources open lazily (batch by batch), so at most fan_in
-            // frame windows are live at once.
-            let sources: Vec<CursorSource<'_>> = self
-                .spills
-                .iter()
-                .map(|s| CursorSource::Spill { file: s, part })
-                .collect();
-            let multi = reduce_sources_to_fan_in(
-                sources,
-                job,
-                job.has_combiner(),
-                self.fan_in,
-                frame_bytes,
-                store,
-            )?;
-            *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
-            let mut cursors = multi.cursors;
-            let windows: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
-            writer.start_partition(part)?;
-            let mut written = Ok(());
-            merge_grouped_cursors(&mut cursors, &cmp, |key, values| {
-                grouper.combine(key, values, |v| {
-                    if written.is_ok() {
-                        written = writer.write_record(key, v);
-                    }
-                });
-            })?;
-            written?;
-            writer.end_partition()?;
-            let resident = (windows + writer.held_bytes()) as u64;
-            *self.peak_buffer_bytes = (*self.peak_buffer_bytes).max(resident.max(multi.peak_bytes));
-        }
-        *self.combine_ns = self.combine_ns.saturating_add(grouper.take_combine_ns());
-        writer.finish()
+        // Sources open lazily (batch by batch), so at most fan_in frame
+        // windows are live at once.
+        let sources: Vec<CursorSource<'_>> = self
+            .spills
+            .iter()
+            .map(|s| CursorSource::Spill { file: s, part })
+            .collect();
+        let multi = reduce_sources_to_fan_in(
+            sources,
+            job,
+            job.has_combiner(),
+            self.fan_in,
+            frame_bytes,
+            store,
+        )?;
+        *self.combine_ns = self.combine_ns.saturating_add(multi.combine_ns);
+        let mut cursors = multi.cursors;
+        let windows: usize = cursors.iter().map(FrameRunCursor::window_bytes).sum();
+        writer.start_partition(part)?;
+        let mut written = Ok(());
+        merge_grouped_cursors(&mut cursors, &cmp, |key, values| {
+            grouper.combine(key, values, |v| {
+                if written.is_ok() {
+                    written = writer.write_record(key, v);
+                }
+            });
+        })?;
+        written?;
+        writer.end_partition()?;
+        Ok(((windows + writer.held_bytes()) as u64).max(multi.peak_bytes))
     }
+}
+
+/// Record/blob partition `part` of `spills` merged whole (see
+/// [`merge_partition`]), bounding the final pass's fan-in through `store`
+/// as Hadoop does when spills exceed io.sort.factor; `None` when every
+/// spill's partition is empty.
+fn merge_records(
+    spills: &[SpillFile],
+    part: usize,
+    grouper: &mut Grouper<'_>,
+    fan_in: usize,
+    store: &Store,
+) -> io::Result<Option<MergedPart>> {
+    let runs: Vec<Vec<u8>> = spills
+        .iter()
+        .map(|s| s.read_partition(part))
+        .collect::<io::Result<_>>()?;
+    if runs.iter().all(|r| r.is_empty()) {
+        return Ok(None);
+    }
+    let runs_bytes = runs.iter().map(|r| r.len() as u64).sum();
+    let (bytes, records, combine_ns) = merge_partition(runs, grouper, fan_in, store)?;
+    Ok(Some(MergedPart {
+        part,
+        bytes,
+        records,
+        combine_ns,
+        runs_bytes,
+    }))
+}
+
+/// The helper thread: record/blob partitions `parts` of `spills` merged by
+/// a grouper of `job`'s starting in `order`, its intermediate passes
+/// appended to a store at `store_path` (created by the first, removed on
+/// return). Its peak holds a partition's runs and the merged partitions
+/// before it. An I/O error names the store.
+fn merge_half(
+    job: &dyn Job,
+    order: MergeOrder,
+    spills: &[SpillFile],
+    parts: Range<usize>,
+    fan_in: usize,
+    store_path: PathBuf,
+) -> io::Result<Half> {
+    let sw = Stopwatch::start();
+    let store = Store::create(store_path);
+    let mut grouper = Grouper::new(job, job.has_combiner()).with_order(order);
+    let mut half = Half::default();
+    let mut held = 0;
+    for part in parts {
+        let merged = merge_records(spills, part, &mut grouper, fan_in, &store);
+        let named = |e: io::Error| {
+            let msg = format!("merging through {}: {e}", store.path().display());
+            io::Error::new(e.kind(), msg)
+        };
+        let Some(p) = merged.map_err(named)? else {
+            continue;
+        };
+        half.peak_bytes = half.peak_bytes.max(held + p.runs_bytes);
+        held += p.bytes.len() as u64;
+        half.combine_ns = half.combine_ns.saturating_add(p.combine_ns);
+        half.parts.push(p);
+    }
+    half.peak_bytes = half.peak_bytes.max(held);
+    half.work_ns = sw.elapsed_ns();
+    Ok(half)
 }
 
 #[cfg(test)]
@@ -761,6 +919,7 @@ mod tests {
     use crate::io::frame::DEFAULT_FRAME_BYTES;
     use crate::io::input::DEFAULT_INPUT_CHUNK;
     use crate::job::{Record, ValueCursor, ValueSink};
+    use crate::task::spill::spill_segment_into;
     use std::path::Path;
 
     struct WordSum;
@@ -1160,6 +1319,64 @@ mod tests {
         assert_eq!(output_counts(&out, 2)["a"], 2);
         drop(out);
         assert!(files_in(&dir).is_empty());
+    }
+
+    #[test]
+    fn a_merge_split_over_two_threads_writes_the_one_thread_output() {
+        let job = WordSum;
+        let dir = tmpdir().join("split-merge");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let parts = 12;
+        let store = Store::create(dir.join("t40.spills"));
+        let mut grouper = Grouper::new(&job, true);
+        let spills: Vec<SpillFile> = (0..48)
+            .map(|s| {
+                let mut seg = Segment::new();
+                for i in 0..60 {
+                    let key = format!("w{}", (s * 7 + i * 13) % 97);
+                    let part = job.partition(key.as_bytes(), parts);
+                    seg.push(part, key.as_bytes(), &encode_u64(1));
+                }
+                spill_segment_into(&seg, &mut grouper, &store, None)
+                    .unwrap()
+                    .file
+            })
+            .collect();
+        let spills: Arc<[SpillFile]> = spills.into();
+        let merge = |helper: bool, out: &str| {
+            let mut peak = 0;
+            let (file, _) = std::thread::scope(|scope| {
+                SpillMerge {
+                    grouper: &mut Grouper::new(&job, true),
+                    spills: Arc::clone(&spills),
+                    num_partitions: parts,
+                    fan_in: 5,
+                    frame_bytes: None,
+                    helper_store: helper.then(|| dir.join("t40.merge")),
+                    combine_ns: &mut 0,
+                    peak_buffer_bytes: &mut peak,
+                }
+                .run(scope, dir.join(out))
+                .unwrap()
+            });
+            (file, peak)
+        };
+        let (one, one_peak) = merge(false, "one.bin");
+        let (two, two_peak) = merge(true, "two.bin");
+        assert_eq!(one.index().len(), parts);
+        assert_eq!(one.index(), two.index());
+        assert_eq!(one.total_records(), two.total_records());
+        for part in 0..parts {
+            assert_eq!(
+                one.read_partition(part).unwrap(),
+                two.read_partition(part).unwrap(),
+                "partition {part}"
+            );
+        }
+        // Both threads' buffers count at once.
+        assert!(two_peak > one_peak);
+        assert!(!dir.join("t40.merge").exists());
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!    the attempt naming the store file; a cancel returns `Cancelled` with
 //!    the thread joined and nothing left on disk; a panicking combiner's
 //!    panic reaches the caller.
+//! 4. The merge's helper thread, which merges the second half of the
+//!    partitions: a panicking combiner there resumes on the caller, and an
+//!    I/O error in its store names the store and leaves nothing behind.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -59,6 +62,9 @@ struct Probe {
     cancel_at: Option<(u64, Arc<AtomicBool>)>,
     /// Combine calls panic.
     combine_panics: bool,
+    /// Combine calls panic off the map thread when they see a value that
+    /// is already combined (a merge's, not a spill's).
+    merge_helper_panics: bool,
 }
 
 /// Word count over keys `k0000`…`k0009`, one word per line, with the
@@ -101,6 +107,8 @@ impl Job for Counting {
             .unwrap()
             .insert(std::thread::current().id());
         assert!(!p.combine_panics, "combiner exploded");
+        let id = std::thread::current().id();
+        let off_map_thread = !p.map_threads.lock().unwrap().contains(&id);
         if p.combine_waits && !p.combining.swap(true, Ordering::SeqCst) {
             let seen = p.mapped.load(Ordering::SeqCst);
             let passed = wait_for(|| p.mapped.load(Ordering::SeqCst) > seen);
@@ -108,9 +116,16 @@ impl Job for Counting {
         }
         std::thread::sleep(p.combine_sleep);
         let mut sum = 0;
+        let mut merging = false;
         while let Some(v) = values.next() {
-            sum += decode_u64(v).unwrap();
+            let n = decode_u64(v).unwrap();
+            merging |= n > 1;
+            sum += n;
         }
+        assert!(
+            !(p.merge_helper_panics && merging && off_map_thread),
+            "merge helper's combiner exploded"
+        );
         out.push(&encode_u64(sum));
         p.in_combine.fetch_sub(1, Ordering::SeqCst);
     }
@@ -311,4 +326,63 @@ fn a_panicking_combiner_reaches_the_caller() {
         .iter()
         .all(|t| !probe.map_threads.lock().unwrap().contains(t)));
     assert!(files_in(&dir).is_empty());
+}
+
+/// A two-partition [`config`] whose 8 spills merge through intermediate
+/// passes: the map thread merges partition 0, a helper partition 1.
+fn split_merge_config(dir: &Path) -> MapTaskConfig {
+    let mut cfg = config(dir, 100);
+    cfg.num_partitions = 2;
+    cfg.merge_fan_in = 2;
+    cfg
+}
+
+#[test]
+fn a_panicking_combiner_in_the_merge_helper_reaches_the_caller() {
+    let dir = scratch("merge-panic");
+    let probe = Arc::new(Probe {
+        merge_helper_panics: true,
+        ..Probe::default()
+    });
+    let result = std::panic::catch_unwind(|| run(&probe, 400, split_merge_config(&dir)));
+    let panic = result.expect_err("the helper's panic");
+    let message = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains("merge helper's combiner exploded"),
+        "{message}"
+    );
+    assert_eq!(probe.mapped.load(Ordering::SeqCst), 400);
+    assert!(files_in(&dir).is_empty(), "{:?}", files_in(&dir));
+}
+
+#[test]
+fn a_merge_helper_io_error_names_its_store_and_leaves_nothing() {
+    // A directory stands where the helper's store would go: its first
+    // intermediate pass cannot create the file.
+    let dir = scratch("merge-io");
+    let blocker = dir.join("t7.merge");
+    std::fs::create_dir(&blocker).unwrap();
+    let probe = Arc::new(Probe::default());
+    match run(&probe, 400, split_merge_config(&dir)) {
+        Err(TaskError::Io(e)) => {
+            assert!(
+                e.to_string().contains(&blocker.display().to_string()),
+                "{e}"
+            );
+        }
+        other => panic!("want an I/O error, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(files_in(&dir), vec![blocker.clone()]);
+    assert!(files_in(&blocker).is_empty());
+
+    // Without the blocker the same attempt merges on both threads.
+    std::fs::remove_dir(&blocker).unwrap();
+    let (out, prof) = run(&Arc::new(Probe::default()), 400, split_merge_config(&dir)).unwrap();
+    assert_eq!(prof.spills.len(), 8);
+    assert_eq!(out.file.index().len(), 2);
+    assert_eq!(out.file.total_records(), 10);
 }
