@@ -133,6 +133,9 @@ pub trait Job: Send + Sync {
     }
 
     /// The reduce function: called once per unique key with all its values.
+    /// Calls for different keys of one partition may run concurrently, on
+    /// the two threads of a large partition's attempt; each key is still
+    /// reduced once.
     fn reduce(&self, key: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit);
 
     /// Key ordering used by sort/merge/group. Defaults to bytewise

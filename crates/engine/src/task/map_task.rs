@@ -24,7 +24,7 @@ use crate::task::merge::{
 use crate::task::pipeline::{Admission, Pipeline};
 use crate::task::segment::Segment;
 use crate::task::spill::SpillOutcome;
-use crate::task::support::Support;
+use crate::task::support::{beside, merging_through, Support};
 use crate::task::TaskError;
 use crate::trace::MapTraceRecorder;
 use std::io;
@@ -666,10 +666,11 @@ fn run_attempt<'a, 's>(
 ///
 /// With a helper store, the partitions split into two contiguous halves
 /// balanced by spilled bytes: the map thread merges and writes the first
-/// while a helper thread merges the second with a grouper of its own, and
-/// the map thread writes the helper's partitions after its own, so the
-/// output is the one-thread merge's, byte for byte. Intermediate passes
-/// append to the spills' store, the helper's to its own.
+/// while a helper thread merges the second with a grouper of its own into
+/// its store, and the map thread copies the helper's partitions after its
+/// own, so the output is the one-thread merge's, byte for byte.
+/// Intermediate passes append to the spills' store, the helper's to its
+/// own.
 struct SpillMerge<'a, 'j> {
     /// The attempt's grouper.
     grouper: &'a mut Grouper<'j>,
@@ -685,27 +686,24 @@ struct SpillMerge<'a, 'j> {
     /// Combiner time spent inside the merge.
     combine_ns: &'a mut u64,
     /// The task's residency high-water mark, raised by the merge's runs:
-    /// both threads' at once, plus the helper's partitions held for
-    /// writing.
+    /// both threads' at once.
     peak_buffer_bytes: &'a mut u64,
 }
 
 /// One record/blob partition merged whole, from spill runs of
 /// `runs_bytes` held at once.
 struct MergedPart {
-    part: usize,
     bytes: Vec<u8>,
     records: u64,
     combine_ns: u64,
     runs_bytes: u64,
 }
 
-/// The helper's merged partitions, held for the map thread to write, and
-/// what merging them cost.
-#[derive(Default)]
+/// The helper's merged partitions, `(part, offset, bytes, records)` in
+/// its store, and what merging them cost.
 struct Half {
-    parts: Vec<MergedPart>,
-    work_ns: u64,
+    store: Arc<Store>,
+    parts: Vec<(usize, u64, usize, u64)>,
     combine_ns: u64,
     peak_bytes: u64,
 }
@@ -736,25 +734,25 @@ impl<'j> SpillMerge<'_, 'j> {
             .map(|path| {
                 let (job, order) = (self.grouper.job(), self.grouper.order());
                 let (spills, fan_in) = (Arc::clone(&self.spills), self.fan_in);
-                scope.spawn(move || merge_half(job, order, &spills, cut..parts, fan_in, path))
+                move || merge_half(job, order, &spills, cut..parts, fan_in, path)
             });
         let mut held = 0;
-        let mine: io::Result<()> = (0..cut).try_for_each(|part| {
-            held = held.max(self.merge_into(part, &mut writer, &store)?);
-            Ok(())
+        let (mine, theirs, overlap) = beside(scope, helper, || {
+            (0..cut).try_for_each(|part| {
+                held = held.max(self.merge_into(part, &mut writer, &store)?);
+                Ok::<_, io::Error>(())
+            })
         });
-        // Join before anything can return: a helper that panicked resumes
-        // its panic here.
-        let waited = Stopwatch::start();
-        let theirs = helper.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        let waited_ns = waited.elapsed_ns();
         mine?;
-        let mut helper_ns = 0;
         if let Some(half) = theirs.transpose()? {
-            for p in &half.parts {
-                writer.write_raw_partition(p.part, &p.bytes, p.records)?;
+            let mut bytes = Vec::new();
+            for &(part, at, len, records) in &half.parts {
+                bytes.resize(len, 0);
+                half.store
+                    .read_at(at, &mut bytes)
+                    .map_err(merging_through(&half.store))?;
+                writer.write_raw_partition(part, &bytes, records)?;
             }
-            helper_ns = half.work_ns;
             *self.combine_ns = self.combine_ns.saturating_add(half.combine_ns);
             held += half.peak_bytes;
         }
@@ -763,10 +761,7 @@ impl<'j> SpillMerge<'_, 'j> {
             .combine_ns
             .saturating_add(self.grouper.take_combine_ns());
         let file = writer.finish()?;
-        Ok((
-            file,
-            (sw.elapsed_ns() - waited_ns).saturating_add(helper_ns),
-        ))
+        Ok((file, overlap.work_ns(sw.elapsed_ns())))
     }
 
     /// The first partition of the helper's half: the cut that best
@@ -865,7 +860,6 @@ fn merge_records(
     let runs_bytes = runs.iter().map(|r| r.len() as u64).sum();
     let (bytes, records, combine_ns) = merge_partition(runs, grouper, fan_in, store)?;
     Ok(Some(MergedPart {
-        part,
         bytes,
         records,
         combine_ns,
@@ -874,10 +868,10 @@ fn merge_records(
 }
 
 /// The helper thread: record/blob partitions `parts` of `spills` merged by
-/// a grouper of `job`'s starting in `order`, its intermediate passes
-/// appended to a store at `store_path` (created by the first, removed on
-/// return). Its peak holds a partition's runs and the merged partitions
-/// before it. An I/O error names the store.
+/// a grouper of `job`'s starting in `order`, each appended, like its
+/// intermediate passes, to a store at `store_path` (created by the first
+/// append, removed with the returned half). Its peak holds one
+/// partition's runs or merged bytes. An I/O error names the store.
 fn merge_half(
     job: &dyn Job,
     order: MergeOrder,
@@ -886,27 +880,23 @@ fn merge_half(
     fan_in: usize,
     store_path: PathBuf,
 ) -> io::Result<Half> {
-    let sw = Stopwatch::start();
     let store = Store::create(store_path);
     let mut grouper = Grouper::new(job, job.has_combiner()).with_order(order);
-    let mut half = Half::default();
-    let mut held = 0;
+    let mut half = Half {
+        store: Arc::clone(&store),
+        parts: Vec::new(),
+        combine_ns: 0,
+        peak_bytes: 0,
+    };
     for part in parts {
-        let merged = merge_records(spills, part, &mut grouper, fan_in, &store);
-        let named = |e: io::Error| {
-            let msg = format!("merging through {}: {e}", store.path().display());
-            io::Error::new(e.kind(), msg)
-        };
-        let Some(p) = merged.map_err(named)? else {
-            continue;
-        };
-        half.peak_bytes = half.peak_bytes.max(held + p.runs_bytes);
-        held += p.bytes.len() as u64;
+        let merged = merge_records(spills, part, &mut grouper, fan_in, &store)
+            .and_then(|p| p.map(|p| Ok((store.append(&p.bytes)?, p))).transpose())
+            .map_err(merging_through(&store))?;
+        let Some((at, p)) = merged else { continue };
+        half.peak_bytes = half.peak_bytes.max(p.runs_bytes.max(p.bytes.len() as u64));
         half.combine_ns = half.combine_ns.saturating_add(p.combine_ns);
-        half.parts.push(p);
+        half.parts.push((part, at, p.bytes.len(), p.records));
     }
-    half.peak_bytes = half.peak_bytes.max(held);
-    half.work_ns = sw.elapsed_ns();
     Ok(half)
 }
 

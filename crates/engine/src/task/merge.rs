@@ -324,13 +324,15 @@ fn head_before(cmp: &dyn Fn(&[u8], &[u8]) -> Ordering, a: Option<&[u8]>, b: Opti
 /// Records inside each run must already be sorted by `cmp`; this is
 /// guaranteed for spill files and map outputs produced by this engine. A
 /// run whose bytes stop decoding before its end fails the merge with an
-/// `InvalidData` error naming the run and the byte offset.
-pub fn merge_grouped<'a, F>(
-    runs: &'a [Vec<u8>],
+/// `InvalidData` error naming the run and the byte offset. Runs may be
+/// owned or borrowed (any `AsRef<[u8]>`).
+pub fn merge_grouped<'a, R, F>(
+    runs: &'a [R],
     cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
     on_group: F,
 ) -> io::Result<()>
 where
+    R: AsRef<[u8]>,
     F: FnMut(&'a [u8], &[&'a [u8]]),
 {
     merge_words(runs, false, cmp, None, on_group).map(drop)
@@ -343,21 +345,22 @@ type KeyCmp<'c> = dyn Fn(&[u8], &[u8]) -> Ordering + 'c;
 /// `packed`, else all [`TIED`]) and ties of [`TIED`] words by `tie`. With
 /// `check`, stops with `Ok(false)` at the first group key that `check`
 /// does not put strictly after the previous group key.
-fn merge_words<'a, T, F>(
-    runs: &'a [Vec<u8>],
+fn merge_words<'a, R, T, F>(
+    runs: &'a [R],
     packed: bool,
     tie: T,
     check: Option<&KeyCmp<'_>>,
     mut on_group: F,
 ) -> io::Result<bool>
 where
+    R: AsRef<[u8]>,
     T: Fn(&[u8], &[u8]) -> Ordering,
     F: FnMut(&'a [u8], &[&'a [u8]]),
 {
     let mut cursors: Vec<Cursor<'a>> = runs
         .iter()
         .enumerate()
-        .map(|(i, r)| Cursor::new(i, r, packed))
+        .map(|(i, r)| Cursor::new(i, r.as_ref(), packed))
         .collect::<io::Result<_>>()?;
     let before = |c: &[Cursor<'a>], a: usize, b: usize| {
         word_before((c[a].word, c[a].key), (c[b].word, c[b].key), &tie)
@@ -394,9 +397,9 @@ where
 
 /// Outcome of reducing a run set to a bounded fan-in (multi-pass merge).
 #[derive(Debug)]
-pub struct MultiPassOutcome {
+pub struct MultiPassOutcome<R = Vec<u8>> {
     /// The surviving runs (≤ fan_in of them), each sorted.
-    pub runs: Vec<Vec<u8>>,
+    pub runs: Vec<R>,
     /// Estimated time in the user's combiner during intermediate passes
     /// (ns).
     pub combine_ns: u64,
@@ -430,19 +433,20 @@ pub fn reduce_to_fan_in(
 /// the grouper's [`MergeOrder`], and a packed pass that the comparator
 /// disagrees with is redone in comparator order, which the grouper keeps.
 /// The outcome's `combine_ns` takes the grouper's untaken combine time.
-pub fn reduce_to_fan_in_with(
-    mut runs: Vec<Vec<u8>>,
+/// Runs may be borrowed (e.g. `Cow<[u8]>`): each pass's output is owned.
+pub fn reduce_to_fan_in_with<R: AsRef<[u8]> + From<Vec<u8>>>(
+    mut runs: Vec<R>,
     grouper: &mut Grouper<'_>,
     fan_in: usize,
     store: &Store,
-) -> io::Result<MultiPassOutcome> {
+) -> io::Result<MultiPassOutcome<R>> {
     let fan_in = fan_in.max(2);
     let mut io_ns = 0u64;
     let mut passes = 0usize;
     while runs.len() > fan_in {
         passes += 1;
-        let batch: Vec<Vec<u8>> = runs.drain(..fan_in).collect();
-        let mut merged = Vec::with_capacity(batch.iter().map(|r| r.len()).sum());
+        let batch: Vec<R> = runs.drain(..fan_in).collect();
+        let mut merged = Vec::with_capacity(batch.iter().map(|r| r.as_ref().len()).sum());
         merge_combined(&batch, grouper, &mut merged)?;
         // Round-trip through the store, as Hadoop's intermediate merge
         // outputs go through disk; the cost is real.
@@ -450,7 +454,7 @@ pub fn reduce_to_fan_in_with(
         let at = store.append(&merged)?;
         store.read_at(at, &mut merged)?;
         io_ns = io_ns.saturating_add(sw.elapsed_ns());
-        runs.push(merged);
+        runs.push(R::from(merged));
     }
     Ok(MultiPassOutcome {
         runs,
@@ -464,8 +468,8 @@ pub fn reduce_to_fan_in_with(
 /// records to `out` (cleared first); returns the record count. A packed
 /// merge that the comparator disagrees with is discarded and redone in
 /// comparator order, which the grouper keeps.
-fn merge_combined(
-    runs: &[Vec<u8>],
+fn merge_combined<R: AsRef<[u8]>>(
+    runs: &[R],
     grouper: &mut Grouper<'_>,
     out: &mut Vec<u8>,
 ) -> io::Result<u64> {

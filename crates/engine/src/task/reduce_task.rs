@@ -8,7 +8,22 @@
 //! virtual time comes from a contention-aware per-node NIC model — with one
 //! fetcher it degenerates to the sequential independent-flow accounting,
 //! which is where the EC2 configuration's shuffle penalty enters (Table IV).
+//!
+//! An unbudgeted (record/blob) attempt whose fetched runs hold at least
+//! 1 MiB splits its key range at one splitter key, the key at the byte
+//! midpoint of the largest run. The reduce thread merges and reduces the
+//! keys below it; a helper spawned in the attempt's scope (the fetchers
+//! already joined) does the rest with its own grouper, sink and store
+//! (`r{partition}.merge`); its pairs, written flat and made into pairs
+//! after the join, follow the reduce thread's. Both sides keep every run
+//! index, so the output is the one-thread reduce's, byte for byte. The
+//! post-shuffle virtual leg and the reduce ops are the sum of both
+//! threads' work, as Hadoop's one-thread reduce would spend it. A
+//! budgeted (framed) attempt, or one under the floor, reduces on one
+//! thread through the same loop: two cursor merges would hold twice the
+//! frame windows, and a smaller partition cannot pay for a thread.
 
+use crate::codec::read_record;
 use crate::fault::FaultPlan;
 use crate::io::frame::{scan_frames, RunHandle};
 use crate::io::store::Store;
@@ -21,7 +36,10 @@ use crate::task::merge::{
     merge_grouped, merge_grouped_cursors, reduce_sources_to_fan_in, reduce_to_fan_in_with,
     CursorSource, Grouper,
 };
+use crate::task::support::{beside, merging_through};
 use crate::task::TaskError;
+use std::borrow::Cow;
+use std::cmp::Ordering as CmpOrdering;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,21 +64,31 @@ pub struct ReduceResult {
     pub post_parts: [u64; 4],
 }
 
-/// Output sink: collects the pairs, counts their serialized bytes, and
-/// times a counter-chosen sample of its calls (see [`SampledCost`]) so
-/// that write cost is measured apart from user reduce time.
+/// Output sink: collects the pairs (a split attempt's helper writes them
+/// flat instead), counts their serialized bytes, and times a
+/// counter-chosen sample of its calls (see [`SampledCost`]) so that write
+/// cost is measured apart from user reduce time.
 #[derive(Default)]
 struct ReduceSink {
     pairs: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The helper's pairs as serialized records, made into pairs on the
+    /// reduce thread after the join: pairs allocated on the helper stay in
+    /// its allocator arena, ≈ ×1.1 the join's peak RSS.
+    flat: Option<Vec<u8>>,
+    emitted: u64,
     output_bytes: u64,
     write_cost: SampledCost,
 }
 
 impl Emit for ReduceSink {
     fn emit(&mut self, key: &[u8], value: &[u8]) {
-        let sw = SampledCost::start(self.pairs.len() as u64 + 1);
+        self.emitted += 1;
+        let sw = SampledCost::start(self.emitted);
         self.output_bytes += crate::codec::record_len(key.len(), value.len()) as u64;
-        self.pairs.push((key.to_vec(), value.to_vec()));
+        match &mut self.flat {
+            Some(flat) => crate::codec::write_record(flat, key, value),
+            None => self.pairs.push((key.to_vec(), value.to_vec())),
+        }
         if let Some(sw) = sw {
             self.write_cost.record(sw.elapsed_ns());
         }
@@ -107,18 +135,158 @@ fn is_cancelled(cancel: &Option<Arc<AtomicBool>>) -> bool {
     cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
 }
 
-/// Why the group loop stopped before draining every key group.
-enum Abort {
-    Injected,
-    Cancelled,
+/// Fetched bytes from which an unbudgeted reduce splits its key range
+/// over two threads: below about this, a thread cannot pay for itself.
+const SPLIT_FLOOR_BYTES: u64 = 1 << 20;
+
+/// One thread's share of a reduce attempt: its sink, its groups, their
+/// sampled costs, and whether it stopped early.
+struct Reducer<'a> {
+    job: &'a dyn Job,
+    cfg: &'a ReduceTaskConfig,
+    /// Set by either thread of the attempt when it stops early; the other
+    /// stops at its next poll.
+    stop: &'a AtomicBool,
+    sink: ReduceSink,
+    reduce_cost: SampledCost,
+    groups: u64,
+    input_records: u64,
+    combine_ns: u64,
+    peak_bytes: u64,
+    aborted: bool,
 }
 
-/// Run one reduce task against all map outputs.
+impl<'a> Reducer<'a> {
+    fn new(job: &'a dyn Job, cfg: &'a ReduceTaskConfig, stop: &'a AtomicBool) -> Self {
+        Reducer {
+            job,
+            cfg,
+            stop,
+            sink: ReduceSink::default(),
+            reduce_cost: SampledCost::default(),
+            groups: 0,
+            input_records: 0,
+            combine_ns: 0,
+            peak_bytes: 0,
+            aborted: false,
+        }
+    }
+
+    /// Merge `runs` (each fetched run, or one side of its key range, in
+    /// fetch order) down to the fan-in through `store`, then merge them
+    /// once more and reduce each group: spooled as one-frame windows when
+    /// `frame_bytes` is given, in memory otherwise.
+    fn reduce_runs(
+        &mut self,
+        runs: Vec<Cow<'_, [u8]>>,
+        frame_bytes: Option<usize>,
+        store: &Arc<Store>,
+    ) -> io::Result<()> {
+        let (job, fan_in) = (self.job, self.cfg.merge_fan_in);
+        // Comparator order: `reduce()` runs per group and cannot be redone.
+        let cmp = |a: &[u8], b: &[u8]| job.compare_keys(a, b);
+        let Some(frame_bytes) = frame_bytes else {
+            self.peak_bytes = runs.iter().map(|r| r.len() as u64).sum();
+            let mut grouper = Grouper::new(job, job.has_combiner());
+            let multi = reduce_to_fan_in_with(runs, &mut grouper, fan_in, store)?;
+            self.combine_ns = multi.combine_ns;
+            return merge_grouped(&multi.runs, &cmp, |k, vs| self.on_group(k, vs));
+        };
+        // Spool each fetched (stored, compressed) run into the store and
+        // drop the in-memory copies; every later pass reads one-frame
+        // windows, so at most `fan_in` windows and one frame being
+        // written are resident.
+        let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
+        for run in &runs {
+            let metas = scan_frames(run).map_err(io::Error::from)?;
+            sources.push(CursorSource::Stored(RunHandle::append(
+                store, run, metas, 0,
+            )?));
+        }
+        drop(runs);
+        let multi =
+            reduce_sources_to_fan_in(sources, job, job.has_combiner(), fan_in, frame_bytes, store)?;
+        self.combine_ns = multi.combine_ns;
+        let mut cursors = multi.cursors;
+        let windows: u64 = cursors.iter().map(|c| c.window_bytes() as u64).sum();
+        self.peak_bytes = windows.max(multi.peak_bytes);
+        merge_grouped_cursors(&mut cursors, &cmp, |k, vs| self.on_group(k, vs))
+    }
+
+    /// Reduce one group, unless this thread stopped. The merge drives a
+    /// callback and cannot early-return, so a stop skips the remaining
+    /// groups' user work instead: at the `fail_after_groups`-th group of
+    /// this thread, or at a poll (every 64 groups) that finds the attempt
+    /// cancelled or the other thread stopped.
+    fn on_group(&mut self, key: &[u8], values: &[&[u8]]) {
+        if self.aborted {
+            return;
+        }
+        self.input_records += values.len() as u64;
+        let sw_r = SampledCost::start_or_first(self.groups + 1);
+        self.job
+            .reduce(key, &mut SliceValues::new(values), &mut self.sink);
+        if let Some(sw_r) = sw_r {
+            self.reduce_cost
+                .record_call(self.groups + 1, sw_r.elapsed_ns());
+        }
+        self.groups += 1;
+        self.aborted = self.cfg.fail_after_groups == Some(self.groups)
+            || (self.groups.is_multiple_of(64)
+                && (is_cancelled(&self.cfg.cancel) || self.stop.load(Ordering::Relaxed)));
+        if self.aborted {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Where each of `runs` splits for two threads: the byte offset of its
+/// first record that `compare_keys` does not put below the splitter, the
+/// key at the byte midpoint of the largest run (never its first record).
+/// `None` when that run holds fewer than two records.
+fn split_offsets(job: &dyn Job, runs: &[Vec<u8>]) -> Option<Vec<usize>> {
+    let largest = runs.iter().max_by_key(|r| r.len())?;
+    let mut pos = 0;
+    read_record(largest, &mut pos)?;
+    let splitter = loop {
+        let (key, _) = read_record(largest, &mut pos)?;
+        if pos > largest.len() / 2 {
+            break key;
+        }
+    };
+    let offset = |run: &[u8]| {
+        let mut pos = 0;
+        loop {
+            let at = pos;
+            match read_record(run, &mut pos) {
+                Some((key, _)) if job.compare_keys(key, splitter) == CmpOrdering::Less => {}
+                _ => return at,
+            }
+        }
+    };
+    Some(runs.iter().map(|r| offset(r)).collect())
+}
+
+/// Run one reduce task against all map outputs. A partition of at least
+/// 1 MiB of record/blob runs is reduced on two threads (see the module
+/// doc).
 pub fn run_reduce_task(
     job: &Arc<dyn Job>,
     map_outputs: &[MapOutput],
     net: &NetworkConfig,
     cfg: &ReduceTaskConfig,
+) -> Result<ReduceResult, TaskError> {
+    reduce_attempt(job.as_ref(), map_outputs, net, cfg, SPLIT_FLOOR_BYTES)
+}
+
+/// [`run_reduce_task`], splitting record/blob partitions of at least
+/// `split_floor` fetched bytes.
+fn reduce_attempt(
+    job: &dyn Job,
+    map_outputs: &[MapOutput],
+    net: &NetworkConfig,
+    cfg: &ReduceTaskConfig,
+    split_floor: u64,
 ) -> Result<ReduceResult, TaskError> {
     let partition = cfg.partition;
     let mut ops = OpTimes::new();
@@ -128,7 +296,8 @@ pub fn run_reduce_task(
 
     // ---- shuffle fetch (see crate::shuffle) ----------------------------------
     // Network virtual time pays for the bytes as stored (framed runs stay
-    // compressed until the merge decodes them).
+    // compressed until the merge decodes them). The fetchers are joined
+    // before it returns.
     let fetched = run_shuffle(
         map_outputs,
         partition,
@@ -148,101 +317,99 @@ pub fn run_reduce_task(
     let flow_inputs = fetched.inputs;
     let shuffle = fetched.stats;
 
-    let framed = map_outputs.iter().any(|m| m.framed);
     let sw_all = Stopwatch::start();
-    let peak_buffer_bytes;
-    let mut sink = ReduceSink::default();
-    // Reduce calls are timed like combine calls (see `Grouper`): one in
-    // 16 and the first.
-    let mut reduce_cost = SampledCost::default();
-    let mut input_records = 0u64;
-    let intermediate_combine_ns;
-    // Group-fault / cancellation bookkeeping: the merge drives a callback
-    // and cannot early-return, so the callback records the abort and skips
-    // the remaining groups' user work instead.
-    let mut groups_done = 0u64;
-    let mut aborted: Option<Abort> = None;
+    let frame_bytes = map_outputs
+        .iter()
+        .any(|m| m.framed)
+        .then_some(cfg.frame_bytes);
+    // A framed (budgeted) merge stays on one thread: two cursor merges
+    // would hold 2 × (fan-in + 1) frame windows.
+    let fetched_bytes: u64 = runs.iter().map(|r| r.len() as u64).sum();
+    let offsets = (frame_bytes.is_none() && fetched_bytes >= split_floor)
+        .then(|| split_offsets(job, &runs))
+        .flatten();
+    // Each side keeps every run index, empty or not, so its passes batch
+    // the runs as the one-thread merge does and each group's values
+    // arrive in the same order.
+    let (mine, theirs): (Vec<Cow<'_, [u8]>>, _) = match &offsets {
+        Some(offsets) => {
+            let (below, rest) = runs
+                .iter()
+                .zip(offsets)
+                .map(|(run, &at)| (Cow::Borrowed(&run[..at]), Cow::Borrowed(&run[at..])))
+                .unzip();
+            (below, Some(rest))
+        }
+        None => (runs.into_iter().map(Cow::Owned).collect(), None),
+    };
+    let stop = AtomicBool::new(false);
+    let mut reducer = Reducer::new(job, cfg, &stop);
     // Created on its first append: a merge with no intermediate pass and
     // nothing to spool touches no file.
     let store = Store::create(cfg.scratch_dir.join(format!("r{partition}.store")));
-    let mut on_group = |key: &[u8], values: &[&[u8]]| {
-        if aborted.is_some() {
-            return;
+    // An error on either thread stops the other at its next poll.
+    let stopped = |_: &io::Error| stop.store(true, Ordering::Relaxed);
+    let (result, helper, overlap) = std::thread::scope(|scope| {
+        // The helper reduces the keys from the splitter on, with a store
+        // of its own; its pairs, written flat, follow the reduce thread's.
+        let helper = theirs.map(|runs| {
+            let mut helper = Reducer::new(job, cfg, &stop);
+            helper.sink.flat = Some(Vec::new());
+            let path = cfg.scratch_dir.join(format!("r{partition}.merge"));
+            move || {
+                let store = Store::create(path);
+                let result = helper.reduce_runs(runs, None, &store).inspect_err(stopped);
+                (helper, result.map_err(merging_through(&store)))
+            }
+        });
+        beside(scope, helper, || {
+            reducer
+                .reduce_runs(mine, frame_bytes, &store)
+                .inspect_err(stopped)
+        })
+    });
+    result?;
+    let mut pairs = std::mem::take(&mut reducer.sink.pairs);
+    let mut reducers = vec![reducer];
+    if let Some((helper, result)) = helper {
+        result?;
+        let flat = helper.sink.flat.as_deref().unwrap_or_default();
+        let mut pos = 0;
+        pairs.reserve(helper.sink.emitted as usize);
+        while let Some((key, value)) = read_record(flat, &mut pos) {
+            pairs.push((key.to_vec(), value.to_vec()));
         }
-        input_records += values.len() as u64;
-        let sw_r = SampledCost::start_or_first(groups_done + 1);
-        job.reduce(key, &mut SliceValues::new(values), &mut sink);
-        if let Some(sw_r) = sw_r {
-            reduce_cost.record_call(groups_done + 1, sw_r.elapsed_ns());
-        }
-        groups_done += 1;
-        if cfg.fail_after_groups == Some(groups_done) {
-            aborted = Some(Abort::Injected);
-        } else if groups_done.is_multiple_of(64) && is_cancelled(&cfg.cancel) {
-            aborted = Some(Abort::Cancelled);
-        }
-    };
-    if framed {
-        // ---- framed merge -------------------------------------------------
-        // Spool each fetched (stored, compressed) run into the store and
-        // drop the in-memory copies; every later pass reads one-frame
-        // windows, so at most `fan_in` windows and one frame being
-        // written are resident.
-        let mut sources: Vec<CursorSource<'_>> = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let metas = scan_frames(run).map_err(io::Error::from)?;
-            sources.push(CursorSource::Stored(RunHandle::append(
-                &store, run, metas, 0,
-            )?));
-        }
-        drop(runs);
-        let multi = reduce_sources_to_fan_in(
-            sources,
-            job.as_ref(),
-            job.has_combiner(),
-            cfg.merge_fan_in,
-            cfg.frame_bytes,
-            &store,
-        )?;
-        intermediate_combine_ns = multi.combine_ns;
-        let mut cursors = multi.cursors;
-        let windows: u64 = cursors.iter().map(|c| c.window_bytes() as u64).sum();
-        peak_buffer_bytes = windows.max(multi.peak_bytes);
-        merge_grouped_cursors(&mut cursors, &|a, b| job.compare_keys(a, b), &mut on_group)?;
-    } else {
-        // ---- multi-pass merge down to the fan-in limit ------------------
-        peak_buffer_bytes = runs.iter().map(|r| r.len() as u64).sum();
-        let mut grouper = Grouper::new(job.as_ref(), job.has_combiner());
-        let multi = reduce_to_fan_in_with(runs, &mut grouper, cfg.merge_fan_in, &store)?;
-        let runs = multi.runs;
-        intermediate_combine_ns = multi.combine_ns;
-
-        // ---- final merge + reduce + write --------------------------------
-        // Comparator order: `reduce()` runs per group and cannot be redone.
-        merge_grouped(&runs, &|a, b| job.compare_keys(a, b), &mut on_group)?;
+        reducers.push(helper);
     }
-    match aborted {
-        Some(Abort::Injected) => {
-            // The dead attempt consumed its shuffle plus the partial reduce.
-            return Err(TaskError::Injected {
-                virtual_elapsed: shuffle_virtual_ns + sw_all.elapsed_ns(),
-            });
-        }
-        Some(Abort::Cancelled) => return Err(TaskError::Cancelled),
-        None => {}
+    let total_ns = overlap.work_ns(sw_all.elapsed_ns());
+    let groups: u64 = reducers.iter().map(|r| r.groups).sum();
+    // The fault fires at the N-th group in key order: the reduce thread's
+    // groups come first, then the helper's.
+    if cfg.fail_after_groups.is_some_and(|n| n > 0 && groups >= n) {
+        // The dead attempt consumed its shuffle plus the partial reduce.
+        return Err(TaskError::Injected {
+            virtual_elapsed: shuffle_virtual_ns + total_ns,
+        });
     }
-    let total_ns = sw_all.elapsed_ns();
-    let reduce_ns = reduce_cost.estimate_calls(groups_done);
+    if reducers.iter().any(|r| r.aborted) {
+        return Err(TaskError::Cancelled);
+    }
+    // Each thread's reduce and write costs are estimated over its own
+    // call counts.
+    let sum = |f: &dyn Fn(&Reducer<'_>) -> u64| reducers.iter().map(f).sum::<u64>();
+    let reduce_ns = sum(&|r| r.reduce_cost.estimate_calls(r.groups));
+    let write_ns = sum(&|r| r.sink.write_cost.estimate(r.sink.emitted));
+    let intermediate_combine_ns = sum(&|r| r.combine_ns);
+    let input_records = sum(&|r| r.input_records);
+    let output_bytes = sum(&|r| r.sink.output_bytes);
+    let peak_buffer_bytes = sum(&|r| r.peak_bytes);
     // Decompose the post-shuffle time as a clamped cascade so the four
     // components sum to `total_ns` *exactly* (the trace's reduce lane must
     // tile it); in the normal case (components measured inside `sw_all`,
     // so their sum never exceeds it) each equals the plain subtraction
     // used before. Writes happen inside the reduce calls, so their
     // estimate is carved out of the reduce time's.
-    let write_ns = sink
-        .write_cost
-        .estimate(sink.pairs.len() as u64)
-        .min(reduce_ns);
+    let write_ns = write_ns.min(reduce_ns);
     let reduce_c = (reduce_ns - write_ns).min(total_ns);
     let write_c = write_ns.min(total_ns - reduce_c);
     let ic_c = intermediate_combine_ns.min(total_ns - reduce_c - write_c);
@@ -267,13 +434,13 @@ pub fn run_reduce_task(
         ops,
         virtual_duration: shuffle_virtual_ns + total_ns,
         input_records,
-        output_bytes: sink.output_bytes,
+        output_bytes,
         peak_buffer_bytes,
         trace,
         ..Default::default()
     };
     Ok(ReduceResult {
-        pairs: sink.pairs,
+        pairs,
         profile,
         shuffle,
         flow_inputs,
@@ -349,7 +516,10 @@ mod tests {
     }
 
     fn map_all(texts: &[&str], parts: usize) -> Vec<MapOutput> {
-        let job: Arc<dyn Job> = Arc::new(WordSum);
+        map_with(Arc::new(WordSum), texts, parts)
+    }
+
+    fn map_with(job: Arc<dyn Job>, texts: &[&str], parts: usize) -> Vec<MapOutput> {
         texts
             .iter()
             .enumerate()
@@ -607,5 +777,148 @@ mod tests {
             faulty.shuffle.backoff_ns
         );
         assert!(faulty.shuffle.backoff_ns > 0);
+    }
+
+    /// [`WordSum`] with or without its combiner, noting the threads its
+    /// `reduce()` ran on.
+    struct Threads {
+        combiner: bool,
+        seen: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+    impl Threads {
+        fn new(combiner: bool) -> Arc<Self> {
+            Arc::new(Threads {
+                combiner,
+                seen: Default::default(),
+            })
+        }
+    }
+    impl Job for Threads {
+        fn name(&self) -> &str {
+            "threads"
+        }
+        /// Each word with a value of its line's and its place's, so that
+        /// values from different runs differ.
+        fn map(&self, r: &Record<'_>, e: &mut dyn Emit) {
+            let line = r
+                .key
+                .iter()
+                .fold(0u64, |h, &b| (h * 31 + b as u64) % 1_000_003);
+            let words = r.value.split(|&b| b == b' ').filter(|w| !w.is_empty());
+            for (i, w) in words.enumerate() {
+                e.emit(w, &encode_u64(line * 16 + i as u64));
+            }
+        }
+        fn has_combiner(&self) -> bool {
+            self.combiner
+        }
+        fn combine(&self, k: &[u8], values: &mut dyn ValueCursor, out: &mut dyn ValueSink) {
+            WordSum.combine(k, values, out);
+        }
+        fn reduce(&self, k: &[u8], values: &mut dyn ValueCursor, out: &mut dyn Emit) {
+            let me = std::thread::current().id();
+            self.seen.lock().unwrap().insert(me);
+            // Each value in arrival order, so a reordering shows.
+            let mut all = Vec::new();
+            while let Some(v) = values.next() {
+                all.extend_from_slice(v);
+            }
+            out.emit(k, &all);
+        }
+    }
+
+    /// Reduce partition 0 of `texts` on one thread and with a split floor
+    /// of `floor`, which must split it: both give the same result, and
+    /// neither leaves a file behind.
+    fn assert_split_is_invisible(texts: &[&str], combiner: bool, fan_in: usize, floor: u64) {
+        let job = Threads::new(combiner);
+        let outputs = map_with(job.clone(), texts, 1);
+        let run = |floor| {
+            job.seen.lock().unwrap().clear();
+            let mut cfg = rcfg(0, 0, 2);
+            cfg.merge_fan_in = fan_in;
+            let r = reduce_attempt(
+                job.as_ref(),
+                &outputs,
+                &NetworkConfig::local_cluster(),
+                &cfg,
+                floor,
+            )
+            .unwrap();
+            let files: Vec<_> = std::fs::read_dir(&cfg.scratch_dir).unwrap().collect();
+            assert!(files.is_empty(), "left behind: {files:?}");
+            (r, job.seen.lock().unwrap().len())
+        };
+        let (one, one_threads) = run(u64::MAX);
+        let (two, two_threads) = run(floor);
+        assert_eq!((one_threads, two_threads), (1, 2));
+        assert!(!one.pairs.is_empty());
+        assert_eq!(two.pairs, one.pairs);
+        assert_eq!(two.profile.input_records, one.profile.input_records);
+        assert_eq!(two.profile.output_bytes, one.profile.output_bytes);
+        assert_eq!(two.profile.peak_buffer_bytes, one.profile.peak_buffer_bytes);
+    }
+
+    /// `words` words `k<i % keys>` from `from`, several to a line.
+    fn words(from: usize, words: usize, keys: usize) -> String {
+        (from..from + words)
+            .map(|i| format!("k{:05}{}", i % keys, if i % 7 == 6 { '\n' } else { ' ' }))
+            .chain(std::iter::once('\n'.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn a_partition_over_the_floor_splits_with_passes_on_both_sides() {
+        // 12 runs of ~96 KB each past a fan-in of 5: both sides run
+        // intermediate passes.
+        let texts: Vec<String> = (0..12).map(|i| words(i * 100, 6000, 60_000)).collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let outputs = map_all(&texts, 1);
+        let fetched: u64 = outputs.iter().map(|m| m.file.total_bytes()).sum();
+        assert!(fetched >= SPLIT_FLOOR_BYTES, "{fetched}");
+        for combiner in [true, false] {
+            assert_split_is_invisible(&texts, combiner, 5, SPLIT_FLOOR_BYTES);
+        }
+    }
+
+    #[test]
+    fn a_run_wholly_on_one_side_leaves_an_empty_half() {
+        // The widest run spans k00000..k00299 and sets the splitter; the
+        // `a…` run lies wholly below it and the `z…` run wholly above.
+        // Two such runs, their values in different places: dropping the
+        // empty halves would batch the runs differently and swap them.
+        let (below, below_too) = ("a1 a2 a3 a1\n", "a0 a1 a2 a3\n");
+        let above = "z1 z2 z1 z3\n";
+        let wide = words(0, 900, 300);
+        for combiner in [true, false] {
+            assert_split_is_invisible(&[below, &wide, above, below_too], combiner, 2, 0);
+        }
+    }
+
+    #[test]
+    fn every_run_holds_the_splitter_key() {
+        // Every run holds every key, so whichever key splits, its values
+        // come from all runs and all go to the helper.
+        let texts: Vec<String> = (0..7).map(|i| words(i, 400, 40)).collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        for combiner in [true, false] {
+            assert_split_is_invisible(&texts, combiner, 3, 0);
+        }
+    }
+
+    #[test]
+    fn a_run_of_one_record_has_no_splitter() {
+        let job = Threads::new(false);
+        let outputs = map_with(job.clone(), &["solo\n"], 1);
+        let r = reduce_attempt(
+            job.as_ref(),
+            &outputs,
+            &NetworkConfig::local_cluster(),
+            &rcfg(0, 0, 1),
+            0,
+        )
+        .unwrap();
+        assert_eq!(r.pairs.len(), 1);
+        assert_eq!(job.seen.lock().unwrap().len(), 1);
     }
 }

@@ -14,6 +14,10 @@
 //! A spill that fails with an I/O error comes back as that error, naming
 //! the store file; a panic on the thread (a panicking combiner) resumes on
 //! the map thread when it next waits or joins.
+//!
+//! [`beside`] runs one attempt's work on two threads at once, the map
+//! merge's and the reduce's: the caller's share on the calling thread and
+//! a helper's in the attempt's scope, their time summed as one thread's.
 
 use crate::io::store::Store;
 use crate::metrics::Stopwatch;
@@ -25,6 +29,56 @@ use std::io;
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
+
+/// What the two threads of a [`beside`] cost.
+pub(crate) struct Overlap {
+    waited_ns: u64,
+    helper_ns: u64,
+}
+
+impl Overlap {
+    /// Both threads' work as one thread would have spent it: the caller's
+    /// `elapsed_ns` (measured across the join) less its wait on the join,
+    /// plus the helper's time.
+    pub(crate) fn work_ns(&self, elapsed_ns: u64) -> u64 {
+        elapsed_ns
+            .saturating_sub(self.waited_ns)
+            .saturating_add(self.helper_ns)
+    }
+}
+
+/// Run `mine` on the calling thread while `theirs`, if given, runs on a
+/// helper thread spawned in `scope`: both outcomes (the helper's if one
+/// ran) and their cost. The helper is joined before this returns, and a
+/// helper that panicked resumes its panic here.
+pub(crate) fn beside<'s, A, B: Send + 's>(
+    scope: &'s Scope<'s, '_>,
+    theirs: Option<impl FnOnce() -> B + Send + 's>,
+    mine: impl FnOnce() -> A,
+) -> (A, Option<B>, Overlap) {
+    let helper = theirs.map(|work| {
+        scope.spawn(move || {
+            let sw = Stopwatch::start();
+            (work(), sw.elapsed_ns())
+        })
+    });
+    let mine = mine();
+    let waited = Stopwatch::start();
+    let theirs = helper.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+    let overlap = Overlap {
+        waited_ns: waited.elapsed_ns(),
+        helper_ns: theirs.as_ref().map_or(0, |t| t.1),
+    };
+    (mine, theirs.map(|t| t.0), overlap)
+}
+
+/// An I/O error of a helper's merge, naming its store.
+pub(crate) fn merging_through(store: &Store) -> impl Fn(io::Error) -> io::Error + '_ {
+    |e| {
+        let msg = format!("merging through {}: {e}", store.path().display());
+        io::Error::new(e.kind(), msg)
+    }
+}
 
 /// A handed-over segment back from the support thread, cleared for reuse,
 /// with the outcome of spilling it.

@@ -149,3 +149,38 @@ fn access_log_join_is_deterministic_across_worker_counts() {
         &[("visits", SOURCE_VISITS), ("rankings", SOURCE_RANKINGS)],
     );
 }
+
+#[test]
+fn a_join_whose_reducers_split_is_deterministic_across_worker_counts() {
+    // Both reducers (≈ 9.8 MB and 1.1 MB fetched) pass the 1 MiB floor
+    // from which a reduce attempt splits its key range over two threads:
+    // at 2 workers up to four threads share the host's cores.
+    let mut dfs = SimDfs::new(6, 512 << 10);
+    let weblog = WeblogConfig {
+        num_urls: 3_000,
+        num_visits: 170_000,
+        ..Default::default()
+    };
+    dfs.put("visits", weblog.visits_bytes());
+    dfs.put("rankings", weblog.rankings_bytes());
+    let inputs = [("visits", SOURCE_VISITS), ("rankings", SOURCE_RANKINGS)];
+    let job: Arc<dyn Job> = Arc::new(AccessLogJoin);
+    let run = |workers: usize| {
+        let cluster = ClusterConfig::local()
+            .with_worker_threads(workers)
+            .with_shuffle_fetchers(2);
+        let cfg = JobConfig::default().with_reducers(2);
+        run_job(&cluster, &cfg, job.clone(), &dfs, &inputs).unwrap()
+    };
+    let one = run(1);
+    for task in &one.profile.reduce_tasks {
+        assert!(
+            task.peak_buffer_bytes >= 1 << 20,
+            "{}",
+            task.peak_buffer_bytes
+        );
+    }
+    let two = run(2);
+    assert_eq!(one.outputs, two.outputs);
+    assert_eq!(one.profile.signature(), two.profile.signature());
+}
